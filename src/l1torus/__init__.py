@@ -9,7 +9,8 @@ implements these objects with dual evaluation routes, verification suites
 for every identity, and positive-definiteness checks for shell-coefficient
 kernels.
 """
-from .bspline import BsplineSpec, PoleError, bspline_eval, bspline_knot_field, knot_field_batch
+from .bspline import (BsplineSpec, PoleError, bspline_eval, bspline_knot_field,
+                      bspline_values, knot_field_batch)
 from .bspline_fourier import (DEFAULT_SERIES_TERMS, McEstimate, MeanEvaluator,
                               biorthogonality_matrix, mean_d2_closed,
                               mean_order0_closed, mean_order0_integral,
@@ -17,10 +18,10 @@ from .bspline_fourier import (DEFAULT_SERIES_TERMS, McEstimate, MeanEvaluator,
 from .divdiff import (COALESCE_TOL, DerivativeOrderError, KnotVector, SmoothFn,
                       divided_difference, divided_difference_cos)
 from .kernels import (biortho_generating_pair, biortho_generating_tail,
-                      biortho_poly, dirichlet_kernel, dirichlet_seed,
-                      dirichlet_seed_poly, dirichlet_seed_theta, poisson_divdiff,
-                      poisson_kernel, poisson_product, shell_seed,
-                      shell_seed_poly, shell_seed_theta, shell_sum,
+                      biortho_poly, dirichlet_kernel, dirichlet_kernel_batch,
+                      dirichlet_seed, dirichlet_seed_poly, dirichlet_seed_theta,
+                      poisson_divdiff, poisson_kernel, poisson_product,
+                      shell_seed, shell_seed_poly, shell_seed_theta, shell_sum,
                       shell_sum_batch)
 from .numerics import (DEFAULT_SEED, DEFAULT_TOL, LatticeShell, QuadRule,
                        ball_enumerate, gauss_gegenbauer, gauss_legendre,
@@ -48,7 +49,8 @@ __all__ = [
     "SampledTorusFn", "SmoothFn", "SUITES", "VerifyConfig", "ZeroTail",
     "ball_enumerate", "biorthogonality_matrix", "biortho_generating_pair",
     "biortho_generating_tail", "biortho_poly", "bspline_eval",
-    "bspline_knot_field", "build_fd", "dirichlet_kernel", "dirichlet_seed",
+    "bspline_knot_field", "bspline_values", "build_fd", "dirichlet_kernel",
+    "dirichlet_kernel_batch", "dirichlet_seed",
     "dirichlet_seed_poly", "dirichlet_seed_theta", "divided_difference",
     "divided_difference_cos", "field_integral", "field_integrals",
     "fourier_coefficient", "gauss_gegenbauer", "gauss_legendre",

@@ -9,8 +9,10 @@ uses the knot-insertion recurrence
     (x_{m+1} - x_0) M_{m+1}(u | x_0..x_{m+1})
         = (u - x_0) M_m(u | x_0..x_m) + (x_{m+1} - u) M_m(u | x_1..x_{m+1})
 
-with the convention that any term with a zero span is zero.  The divided
-difference definition is kept as an independent oracle in the test suite.
+with the convention that any term with a zero span is zero.  It is written
+once, in :func:`bspline_values`; the other evaluators validate and wrap it.
+The divided difference definition is kept as an independent oracle in the
+test suite.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import KnotVector
+from .numerics import theta_vector
 
 
 class PoleError(ArithmeticError):
@@ -40,28 +43,38 @@ class BsplineSpec:
             raise ValueError("an order-m B-spline needs exactly m + 1 knots")
 
 
+def bspline_values(knots, u) -> np.ndarray:
+    """M_m(u | knots) by knot insertion, m = knots.shape[-1] - 1.
+
+    ``knots`` holds rows of m + 1 ascending knots, shape (..., m + 1), and
+    ``u`` broadcasts against knots[..., 0].  Zero spans contribute zero
+    terms; rows that are poles or point masses must be filtered by the
+    caller.
+    """
+    x = np.asarray(knots, dtype=float)
+    u = np.asarray(u, dtype=float)[..., None]
+    gaps = x[..., 1:] - x[..., :-1]
+    inv = np.divide(1.0, gaps, where=gaps > 0, out=np.zeros_like(gaps))
+    vals = np.where((x[..., :-1] <= u) & (u < x[..., 1:]), inv, 0.0)
+    m = x.shape[-1] - 1
+    for k in range(2, m + 1):
+        span = x[..., k:] - x[..., :-k]
+        num = (u - x[..., :-k]) * vals[..., :-1] + (x[..., k:] - u) * vals[..., 1:]
+        vals = np.divide(num, span, where=span > 0, out=np.zeros_like(num))
+    # The recurrence yields the raw divided difference of (x - u)_+^(m-1),
+    # whose integral is 1/m; dividing by (m-1)! lands on the 1/m! contract.
+    return vals[..., 0] / math.factorial(m - 1)
+
+
 def bspline_eval(spec: BsplineSpec, u: float) -> float:
     """Value of M_m(u | knots); zero outside [x_0, x_m].
 
     All knots equal is rejected: the B-spline degenerates to a point mass.
     """
     x = np.asarray(spec.knots.knots, dtype=float)
-    m = spec.order
     if x[0] == x[-1]:
         raise ValueError("all knots coincide; the B-spline is not a function")
-    u = float(u)
-    gaps = x[1:] - x[:-1]
-    with np.errstate(divide="ignore"):
-        vals = np.where((gaps > 0) & (x[:-1] <= u) & (u < x[1:]),
-                        np.divide(1.0, gaps, where=gaps > 0, out=np.zeros_like(gaps)),
-                        0.0)
-    for k in range(2, m + 1):
-        span = x[k:] - x[:-k]
-        num = (u - x[:-k]) * vals[:-1] + (x[k:] - u) * vals[1:]
-        vals = np.divide(num, span, where=span > 0, out=np.zeros_like(span))
-    # The recurrence yields the raw divided difference of (x - u)_+^(m-1),
-    # whose integral is 1/m; dividing by (m-1)! lands on the 1/m! contract.
-    return float(vals[0]) / math.factorial(m - 1)
+    return float(bspline_values(x, float(u)))
 
 
 def knot_field_batch(d: int, u: float, cos_knots: np.ndarray) -> np.ndarray:
@@ -78,14 +91,7 @@ def knot_field_batch(d: int, u: float, cos_knots: np.ndarray) -> np.ndarray:
         raise ValueError("cos_knots must have shape (batch, d)")
     if abs(u) >= 1.0:
         return np.zeros(x.shape[0])
-    gaps = x[:, 1:] - x[:, :-1]
-    inv = np.divide(1.0, gaps, where=gaps > 0, out=np.zeros_like(gaps))
-    vals = np.where((x[:, :-1] <= u) & (u < x[:, 1:]), inv, 0.0)
-    for k in range(2, d):
-        span = x[:, k:] - x[:, :-k]
-        num = (u - x[:, :-k]) * vals[:, :-1] + (x[:, k:] - u) * vals[:, 1:]
-        vals = np.divide(num, span, where=span > 0, out=np.zeros_like(span))
-    return vals[:, 0] / math.factorial(d - 2)
+    return bspline_values(x, u)
 
 
 def bspline_knot_field(d: int, u: float, theta) -> float:
@@ -96,14 +102,11 @@ def bspline_knot_field(d: int, u: float, theta) -> float:
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size != d:
-        raise ValueError("theta must supply d angles")
-    knots = np.sort(np.cos(t))
+    knots = np.sort(np.cos(theta_vector(theta, d)))
     if abs(u) >= 1.0:
         return 0.0
     if d == 2 and knots[0] == knots[1]:
         raise PoleError("order-1 field with equal knots has a pole")
     if knots[0] == knots[-1]:
         raise ValueError("all knots coincide; the field is not a function")
-    return bspline_eval(BsplineSpec(d - 1, KnotVector(knots)), u)
+    return float(bspline_values(knots, float(u)))

@@ -26,21 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import knot_field_batch
-from .kernels import biortho_poly
-from .numerics import DEFAULT_SEED, gauss_gegenbauer, shell_count, shell_enumerate
+from .kernels import _check_dn, biortho_poly, shell_sum_batch
+from .numerics import DEFAULT_SEED, gauss_gegenbauer, shell_count
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 DEFAULT_SERIES_TERMS = 2000
 SERIES_EDGE_MARGIN = 1e-3
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
-
-
-def _check_dn(d: int, n: int):
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if n < 0:
-        raise ValueError("index n must be >= 0")
 
 
 def mean_d2_closed(n: int, alpha: float) -> float:
@@ -186,7 +179,6 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
         budget = _MC_DEFAULT_BUDGET[d]
     total_pairs = max(budget // 2, 1)
     rng = np.random.default_rng(seed)
-    pts = shell_enumerate(d, n).points
     count = shell_count(d, n)
     sgn = -1.0 if n % 2 else 1.0
     chunks = []
@@ -201,7 +193,7 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
             theta[bad] = redraw
             knots[bad] = np.sort(np.cos(redraw), axis=1)
             bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
-        ssum = np.cos(theta @ pts.T).sum(axis=1)
+        ssum = shell_sum_batch(d, n, theta)
         f_plus = knot_field_batch(d, u, knots)
         f_minus = knot_field_batch(d, -u, knots)
         chunks.append(0.5 * (f_plus + sgn * f_minus) * ssum / count)
@@ -272,6 +264,8 @@ class MeanEvaluator:
     def evaluate(self, u: float) -> tuple[float, float | None]:
         """Return (value, stderr); stderr is None for deterministic routes."""
         u = float(u)
+        if not math.isfinite(u):
+            raise ValueError(f"u must be finite, got {u!r}")
         if self.method == "closed":
             if self.d == 2:
                 if abs(u) >= 1.0:

@@ -20,12 +20,12 @@ import sys
 import numpy as np
 
 from .bspline_fourier import DEFAULT_SERIES_TERMS, MeanEvaluator
-from .kernels import (biortho_poly, dirichlet_kernel, dirichlet_seed_theta,
-                      shell_seed_theta, shell_sum)
+from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
+                      shell_seed_theta, shell_sum_batch)
 from .numerics import DEFAULT_SEED, shell_count, torus_trapezoid
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, pdf_check, spdf_check
 from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
-from .verify import SUITE_ALIASES, SUITES, VerifyConfig, run_suites
+from .verify import SUITES, VerifyConfig, run_suites
 
 _FMT = "%.17g"
 
@@ -102,18 +102,15 @@ def _cmd_kernel(args) -> int:
             pts = np.array([_parse_theta(t, d) for t in args.theta])
         else:
             raise ValueError("provide --theta (repeatable) or --grid for E/D")
-        fn = shell_sum if what == "E" else dirichlet_kernel
+        fn = shell_sum_batch if what == "E" else dirichlet_kernel_batch
         header = ["d", "n"] + [f"theta_{i+1}" for i in range(d)] + ["value"]
-        rows = [[d, n, *map(float, t), fn(d, n, t)] for t in pts]
+        rows = [[d, n, *map(float, t), float(v)] for t, v in zip(pts, fn(d, n, pts))]
     elif what in ("G", "H"):
         if not args.theta:
             raise ValueError("provide --theta (one angle per flag) for G/H")
         fn = dirichlet_seed_theta if what == "G" else shell_seed_theta
         header = ["d", "n", "theta", "value"]
-        rows = []
-        for t in args.theta:
-            angle = float(t)
-            rows.append([d, n, angle, fn(d, n, angle)])
+        rows = [[d, n, float(t), fn(d, n, float(t))] for t in args.theta]
     elif what == "h":
         if args.u is not None:
             us = [float(v) for v in args.u]
@@ -203,8 +200,7 @@ def _cmd_partial_sum(args) -> int:
         raise ValueError(
             f"--L must exceed twice the largest frequency ({max(args.n, trunc)})"
         )
-    f = SampledTorusFn.sample(d, args.L, lambda pts: np.array(
-        [synth(d, coeffs, trunc, p) for p in pts]))
+    f = SampledTorusFn.sample(d, args.L, lambda pts: synth(d, coeffs, trunc, pts))
     if not args.theta:
         raise ValueError("provide --theta (repeatable)")
     header = (["d", "n", "L", "route"] + [f"theta_{i+1}" for i in range(d)]
@@ -256,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity verification suites")
     p.add_argument("--suite", action="append",
                    help=f"suite name; repeatable; default all. "
-                        f"Known: {', '.join(sorted(SUITES))} "
-                        f"(aliases: {', '.join(sorted(SUITE_ALIASES))})")
+                        f"Known: {', '.join(sorted(SUITES))}")
     p.add_argument("--d", type=int)
     p.add_argument("--nmax", type=int)
     p.add_argument("--N", type=int, help="largest index for the biortho suite")

@@ -18,6 +18,9 @@ With s = (-1)^floor((d-1)/2):
 The (d-1)-st derivative of the shell seed is the degree-n polynomial family
 biorthogonal to the B-spline Fourier means; it has two equivalent explicit
 Gegenbauer expansions implemented side by side.
+
+``shell_sum_batch`` is the only lattice cosine sum; ``dirichlet_kernel_batch``
+sums it over the shells of the ball; the scalar forms are one-row wrappers.
 """
 from __future__ import annotations
 
@@ -28,10 +31,11 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .divdiff import SmoothFn
-from .numerics import ball_enumerate, shell_count, shell_enumerate
+from .numerics import shell_enumerate, theta_vector
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
-_IMAG_TOL = 1e-12
+# Entries of the (rows x shell) temporary in shell_sum_batch (128 KiB, in cache)
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _sign(d: int) -> float:
@@ -150,47 +154,42 @@ def biortho_poly(d: int, n: int, u, form: str = "c"):
 
 
 def shell_sum(d: int, n: int, theta) -> float:
-    """Sum of exp(i a.theta) over the l1 shell |a|_1 = n.
-
-    The shell is symmetric under negation so the sum is real; the imaginary
-    residual is checked against 1e-12 (relative above 1) and discarded.
-    """
-    _check_dn(d, n, dmin=1)
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size != d:
-        raise ValueError("theta must supply d angles")
-    pts = shell_enumerate(d, n).points
-    s = complex(np.exp(1j * (pts @ t)).sum())
-    if abs(s.imag) > _IMAG_TOL * max(1.0, abs(s.real)):
-        raise ArithmeticError("shell sum has a non-negligible imaginary part")
-    return s.real
+    """Sum of exp(i a.theta) over the l1 shell |a|_1 = n, at one point."""
+    return float(shell_sum_batch(d, n, theta_vector(theta, d)[None, :])[0])
 
 
 def shell_sum_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
     """Shell sums for a batch of points, shape (batch, d) -> (batch,).
 
     Computed as a cosine sum, which is exact because the shell is closed
-    under negation.
+    under negation.  Rows are taken in blocks so that the (rows x shell)
+    temporary holds at most ``_BLOCK_ENTRIES`` entries, or one row when a
+    single shell is larger than that.
     """
     _check_dn(d, n, dmin=1)
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 2 or t.shape[1] != d:
         raise ValueError("thetas must have shape (batch, d)")
     pts = shell_enumerate(d, n).points
-    return np.cos(t @ pts.T).sum(axis=1)
+    step = max(1, _BLOCK_ENTRIES // len(pts))
+    out = np.empty(t.shape[0])
+    for i in range(0, t.shape[0], step):
+        out[i:i + step] = np.cos(t[i:i + step] @ pts.T).sum(axis=1)
+    return out
 
 
 def dirichlet_kernel(d: int, n: int, theta) -> float:
-    """Sum of exp(i a.theta) over the l1 ball |a|_1 <= n."""
+    """Sum of exp(i a.theta) over the l1 ball |a|_1 <= n, at one point."""
+    return float(dirichlet_kernel_batch(d, n, theta_vector(theta, d)[None, :])[0])
+
+
+def dirichlet_kernel_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
+    """Dirichlet kernels for a batch of points, shape (batch, d) -> (batch,).
+
+    The running sum of the shell sums over 0 <= k <= n.
+    """
     _check_dn(d, n, dmin=1)
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size != d:
-        raise ValueError("theta must supply d angles")
-    pts = ball_enumerate(d, n)
-    s = complex(np.exp(1j * (pts @ t)).sum())
-    if abs(s.imag) > _IMAG_TOL * max(1.0, abs(s.real)):
-        raise ArithmeticError("Dirichlet kernel has a non-negligible imaginary part")
-    return s.real
+    return sum(shell_sum_batch(d, k, thetas) for k in range(n + 1))
 
 
 def poisson_product(d: int, r: float, theta) -> float:
@@ -202,9 +201,7 @@ def poisson_product(d: int, r: float, theta) -> float:
         raise ValueError("dimension must be >= 1")
     if not (0 <= r < 1):
         raise ValueError("r must lie in [0, 1)")
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size != d:
-        raise ValueError("theta must supply d angles")
+    t = theta_vector(theta, d)
     denom = np.prod(1.0 - 2.0 * r * np.cos(t) + r * r)
     return float((1.0 - r * r) ** d / denom)
 
@@ -238,9 +235,7 @@ def poisson_divdiff(d: int, r: float, theta) -> float:
         raise ValueError("dimension must be >= 1")
     if not (0 <= r < 1):
         raise ValueError("r must lie in [0, 1)")
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size != d:
-        raise ValueError("theta must supply d angles")
+    t = theta_vector(theta, d)
     denom = np.prod(1.0 - 2.0 * r * np.cos(t) + r * r)
     return float((2.0 * r) ** (d - 1) / denom)
 

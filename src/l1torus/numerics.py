@@ -1,8 +1,8 @@
 """Shared numerical infrastructure.
 
 Quadrature rules (Gauss-Legendre, Gauss-Gegenbauer, tensor trapezoid on the
-torus), enumeration and counting of l1 lattice shells, and the tolerance
-policy used throughout the package.
+torus), enumeration and counting of l1 lattice shells, the tolerance policy
+and the torus-point validator used throughout the package.
 """
 from __future__ import annotations
 
@@ -171,6 +171,14 @@ def shell_count(d: int, n: int) -> int:
 def ball_enumerate(d: int, n: int) -> np.ndarray:
     """All alpha in Z^d with |alpha|_1 <= n, stacked shell by shell."""
     return np.concatenate([shell_enumerate(d, k).points for k in range(n + 1)], axis=0)
+
+
+def theta_vector(theta, d: int) -> np.ndarray:
+    """One torus point as a flat float array of exactly d angles."""
+    t = np.asarray(theta, dtype=float).ravel()
+    if t.size != d:
+        raise ValueError("theta must supply d angles")
+    return t
 
 
 def wrap_angles(theta: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -160,20 +160,21 @@ def gram_matrix(spec: GramSpec) -> np.ndarray:
     """Gram matrix A[i, j] = f(theta_i - theta_j) of the synthesized kernel.
 
     Points must be pairwise distinct modulo 2 pi (separation at least 1e-9
-    in the wrapped sup-norm).  The kernel is even, so the matrix is filled
-    symmetrically from one triangle.
+    in the wrapped sup-norm).  The kernel is even, so one batched synthesis
+    over the upper-triangle differences fills the matrix symmetrically.
     """
     pts = spec.points
     npts = pts.shape[0]
-    diag = synth(spec.d, spec.coeffs, spec.trunc, np.zeros(spec.d))
+    i, j = np.triu_indices(npts, k=1)
+    delta = wrap_angles(pts[i] - pts[j])
+    close = np.max(np.abs(delta), axis=1) < MIN_POINT_SEPARATION
+    if np.any(close):
+        k = int(np.argmax(close))
+        raise ValueError(f"points {i[k]} and {j[k]} coincide modulo 2 pi")
+    vals = synth(spec.d, spec.coeffs, spec.trunc, np.vstack([np.zeros(spec.d), delta]))
     a = np.empty((npts, npts))
-    np.fill_diagonal(a, diag)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            delta = wrap_angles(pts[i] - pts[j])
-            if np.max(np.abs(delta)) < MIN_POINT_SEPARATION:
-                raise ValueError(f"points {i} and {j} coincide modulo 2 pi")
-            a[i, j] = a[j, i] = synth(spec.d, spec.coeffs, spec.trunc, delta)
+    np.fill_diagonal(a, vals[0])
+    a[i, j] = a[j, i] = vals[1:]
     return a
 
 

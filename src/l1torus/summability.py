@@ -3,7 +3,7 @@
 A function on the d-torus whose Fourier coefficients depend only on the l1
 norm of the frequency is determined by one scalar per shell.  This module
 holds the coefficient-sequence type (explicit head values plus a sign-rule
-descriptor for the tail), pointwise synthesis from shell sums, the
+descriptor for the tail), synthesis from batched shell sums, the
 equivalent divided-difference route through a single univariate polynomial,
 and partial-sum operators for grid-sampled functions.
 """
@@ -17,8 +17,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .divdiff import SmoothFn, divided_difference_cos
-from .kernels import shell_seed_poly, shell_sum
-from .numerics import QuadRule, ball_enumerate, torus_trapezoid
+from .kernels import dirichlet_kernel_batch, shell_seed_poly, shell_sum_batch
+from .numerics import QuadRule, ball_enumerate, theta_vector, torus_trapezoid
 
 
 class ResolutionError(ValueError):
@@ -147,14 +147,21 @@ class CoeffSeq:
         return cls(obj["head"], tail)
 
 
-def synth(d: int, coeffs: CoeffSeq, trunc: int, theta) -> float:
-    """Pointwise synthesis sum_{n <= trunc} c_n * shell_sum(d, n, theta)."""
+def synth(d: int, coeffs: CoeffSeq, trunc: int, theta):
+    """Synthesis sum_{n <= trunc} c_n * shell_sum(d, n, theta).
+
+    ``theta`` is one point (d angles, returns a float) or a batch of shape
+    (batch, d) (returns an array of shape (batch,)).
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if trunc < 0:
         raise ValueError("trunc must be >= 0")
     top = min(trunc, coeffs.max_head_index)
-    return float(sum(coeffs.value(n) * shell_sum(d, n, theta) for n in range(top + 1)))
+    batch = np.ndim(theta) == 2
+    rows = np.asarray(theta, dtype=float) if batch else theta_vector(theta, d)[None, :]
+    vals = sum(coeffs.value(n) * shell_sum_batch(d, n, rows) for n in range(top + 1))
+    return vals if batch else float(vals[0])
 
 
 def build_fd(d: int, coeffs: CoeffSeq, trunc: int) -> SmoothFn:
@@ -234,16 +241,13 @@ def partial_sum(f: SampledTorusFn, n: int, theta, route: str = "coefficients") -
         raise ResolutionError(
             f"grid of {f.npts_per_axis} points per axis cannot resolve order {n}"
         )
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size != f.d:
-        raise ValueError("theta must supply d angles")
-    ball = ball_enumerate(f.d, n)
+    t = theta_vector(theta, f.d)
     if route == "coefficients":
+        ball = ball_enumerate(f.d, n)
         phases = np.exp(-1j * (f.rule.nodes @ ball.T))
         coeffs = (f.rule.weights * f.values) @ phases
         return complex(coeffs @ np.exp(1j * (ball @ t)))
     if route == "convolution":
-        diff = t[None, :] - f.rule.nodes
-        dvals = np.cos(diff @ ball.T).sum(axis=1)
+        dvals = dirichlet_kernel_batch(f.d, n, t[None, :] - f.rule.nodes)
         return complex(np.dot(f.rule.weights, f.values * dvals))
     raise ValueError("route must be 'coefficients' or 'convolution'")

@@ -14,15 +14,16 @@ from typing import Callable
 
 import numpy as np
 
-from .bspline import BsplineSpec, bspline_eval
+from .bspline import bspline_values
 from .bspline_fourier import (biorthogonality_matrix, mean_d2_closed,
                               mean_recursion_sides, mean_series, mean_torus_mc)
-from .divdiff import KnotVector, divided_difference_cos
+from .divdiff import divided_difference_cos
 from .kernels import (biortho_generating_pair, biortho_generating_tail,
-                      biortho_poly, dirichlet_kernel, dirichlet_seed,
+                      biortho_poly, dirichlet_kernel_batch, dirichlet_seed,
                       poisson_divdiff, poisson_kernel, poisson_product,
-                      shell_seed, shell_sum)
-from .numerics import DEFAULT_SEED, gauss_legendre, rel_err, shell_count, shell_enumerate
+                      shell_seed, shell_sum_batch)
+from .numerics import (DEFAULT_SEED, gauss_legendre, rel_err, shell_count, shell_enumerate,
+                       theta_vector)
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, spdf_check, spdf_pair_search
 from .summability import CoeffSeq, ResiduesPositive
 
@@ -79,26 +80,24 @@ def field_integrals(d: int, theta, integrands: list[Callable], nodes_per_segment
     """Integrals of integrand(u) * M_{d-1}(u | cos theta) du over the line.
 
     Piecewise Gauss-Legendre between consecutive sorted knots; the B-spline
-    is polynomial on every segment, so smooth integrands converge fast.  The
-    B-spline values are computed once and shared across the integrands.
+    is polynomial on every segment, so smooth integrands converge fast.
+    Each segment [a, b] is split into ceil(4 (b - a)) equal panels of length
+    at most 1/4: one rule over a long segment loses accuracy when the
+    integrand has a pole just beyond its end, as the Poisson kernel
+    (1 - 2ru + r^2)^(-d) does at u = (1 + r^2) / (2r).  The B-spline values
+    at all nodes are computed in one call and shared across the integrands.
     """
-    t = np.asarray(theta, dtype=float).ravel()
-    knots = np.sort(np.cos(t))
+    knots = np.sort(np.cos(theta_vector(theta, d)))
     if knots[0] == knots[-1]:
         raise ValueError("all knots coincide")
     gl = gauss_legendre(nodes_per_segment)
-    spec = BsplineSpec(d - 1, KnotVector(knots))
-    totals = [0.0] * len(integrands)
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b <= a:
-            continue
-        x = 0.5 * (b - a) * gl.nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * gl.weights
-        mv = np.array([bspline_eval(spec, xi) for xi in x])
-        wm = w * mv
-        for k, fn in enumerate(integrands):
-            totals[k] += float(np.dot(wm, np.asarray(fn(x), dtype=float)))
-    return totals
+    cuts = [np.linspace(a, b, math.ceil(4.0 * (b - a)) + 1)
+            for a, b in zip(knots[:-1], knots[1:]) if b > a]
+    lo = np.concatenate([c[:-1] for c in cuts])[:, None]
+    hi = np.concatenate([c[1:] for c in cuts])[:, None]
+    x = (0.5 * (hi - lo) * gl.nodes + 0.5 * (lo + hi)).ravel()
+    wm = (0.5 * (hi - lo) * gl.weights).ravel() * bspline_values(knots, x)
+    return [float(np.dot(wm, np.asarray(fn(x), dtype=float))) for fn in integrands]
 
 
 def field_integral(d: int, theta, integrand: Callable, nodes_per_segment: int = 32) -> float:
@@ -163,9 +162,8 @@ def suite_shell_divdiff(cfg: VerifyConfig) -> IdentityReport:
         thetas = sample_separated_theta(rng, d, 30)
         for n in range(1, nmax + 1):
             fn = shell_seed(d, n)
-            for t in thetas:
-                worst = max(worst, rel_err(divided_difference_cos(fn, t),
-                                           shell_sum(d, n, t)))
+            for t, ref in zip(thetas, shell_sum_batch(d, n, thetas).tolist()):
+                worst = max(worst, rel_err(divided_difference_cos(fn, t), ref))
     return IdentityReport(
         name="shell-divdiff",
         description="sum of exp(i a.theta) over |a|_1 = n equals the divided "
@@ -185,14 +183,15 @@ def suite_shell_integral(cfg: VerifyConfig) -> IdentityReport:
     worst = 0.0
     for d in dims:
         thetas = sample_separated_theta(rng, d, 30)
-        for t in thetas:
-            integrands = [
-                (lambda x, dd=d, nn=n: biortho_poly(dd, nn, x))
-                for n in range(nmax + 1)
-            ]
+        refs = np.array([shell_sum_batch(d, n, thetas) for n in range(nmax + 1)])
+        integrands = [
+            (lambda x, dd=d, nn=n: biortho_poly(dd, nn, x))
+            for n in range(nmax + 1)
+        ]
+        for t, ref in zip(thetas, refs.T.tolist()):
             vals = field_integrals(d, t, integrands)
             for n in range(nmax + 1):
-                worst = max(worst, rel_err(vals[n], shell_sum(d, n, t)))
+                worst = max(worst, rel_err(vals[n], ref[n]))
     return IdentityReport(
         name="shell-integral",
         description="shell sums equal the integral of biortho_poly(d, n, u) "
@@ -214,9 +213,8 @@ def suite_dirichlet_divdiff(cfg: VerifyConfig) -> IdentityReport:
         thetas = sample_separated_theta(rng, d, 30)
         for n in range(nmax + 1):
             fn = dirichlet_seed(d, n)
-            for t in thetas:
-                worst = max(worst, rel_err(divided_difference_cos(fn, t),
-                                           dirichlet_kernel(d, n, t)))
+            for t, ref in zip(thetas, dirichlet_kernel_batch(d, n, thetas).tolist()):
+                worst = max(worst, rel_err(divided_difference_cos(fn, t), ref))
     return IdentityReport(
         name="dirichlet-divdiff",
         description="sum of exp(i a.theta) over |a|_1 <= n equals the divided "
@@ -310,9 +308,10 @@ def suite_poisson_series(cfg: VerifyConfig) -> IdentityReport:
     worst = 0.0
     for d in dims:
         thetas = rng.uniform(-math.pi, math.pi, (10, d))
+        shells = [shell_sum_batch(d, n, thetas) for n in range(nterms + 1)]
         for r in (0.2, 0.5):
-            for t in thetas:
-                partial = sum(r**n * shell_sum(d, n, t) for n in range(nterms + 1))
+            partials = sum(r**n * shells[n] for n in range(nterms + 1))
+            for t, partial in zip(thetas, partials.tolist()):
                 worst = max(worst, rel_err(partial, poisson_product(d, r, t)))
     return IdentityReport(
         name="poisson-series",
@@ -531,22 +530,12 @@ SUITES: dict[str, Callable[[VerifyConfig], IdentityReport]] = {
     "spdf-cross": suite_spdf_cross,
 }
 
-SUITE_ALIASES = {
-    "en-divdiff": "shell-divdiff",
-    "en-integral": "shell-integral",
-}
-
 
 def run_suites(names: list[str] | None, cfg: VerifyConfig | None = None) -> list[IdentityReport]:
     """Run the named suites (all of them when names is None)."""
     cfg = cfg or VerifyConfig()
-    if names is None:
-        chosen = list(SUITES)
-    else:
-        chosen = []
-        for raw in names:
-            name = SUITE_ALIASES.get(raw, raw)
-            if name not in SUITES:
-                raise ValueError(f"unknown suite: {raw!r}")
-            chosen.append(name)
+    chosen = list(SUITES) if names is None else names
+    for name in chosen:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite: {name!r}")
     return [SUITES[name](cfg) for name in chosen]

@@ -9,6 +9,7 @@ from l1torus.bspline import (
     PoleError,
     bspline_eval,
     bspline_knot_field,
+    bspline_values,
     knot_field_batch,
 )
 from l1torus.divdiff import KnotVector, SmoothFn, divided_difference
@@ -142,11 +143,22 @@ def test_batch_agrees_with_scalar_route(d, rng):
     knots = np.sort(np.cos(theta), axis=1)
     ok = np.min(np.diff(knots, axis=1), axis=1) > 1e-6
     knots = knots[ok]
-    for u in (-0.35, 0.0, 0.4):
+    us = (-0.35, 0.0, 0.4)
+    for u in us:
         batch = knot_field_batch(d, u, knots)
         for row, got in zip(knots, batch):
             spec = BsplineSpec(d - 1, KnotVector(row))
             assert abs(got - bspline_eval(spec, u)) < 1e-12
+    # u broadcasts against the knot rows: rows x points in one call, and
+    # many points against a single row
+    grid = bspline_values(knots[:, None, :], np.array(us)[None, :])
+    assert grid.shape == (len(knots), len(us))
+    for j, u in enumerate(us):
+        assert np.array_equal(grid[:, j], knot_field_batch(d, u, knots))
+    xs = np.linspace(-1.0, 1.0, 17)
+    line = bspline_values(knots[0], xs)
+    spec = BsplineSpec(d - 1, KnotVector(knots[0]))
+    assert np.array_equal(line, [bspline_eval(spec, x) for x in xs])
 
 
 def test_field_vanishes_outside_open_interval():

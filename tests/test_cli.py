@@ -112,6 +112,16 @@ def test_mnd_mc_reports_stderr(capsys):
     assert float(row["stderr"]) > 0.0
 
 
+@pytest.mark.parametrize("d, n, method", [(2, 1, "series"), (3, 0, "closed"),
+                                          (2, 1, "closed"), (2, 1, "mc")])
+def test_mnd_rejects_non_finite_u(capsys, d, n, method):
+    code = main(["mnd", "--d", str(d), "--n", str(n), "--method", method, "--u", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: u must be finite, got nan"]
+
+
 def test_mnd_grid_u(capsys):
     code, out = run_cli(capsys, "mnd", "--d", "2", "--n", "1",
                         "--grid-u=-0.5:0.5:5", "--method", "closed")
@@ -133,14 +143,6 @@ def test_verify_single_suite_passes(capsys):
     (suite,) = payload["suites"]
     assert suite["name"] == "biortho"
     assert suite["max_error"] <= suite["tolerance"]
-
-
-def test_verify_accepts_legacy_suite_alias(capsys):
-    code, out = run_cli(capsys, "verify", "--suite", "en-divdiff",
-                        "--nmax", "4")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["suites"][0]["name"] == "shell-divdiff"
 
 
 def test_verify_exit_one_on_failure(capsys):

@@ -11,6 +11,7 @@ from l1torus.kernels import (
     biortho_generating_tail,
     biortho_poly,
     dirichlet_kernel,
+    dirichlet_kernel_batch,
     dirichlet_seed,
     dirichlet_seed_poly,
     dirichlet_seed_theta,
@@ -22,8 +23,9 @@ from l1torus.kernels import (
     shell_seed_theta,
     shell_sum,
     shell_sum_batch,
+    _BLOCK_ENTRIES,
 )
-from l1torus.numerics import shell_count
+from l1torus.numerics import shell_count, shell_enumerate
 
 TOL = 1e-12
 
@@ -36,6 +38,11 @@ def brute_shell_sum(d, n, theta):
         if sum(abs(a) for a in alpha) == n:
             total += math.cos(float(np.dot(alpha, theta)))
     return total
+
+
+def brute_ball_sum(d, n, theta):
+    """Direct lattice sum over |alpha|_1 <= n (independent of shell_enumerate)."""
+    return sum(brute_shell_sum(d, k, theta) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------- seed values
@@ -106,6 +113,28 @@ def test_shell_sum_batch_matches_scalar(rng):
     batch = shell_sum_batch(3, 4, thetas)
     for row, got in zip(thetas, batch):
         assert abs(got - shell_sum(3, 4, row)) < 1e-10
+    # a batch walked in several row blocks agrees with one unblocked sum
+    d, n = 3, 20
+    thetas = rng.uniform(-math.pi, math.pi, (400, d))
+    pts = shell_enumerate(d, n).points
+    assert thetas.shape[0] * len(pts) > 2 * _BLOCK_ENTRIES
+    direct = np.cos(thetas @ pts.T).sum(axis=1)
+    assert np.max(np.abs(shell_sum_batch(d, n, thetas) - direct)) < 1e-9
+    step = _BLOCK_ENTRIES // len(pts)
+    for k in (0, step - 1, step, 399):
+        assert abs(shell_sum(d, n, thetas[k]) - direct[k]) < 1e-9
+    # the batched Dirichlet kernel against a brute-force ball sum
+    for d, n in ((2, 5), (3, 3)):
+        thetas = rng.uniform(-math.pi, math.pi, (6, d))
+        got = dirichlet_kernel_batch(d, n, thetas)
+        assert got.shape == (6,)
+        for row, value in zip(thetas, got):
+            assert abs(value - brute_ball_sum(d, n, row)) < 1e-10
+            assert abs(value - dirichlet_kernel(d, n, row)) < 1e-12
+    with pytest.raises(ValueError, match="shape"):
+        dirichlet_kernel_batch(3, 2, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="index n"):
+        dirichlet_kernel_batch(3, -1, np.zeros((4, 3)))
 
 
 def test_dirichlet_kernel_is_cumulative_shell_sum(rng):

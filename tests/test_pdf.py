@@ -135,6 +135,11 @@ def test_gram_matrix_rejects_coincident_points():
     pts = np.array([[0.1, 0.2], [0.1 + 2 * math.pi, 0.2]])
     with pytest.raises(ValueError):
         gram_matrix(GramSpec(2, pts, s, 1))
+    # the first coincident pair in row-major order is the one named
+    pts = np.array([[0.5, 0.5], [0.1, 0.2], [-1.0, 2.0], [0.1, 0.2 - 2 * math.pi],
+                    [-1.0, 2.0]])
+    with pytest.raises(ValueError, match="points 1 and 3 coincide"):
+        gram_matrix(GramSpec(2, pts, s, 1))
 
 
 def test_gram_spec_validates_shape():

@@ -98,6 +98,18 @@ def test_synthesis_routes_agree(d, rng):
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_synthesis_matches_per_point(d, rng):
+    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+    pts = rng.uniform(-math.pi, math.pi, (7, d))
+    batch = synth(d, seq, 3, pts)
+    assert batch.shape == (7,)
+    for p, got in zip(pts, batch):
+        assert abs(got - synth(d, seq, 3, p)) < 1e-12
+    with pytest.raises(ValueError):
+        synth(d, seq, 3, np.zeros((2, d + 1)))
+
+
 def test_synthesis_at_origin_sums_counts():
     from l1torus.numerics import shell_count
 
