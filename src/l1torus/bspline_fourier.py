@@ -27,7 +27,7 @@ import numpy as np
 
 from .bspline import knot_field_batch
 from .kernels import _check_dn, biortho_poly, shell_sum_batch
-from .numerics import DEFAULT_SEED, gauss_gegenbauer, shell_count
+from .numerics import DEFAULT_SEED, MAX_DRAWS, gauss_gegenbauer, shell_count
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 DEFAULT_SERIES_TERMS = 2000
@@ -165,8 +165,9 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
     field(u | -knots reversed) = field(-u | knots) and the factor (-1)^n on
     the shell sum.  Samples whose sorted cosine knots have an adjacent gap
     below 1e-12 are rejected and redrawn (the integrand is integrable but
-    unbounded there).  ``budget`` counts integrand evaluations; the default
-    is 2e6 for d = 2 and 1e7 for d = 3.
+    unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
+    rounds of redraws raises ValueError.  ``budget`` counts integrand
+    evaluations; the default is 2e6 for d = 2 and 1e7 for d = 3.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
@@ -188,11 +189,15 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
         theta = rng.uniform(-math.pi, math.pi, size=(b, d))
         knots = np.sort(np.cos(theta), axis=1)
         bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
-        while np.any(bad):
+        for _ in range(MAX_DRAWS):
+            if not np.any(bad):
+                break
             redraw = rng.uniform(-math.pi, math.pi, size=(int(bad.sum()), d))
             theta[bad] = redraw
             knots[bad] = np.sort(np.cos(redraw), axis=1)
             bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
+        if np.any(bad):
+            raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
         ssum = shell_sum_batch(d, n, theta)
         f_plus = knot_field_batch(d, u, knots)
         f_minus = knot_field_batch(d, -u, knots)

@@ -19,8 +19,9 @@ The (d-1)-st derivative of the shell seed is the degree-n polynomial family
 biorthogonal to the B-spline Fourier means; it has two equivalent explicit
 Gegenbauer expansions implemented side by side.
 
-``shell_sum_batch`` is the only lattice cosine sum; ``dirichlet_kernel_batch``
-sums it over the shells of the ball; the scalar forms are one-row wrappers.
+No lattice is enumerated: by the Poisson identity the shell sum E_n is the r^n
+coefficient of prod_i (1 + 2 sum_k r^k cos(k theta_i)), which the batched kernels
+take as a truncated product in O(d n^2) per point; scalar forms wrap one row.
 """
 from __future__ import annotations
 
@@ -31,11 +32,12 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .divdiff import SmoothFn
-from .numerics import shell_enumerate, theta_vector
+from .numerics import theta_vector
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
-# Entries of the (rows x shell) temporary in shell_sum_batch (128 KiB, in cache)
+# Entries of the (n+1, d, rows) cosine table taken per row block (128 KiB, in cache)
 _BLOCK_ENTRIES = 1 << 14
+_MAX_COST = 1 << 31  # multiply-adds, rows * d * (n+1)^2, one shell or Dirichlet batch may cost
 
 
 def _sign(d: int) -> float:
@@ -158,24 +160,67 @@ def shell_sum(d: int, n: int, theta) -> float:
     return float(shell_sum_batch(d, n, theta_vector(theta, d)[None, :])[0])
 
 
-def shell_sum_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
-    """Shell sums for a batch of points, shape (batch, d) -> (batch,).
-
-    Computed as a cosine sum, which is exact because the shell is closed
-    under negation.  Rows are taken in blocks so that the (rows x shell)
-    temporary holds at most ``_BLOCK_ENTRIES`` entries, or one row when a
-    single shell is larger than that.
-    """
+def _check_batch(d: int, n: int, thetas) -> np.ndarray:
+    """The shared input check of the shell and Dirichlet batches, run before any allocation."""
     _check_dn(d, n, dmin=1)
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 2 or t.shape[1] != d:
         raise ValueError("thetas must have shape (batch, d)")
-    pts = shell_enumerate(d, n).points
-    step = max(1, _BLOCK_ENTRIES // len(pts))
-    out = np.empty(t.shape[0])
-    for i in range(0, t.shape[0], step):
-        out[i:i + step] = np.cos(t[i:i + step] @ pts.T).sum(axis=1)
+    cost = t.shape[0] * d * (n + 1) ** 2
+    if cost > _MAX_COST:
+        raise ValueError(f"shell sums at d = {d}, n = {n} for {t.shape[0]} point(s) cost "
+                         f"{cost:.3g} multiply-adds, over the limit of {_MAX_COST:.3g}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"theta must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    return t
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two (n+1, rows) power-series coefficient tables, truncated at r^n."""
+    out = a[0] * b
+    for k in range(1, len(a)):
+        out[k:] += a[k] * b[:len(a) - k]
     return out
+
+
+def _shell_product(d: int, n: int, thetas, finish) -> np.ndarray:
+    """``finish(head, last)`` per block of rows: ``head`` is the truncated product of the
+    first d - 1 factors 1, 2 cos(theta_i), ..., 2 cos(n theta_i) (Chebyshev recurrence
+    from one cosine per angle), ``last`` the last factor, both of shape (n+1, rows)."""
+    t = _check_batch(d, n, thetas)
+    step = max(1, _BLOCK_ENTRIES // (d * (n + 1)))
+    ends = [d - 1 - i // 2 if i % 2 == 0 else i // 2 for i in range(d)]
+    parts = []
+    for i in range(0, max(t.shape[0], 1), step):  # an empty batch takes one empty block
+        x2 = 2.0 * np.cos(t[i:i + step].T)
+        # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
+        # meets a zero at r = 1 at once, so partial products never grow and cancel.
+        x2 = np.take_along_axis(x2, np.argsort(x2, axis=0)[ends], axis=0)
+        c = np.empty((n + 1,) + x2.shape)
+        c[0] = 2.0  # 2 cos(0 theta) for the recurrence; the zero frequency counts once
+        c[1:2] = x2  # nothing when n = 0
+        for k in range(2, n + 1):
+            np.multiply(x2, c[k - 1], out=c[k])
+            c[k] -= c[k - 2]
+        c[0] = 1.0
+        head = c[:, 0] if d > 1 else np.eye(n + 1, 1)
+        for j in range(1, d - 1):
+            head = _times(head, c[:, j])
+        parts.append(finish(head, c[:, d - 1]))
+    return np.concatenate(parts)
+
+
+def shell_sum_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
+    """Shell sums for a batch of points, shape (batch, d) -> (batch,).
+
+    The product of the first d - 1 factors dotted with the last one reversed.
+    """
+    return _shell_product(d, n, thetas, lambda head, last: (head * last[::-1]).sum(axis=0))
+
+
+def _shell_table(d: int, n: int, thetas) -> np.ndarray:
+    """Shell sums E_0, ..., E_n for a batch of points, shape (batch, d) -> (batch, n+1)."""
+    return _shell_product(d, n, thetas, lambda head, last: _times(head, last).T)
 
 
 def dirichlet_kernel(d: int, n: int, theta) -> float:
@@ -186,10 +231,11 @@ def dirichlet_kernel(d: int, n: int, theta) -> float:
 def dirichlet_kernel_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
     """Dirichlet kernels for a batch of points, shape (batch, d) -> (batch,).
 
-    The running sum of the shell sums over 0 <= k <= n.
+    The product of the first d - 1 factors dotted with the running sum of the
+    last one, reversed.
     """
-    _check_dn(d, n, dmin=1)
-    return sum(shell_sum_batch(d, k, thetas) for k in range(n + 1))
+    return _shell_product(d, n, thetas, lambda head, last: (
+        head * np.cumsum(last, axis=0)[::-1]).sum(axis=0))
 
 
 def poisson_product(d: int, r: float, theta) -> float:

@@ -17,6 +17,8 @@ from scipy.special import roots_gegenbauer
 
 DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 1234567
+MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it gives up
+_MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -103,6 +105,9 @@ def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
         raise ValueError("dimension must be >= 1")
     if npts_per_axis < 1:
         raise ValueError("npts_per_axis must be >= 1")
+    if npts_per_axis**d * d > _MAX_GRID_FLOATS:
+        raise ValueError(f"a torus grid of {npts_per_axis}^{d} nodes holds "
+                         f"{npts_per_axis**d * d:.3g} floats, over the limit of {_MAX_GRID_FLOATS:.3g}")
     axis = -np.pi + 2.0 * np.pi * np.arange(npts_per_axis) / npts_per_axis
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)

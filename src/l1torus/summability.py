@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .divdiff import SmoothFn, divided_difference_cos
-from .kernels import dirichlet_kernel_batch, shell_seed_poly, shell_sum_batch
+from .kernels import _shell_table, dirichlet_kernel_batch, shell_seed_poly
 from .numerics import QuadRule, ball_enumerate, theta_vector, torus_trapezoid
 
 
@@ -160,7 +160,7 @@ def synth(d: int, coeffs: CoeffSeq, trunc: int, theta):
     top = min(trunc, coeffs.max_head_index)
     batch = np.ndim(theta) == 2
     rows = np.asarray(theta, dtype=float) if batch else theta_vector(theta, d)[None, :]
-    vals = sum(coeffs.value(n) * shell_sum_batch(d, n, rows) for n in range(top + 1))
+    vals = _shell_table(d, top, rows) @ np.array(coeffs.head[:top + 1])
     return vals if batch else float(vals[0])
 
 

@@ -18,12 +18,12 @@ from .bspline import bspline_values
 from .bspline_fourier import (biorthogonality_matrix, mean_d2_closed,
                               mean_recursion_sides, mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
-from .kernels import (biortho_generating_pair, biortho_generating_tail,
-                      biortho_poly, dirichlet_kernel_batch, dirichlet_seed,
-                      poisson_divdiff, poisson_kernel, poisson_product,
+from .kernels import (_shell_table, biortho_generating_pair,
+                      biortho_generating_tail, biortho_poly, dirichlet_kernel_batch,
+                      dirichlet_seed, poisson_divdiff, poisson_kernel, poisson_product,
                       shell_seed, shell_sum_batch)
-from .numerics import (DEFAULT_SEED, gauss_legendre, rel_err, shell_count, shell_enumerate,
-                       theta_vector)
+from .numerics import (DEFAULT_SEED, MAX_DRAWS, gauss_legendre, rel_err, shell_count,
+                       shell_enumerate, theta_vector)
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, spdf_check, spdf_pair_search
 from .summability import CoeffSeq, ResiduesPositive
 
@@ -63,16 +63,19 @@ def sample_separated_theta(rng: np.random.Generator, d: int, count: int,
 
     Rejection-samples until all pairwise |cos(theta_i) - cos(theta_j)| are at
     least ``min_cos_gap``, keeping divided-difference tables well
-    conditioned.
+    conditioned.  A point that takes more than ``MAX_DRAWS`` draws raises
+    ValueError.
     """
     out = np.empty((count, d))
     for i in range(count):
-        while True:
+        for _ in range(MAX_DRAWS):
             t = rng.uniform(-math.pi, math.pi, d)
             c = np.sort(np.cos(t))
             if d == 1 or np.min(np.diff(c)) >= min_cos_gap:
                 out[i] = t
                 break
+        else:
+            raise ValueError(f"no {d} angles with cosines {min_cos_gap:g} apart in {MAX_DRAWS} draws")
     return out
 
 
@@ -183,12 +186,12 @@ def suite_shell_integral(cfg: VerifyConfig) -> IdentityReport:
     worst = 0.0
     for d in dims:
         thetas = sample_separated_theta(rng, d, 30)
-        refs = np.array([shell_sum_batch(d, n, thetas) for n in range(nmax + 1)])
+        refs = _shell_table(d, nmax, thetas)
         integrands = [
             (lambda x, dd=d, nn=n: biortho_poly(dd, nn, x))
             for n in range(nmax + 1)
         ]
-        for t, ref in zip(thetas, refs.T.tolist()):
+        for t, ref in zip(thetas, refs.tolist()):
             vals = field_integrals(d, t, integrands)
             for n in range(nmax + 1):
                 worst = max(worst, rel_err(vals[n], ref[n]))
@@ -308,9 +311,9 @@ def suite_poisson_series(cfg: VerifyConfig) -> IdentityReport:
     worst = 0.0
     for d in dims:
         thetas = rng.uniform(-math.pi, math.pi, (10, d))
-        shells = [shell_sum_batch(d, n, thetas) for n in range(nterms + 1)]
+        shells = _shell_table(d, nterms, thetas)
         for r in (0.2, 0.5):
-            partials = sum(r**n * shells[n] for n in range(nterms + 1))
+            partials = shells @ r ** np.arange(nterms + 1)
             for t, partial in zip(thetas, partials.tolist()):
                 worst = max(worst, rel_err(partial, poisson_product(d, r, t)))
     return IdentityReport(

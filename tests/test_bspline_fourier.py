@@ -151,6 +151,15 @@ def test_mc_validates_inputs():
         mean_torus_mc(2, 0, 1.0, budget=1000)
 
 
+def test_mc_redraws_are_bounded(monkeypatch):
+    import l1torus.bspline_fourier as bf
+
+    # no two cosines in [-1, 1] are 3 apart: every draw is rejected
+    monkeypatch.setattr(bf, "_MC_GAP", 3.0)
+    with pytest.raises(ValueError, match="after 10000 redraws"):
+        mean_torus_mc(2, 1, 0.3, budget=4)
+
+
 # -------------------------------------------------------- biorthogonality
 
 

@@ -1,12 +1,16 @@
 """Command-line interface: contract examples, formats, exit codes, determinism."""
+import contextlib
 import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l1torus.cli import main
+from l1torus.numerics import shell_count
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +70,59 @@ def test_kernel_theta_grid_rows(capsys):
     assert code == 0
     rows = csv_rows(out)
     assert len(rows) == 16  # 4 points per axis, 2 axes
+
+
+def test_kernel_large_shell_returns_exact_count(capsys):
+    # the shell (8, 60) has 143297324288 points and is never enumerated
+    code, out = run_cli(capsys, "kernel", "--d", "8", "--n", "60", "--what", "E",
+                        "--theta", ",".join(["0"] * 8))
+    assert code == 0
+    (row,) = csv_rows(out)
+    assert row["value"] == str(shell_count(8, 60)) == "143297324288"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "3", "--n", "1000000000", "--what", "E", "--theta", "0.1,0.2,0.3"],
+    ["--d", "8", "--n", "2", "--what", "E", "--grid", "30"],
+])
+def test_kernel_cost_is_bounded_before_allocation(capsys, argv):
+    tracemalloc.start()
+    try:
+        code = main(["kernel", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "over the limit" in captured.err
+    assert peak < 1 << 20
+
+
+angles = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+# n in between would pass the cost bound at up to ~2^31 multiply-adds, seconds per call
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None)
+@given(what=st.sampled_from(["E", "D"]), d=st.integers(1, 12),
+       n=st.one_of(st.integers(0, 40), st.integers(10**5, 10**12)), data=st.data())
+def test_kernel_fails_fast_or_prints_finite_values(what, d, n, data):
+    theta = data.draw(st.lists(angles, min_size=d, max_size=d))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["kernel", "--d", str(d), "--n", str(n), "--what", what,
+                     "--theta=" + ",".join(map(repr, theta))])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+        (row,) = csv_rows(out.getvalue())
+        assert math.isfinite(float(row["value"]))
 
 
 def test_kernel_json_format(capsys):
@@ -150,6 +207,20 @@ def test_verify_exit_one_on_failure(capsys):
                         "--tol", "1e-30")
     assert code == 1
     assert json.loads(out)["all_passed"] is False
+
+
+def test_verify_high_dimension_finishes_or_fails_fast(capsys):
+    # d = 16 needs shells of up to 3e7 points, summed without enumeration
+    code, out = run_cli(capsys, "verify", "--suite", "shell-divdiff", "--d", "16")
+    assert code in (0, 1)
+    assert json.loads(out)["suites"][0]["params"]["dims"] == [16]
+    # no 250 cosines in [-1, 1] are pairwise 0.01 apart: the sampler gives up
+    code = main(["verify", "--suite", "shell-divdiff", "--d", "250"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: no 250 angles with cosines 0.01 apart in 10000 draws"]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -24,8 +24,9 @@ from l1torus.kernels import (
     shell_sum,
     shell_sum_batch,
     _BLOCK_ENTRIES,
+    _shell_table,
 )
-from l1torus.numerics import shell_count, shell_enumerate
+from l1torus.numerics import rel_err, shell_count, shell_enumerate
 
 TOL = 1e-12
 
@@ -43,6 +44,30 @@ def brute_shell_sum(d, n, theta):
 def brute_ball_sum(d, n, theta):
     """Direct lattice sum over |alpha|_1 <= n (independent of shell_enumerate)."""
     return sum(brute_shell_sum(d, k, theta) for k in range(n + 1))
+
+
+def folded_shell_sums(d, n, thetas):
+    """Lattice sums over |alpha|_1 = n at each row of ``thetas``, with the sign
+    of each nonzero coordinate summed in closed form (exp(i a t) + exp(-i a t)
+    = 2 cos(a t)): a sum over supports and compositions of n.  Independent of
+    shell_enumerate, and small enough for shells of millions of points.  Terms
+    and sums are taken in long double: near-0 and near-pi angles together
+    make ~1e5 terms of size ~2^d cancel to ~1e-6, and double rounding of the
+    terms alone would then cost ~1e-11."""
+    if n == 0:
+        return np.ones(len(thetas))
+    ld = np.longdouble
+    cos2 = [2 * np.cos(np.outer(t.astype(ld), np.arange(n + 1, dtype=ld))) for t in thetas]
+    total = np.zeros(len(thetas), dtype=ld)
+    for j in range(1, min(d, n) + 1):
+        cuts = list(itertools.combinations(range(1, n), j - 1))
+        edges = np.hstack([np.zeros((len(cuts), 1), dtype=int),
+                           np.array(cuts, dtype=int).reshape(len(cuts), j - 1),
+                           np.full((len(cuts), 1), n)])
+        parts = np.diff(edges, axis=1)
+        for support in itertools.combinations(range(d), j):
+            total += [np.prod(c[np.array(support), parts], axis=1).sum() for c in cos2]
+    return total.astype(float)
 
 
 # ---------------------------------------------------------------- seed values
@@ -113,15 +138,14 @@ def test_shell_sum_batch_matches_scalar(rng):
     batch = shell_sum_batch(3, 4, thetas)
     for row, got in zip(thetas, batch):
         assert abs(got - shell_sum(3, 4, row)) < 1e-10
-    # a batch walked in several row blocks agrees with one unblocked sum
+    # a batch walked in several row blocks agrees with one lattice sum
     d, n = 3, 20
-    thetas = rng.uniform(-math.pi, math.pi, (400, d))
+    step = _BLOCK_ENTRIES // (d * (n + 1))  # rows per block
+    thetas = rng.uniform(-math.pi, math.pi, (2 * step + 7, d))
     pts = shell_enumerate(d, n).points
-    assert thetas.shape[0] * len(pts) > 2 * _BLOCK_ENTRIES
     direct = np.cos(thetas @ pts.T).sum(axis=1)
     assert np.max(np.abs(shell_sum_batch(d, n, thetas) - direct)) < 1e-9
-    step = _BLOCK_ENTRIES // len(pts)
-    for k in (0, step - 1, step, 399):
+    for k in (0, step - 1, step, len(thetas) - 1):
         assert abs(shell_sum(d, n, thetas[k]) - direct[k]) < 1e-9
     # the batched Dirichlet kernel against a brute-force ball sum
     for d, n in ((2, 5), (3, 3)):
@@ -135,6 +159,68 @@ def test_shell_sum_batch_matches_scalar(rng):
         dirichlet_kernel_batch(3, 2, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="index n"):
         dirichlet_kernel_batch(3, -1, np.zeros((4, 3)))
+
+
+def sweep_points(rng, d):
+    """theta = 0 and +-pi, within 1e-3 of them, mixed with each other and
+    with uniform angles (near-0 angles first), and uniform."""
+    near0 = rng.uniform(-1e-3, 1e-3, d)
+    near_pi = (math.pi - rng.uniform(0.0, 1e-3, d)) * rng.choice([-1.0, 1.0], d)
+    uniform = rng.uniform(-math.pi, math.pi, d)
+    first = np.arange(d) < (d + 1) // 2
+    return np.array([np.zeros(d), np.full(d, math.pi), np.full(d, -math.pi), near0,
+                     near_pi, np.where(first, near0, uniform), np.where(first, near0, near_pi),
+                     uniform])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_product_kernel_matches_lattice_oracles(d, rng):
+    # brute force for tiny shells, shell_enumerate up to 5e4 points, and the
+    # folded lattice sum beyond (shell (6, 30) has 1.3e7 points)
+    thetas = sweep_points(rng, d)
+    shells, ball = [], 0.0
+    for n in range(31):
+        if (2 * n + 1) ** d <= 2000:
+            ref = np.array([brute_shell_sum(d, n, t) for t in thetas])
+        elif shell_count(d, n) <= 50_000:
+            ref = np.cos(thetas @ shell_enumerate(d, n).points.T).sum(axis=1)
+        else:
+            ref = folded_shell_sums(d, n, thetas)
+        ball = ball + ref
+        got = shell_sum_batch(d, n, thetas)
+        assert max(map(rel_err, got, ref)) <= 1e-11, n
+        assert max(map(rel_err, dirichlet_kernel_batch(d, n, thetas), ball)) <= 1e-11, n
+        shells.append(got)
+    # the table helper's rows are the per-n shell sums
+    table = _shell_table(d, 30, thetas)
+    assert table.shape == (len(thetas), 31)
+    assert max(map(rel_err, table.ravel(), np.stack(shells, axis=1).ravel())) <= 1e-12
+
+
+def test_shell_table_sums_to_poisson_product_in_high_dimension():
+    # (d, n) = (8, 60): a shell of 1.4e11 points, never enumerated
+    theta = np.array([0.1, 0.5, 0.9, 1.3, 1.7, 2.1, 2.5, 2.9])
+    table = _shell_table(8, 60, theta[None, :])[0]
+    assert rel_err(table @ 0.5 ** np.arange(61), poisson_product(8, 0.5, theta)) <= 1e-10
+
+
+def test_batch_input_check_runs_before_allocation():
+    import tracemalloc
+
+    for fn in (shell_sum_batch, dirichlet_kernel_batch, _shell_table):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                fn(3, 2, np.array([[0.1, bad, 0.3]]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the limit"):
+                fn(3, 10**9, np.zeros((1, 3)))
+            with pytest.raises(ValueError, match="over the limit"):
+                fn(12, 60, np.broadcast_to(0.0, (10**5, 12)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_dirichlet_kernel_is_cumulative_shell_sum(rng):

@@ -64,6 +64,8 @@ def test_tolerance_override_can_force_failure():
 
 
 def test_separated_sampler_honors_gap(rng):
+    import math
+
     import numpy as np
 
     thetas = sample_separated_theta(rng, 3, 25, min_cos_gap=0.05)
@@ -71,3 +73,18 @@ def test_separated_sampler_honors_gap(rng):
     for t in thetas:
         c = np.sort(np.cos(t))
         assert np.min(np.diff(c)) >= 0.05
+    # the draws are those of the unbounded rejection loop
+    ref_rng, seeded = np.random.default_rng(8), np.random.default_rng(8)
+    expect = []
+    while len(expect) < 25:
+        t = ref_rng.uniform(-math.pi, math.pi, 6)
+        if np.min(np.diff(np.sort(np.cos(t)))) >= 0.2:
+            expect.append(t)
+    assert np.array_equal(sample_separated_theta(seeded, 6, 25, min_cos_gap=0.2),
+                          np.array(expect))
+
+
+def test_separated_sampler_gives_up_after_max_draws(rng):
+    # three cosines in [-1, 1] cannot be pairwise 1.5 apart
+    with pytest.raises(ValueError, match="in 10000 draws"):
+        sample_separated_theta(rng, 3, 1, min_cos_gap=1.5)
