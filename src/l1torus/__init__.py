@@ -23,10 +23,9 @@ from .kernels import (biortho_generating_pair, biortho_generating_tail,
                       poisson_divdiff, poisson_kernel, poisson_product,
                       shell_seed, shell_seed_poly, shell_seed_theta, shell_sum,
                       shell_sum_batch)
-from .numerics import (DEFAULT_SEED, DEFAULT_TOL, LatticeShell, QuadRule,
-                       ball_enumerate, gauss_gegenbauer, gauss_legendre,
-                       is_close, rel_err, shell_count, shell_enumerate,
-                       torus_trapezoid, wrap_angles)
+from .numerics import (DEFAULT_SEED, LatticeShell, QuadRule, ball_enumerate,
+                       gauss_gegenbauer, gauss_legendre, rel_err, shell_count,
+                       shell_enumerate, torus_trapezoid, wrap_angles)
 from .pdf import (CheckResult, GramSpec, MIN_POINT_SEPARATION, gram_matrix,
                   min_eigenvalue, pdf_check, spdf_check, spdf_pair_search)
 from .polys import (geg_connection_even, geg_generating, geg_generating_tail,
@@ -35,14 +34,14 @@ from .polys import (geg_connection_even, geg_generating, geg_generating_tail,
 from .summability import (AllPositiveFrom, CoeffSeq, ResiduesPositive,
                           ResolutionError, SampledTorusFn, ZeroTail, build_fd,
                           fourier_coefficient, partial_sum, synth, synth_divdiff)
-from .verify import (IdentityReport, SUITES, VerifyConfig, field_integral,
-                     field_integrals, run_suites, sample_separated_theta)
+from .verify import (IdentityReport, SUITES, VerifyConfig, field_integrals,
+                     run_suites, sample_separated_theta)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllPositiveFrom", "BsplineSpec", "CheckResult", "CoeffSeq",
-    "COALESCE_TOL", "DEFAULT_SEED", "DEFAULT_SERIES_TERMS", "DEFAULT_TOL",
+    "COALESCE_TOL", "DEFAULT_SEED", "DEFAULT_SERIES_TERMS",
     "DerivativeOrderError", "GramSpec", "IdentityReport", "KnotVector",
     "LatticeShell", "McEstimate", "MeanEvaluator", "MIN_POINT_SEPARATION",
     "PoleError", "QuadRule", "ResiduesPositive", "ResolutionError",
@@ -52,11 +51,11 @@ __all__ = [
     "bspline_knot_field", "bspline_values", "build_fd", "dirichlet_kernel",
     "dirichlet_kernel_batch", "dirichlet_seed",
     "dirichlet_seed_poly", "dirichlet_seed_theta", "divided_difference",
-    "divided_difference_cos", "field_integral", "field_integrals",
+    "divided_difference_cos", "field_integrals",
     "fourier_coefficient", "gauss_gegenbauer", "gauss_legendre",
     "geg_connection_even", "geg_generating", "geg_generating_tail",
     "geg_norm_c", "gegenbauer", "gegenbauer_at_one", "gegenbauer_sequence",
-    "gram_matrix", "is_close", "knot_field_batch", "mean_d2_closed",
+    "gram_matrix", "knot_field_batch", "mean_d2_closed",
     "mean_order0_closed", "mean_order0_integral", "mean_recursion_sides",
     "mean_series", "mean_torus_mc", "min_eigenvalue", "partial_sum",
     "pdf_check", "poisson_divdiff", "poisson_kernel", "poisson_product",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bspline import knot_field_batch
 from .kernels import _check_dn, biortho_poly, shell_sum_batch
-from .numerics import DEFAULT_SEED, MAX_DRAWS, gauss_gegenbauer, shell_count
+from .numerics import DEFAULT_SEED, MAX_DRAWS, finite, gauss_gegenbauer, shell_count
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 DEFAULT_SERIES_TERMS = 2000
@@ -122,29 +122,33 @@ def mean_series(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS,
     return out if np.ndim(u) else float(out)
 
 
-def mean_recursion_sides(d: int, n: int, u: float,
-                         nterms: int = DEFAULT_SERIES_TERMS) -> tuple[float, float]:
+def mean_recursion_sides(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS):
     """Both sides of the mean recursion.
 
     lhs = (d-1)! sum_{j=0}^{d-1} (-1)^j C(d-1, j) mean(d, n+2j, u)
     rhs = c_{d-1} (1-u^2)^(d-3/2) C_n^{d-1}(u) / C_n^{d-1}(1)
 
     The means use the closed form for d = 2 and the Cesaro series otherwise.
+    ``u`` may be scalar or ndarray; each side has the shape of ``u``.
     """
     _check_dn(d, n)
     lam = d - 1
+    u_arr = np.asarray(u, dtype=float)
     lhs = 0.0
     for j in range(d):
         if d == 2:
-            mj = mean_d2_closed(n + 2 * j, math.acos(float(u)))
+            mj = np.array([mean_d2_closed(n + 2 * j, math.acos(x))
+                           for x in u_arr.ravel().tolist()]).reshape(u_arr.shape)
         else:
-            mj = mean_series(d, n + 2 * j, u, nterms=nterms)
-        lhs += (-1) ** j * math.comb(d - 1, j) * mj
-    lhs *= math.factorial(d - 1)
-    cn = gegenbauer_sequence(float(lam), n, float(u))[n]
+            mj = mean_series(d, n + 2 * j, u_arr, nterms=nterms)
+        lhs = lhs + (-1) ** j * math.comb(d - 1, j) * mj
+    lhs = lhs * math.factorial(d - 1)
+    cn = gegenbauer_sequence(float(lam), n, u_arr)[n]
     cn1 = gegenbauer_at_one(float(lam), n)[n]
-    rhs = geg_norm_c(float(lam)) * (1.0 - u * u) ** (d - 1.5) * cn / cn1
-    return lhs, rhs
+    rhs = geg_norm_c(float(lam)) * (1.0 - u_arr * u_arr) ** (d - 1.5) * cn / cn1
+    if np.ndim(u):
+        return lhs, rhs
+    return float(lhs), float(rhs)
 
 
 @dataclass(frozen=True)
@@ -268,9 +272,7 @@ class MeanEvaluator:
 
     def evaluate(self, u: float) -> tuple[float, float | None]:
         """Return (value, stderr); stderr is None for deterministic routes."""
-        u = float(u)
-        if not math.isfinite(u):
-            raise ValueError(f"u must be finite, got {u!r}")
+        u = float(finite(u, "u"))
         if self.method == "closed":
             if self.d == 2:
                 if abs(u) >= 1.0:

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .divdiff import SmoothFn
-from .numerics import theta_vector
+from .numerics import finite, theta_vector
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
 # Entries of the (n+1, d, rows) cosine table taken per row block (128 KiB, in cache)
@@ -108,6 +108,7 @@ def dirichlet_seed_theta(d: int, n: int, theta: float) -> float:
     s * 2 cos(theta/2) sin(theta)^(d-2) * sin((n + 1/2) theta)   (d odd)
     """
     _check_dn(d, n)
+    theta = float(finite(theta, "theta"))
     s = _sign(d)
     osc = math.cos((n + 0.5) * theta) if d % 2 == 0 else math.sin((n + 0.5) * theta)
     return s * 2.0 * math.cos(0.5 * theta) * math.sin(theta) ** (d - 2) * osc
@@ -120,6 +121,7 @@ def shell_seed_theta(d: int, n: int, theta: float) -> float:
      2 s sin(theta)^(d-1) cos(n theta)   (d odd)
     """
     _check_dn(d, n)
+    theta = float(finite(theta, "theta"))
     s = _sign(d)
     osc = -math.sin(n * theta) if d % 2 == 0 else math.cos(n * theta)
     return 2.0 * s * math.sin(theta) ** (d - 1) * osc
@@ -138,7 +140,7 @@ def biortho_poly(d: int, n: int, u, form: str = "c"):
     it is (d-1)! times the shell count.  ``u`` may be a scalar or ndarray.
     """
     _check_dn(d, n)
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = finite(u, "u")
     if form == "c":
         lam, base = float(d), d
     elif form == "z":
@@ -170,9 +172,7 @@ def _check_batch(d: int, n: int, thetas) -> np.ndarray:
     if cost > _MAX_COST:
         raise ValueError(f"shell sums at d = {d}, n = {n} for {t.shape[0]} point(s) cost "
                          f"{cost:.3g} multiply-adds, over the limit of {_MAX_COST:.3g}")
-    if not np.isfinite(t).all():
-        raise ValueError(f"theta must be finite, got {float(t[~np.isfinite(t)][0])!r}")
-    return t
+    return finite(t, "theta")
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:

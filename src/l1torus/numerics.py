@@ -1,8 +1,8 @@
 """Shared numerical infrastructure.
 
 Quadrature rules (Gauss-Legendre, Gauss-Gegenbauer, tensor trapezoid on the
-torus), enumeration and counting of l1 lattice shells, the tolerance policy
-and the torus-point validator used throughout the package.
+torus), enumeration and counting of l1 lattice shells, the mixed error measure,
+and the finiteness and torus-point validators used throughout the package.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_gegenbauer
 
-DEFAULT_TOL = 1e-10
 DEFAULT_SEED = 1234567
 MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it gives up
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
@@ -28,11 +27,6 @@ def rel_err(value: float, reference: float) -> float:
     their absolute meaning near zero and scale relative to large references.
     """
     return abs(value - reference) / max(1.0, abs(reference))
-
-
-def is_close(value: float, reference: float, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``rel_err(value, reference) <= tol``."""
-    return rel_err(value, reference) <= tol
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -178,12 +172,20 @@ def ball_enumerate(d: int, n: int) -> np.ndarray:
     return np.concatenate([shell_enumerate(d, k).points for k in range(n + 1)], axis=0)
 
 
+def finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming the first one that is nan or infinite."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {float(a[~np.isfinite(a)][0])!r}")
+    return a
+
+
 def theta_vector(theta, d: int) -> np.ndarray:
-    """One torus point as a flat float array of exactly d angles."""
+    """One torus point as a flat float array of exactly d finite angles."""
     t = np.asarray(theta, dtype=float).ravel()
     if t.size != d:
         raise ValueError("theta must supply d angles")
-    return t
+    return finite(t, "theta")
 
 
 def wrap_angles(theta: Sequence[float] | np.ndarray) -> np.ndarray:

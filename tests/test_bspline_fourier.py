@@ -109,10 +109,15 @@ def test_series_accepts_arrays():
 
 @pytest.mark.parametrize("d,tol", [(2, 1e-10), (3, 5e-3)])
 def test_alternating_sum_recursion(d, tol, rng):
+    us = rng.uniform(-0.9, 0.9, 4)
     for n in (0, 1, 3):
-        for u in rng.uniform(-0.9, 0.9, 4):
+        lhs_batch, rhs_batch = mean_recursion_sides(d, n, us)
+        assert lhs_batch.shape == rhs_batch.shape == us.shape
+        for u, lb, rb in zip(us, lhs_batch, rhs_batch):
             lhs, rhs = mean_recursion_sides(d, n, float(u))
+            assert type(lhs) is float and type(rhs) is float
             assert abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+            assert abs(lb - lhs) <= 1e-14 and abs(rb - rhs) <= 1e-14
 
 
 # ------------------------------------------------------------- Monte-Carlo

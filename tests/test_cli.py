@@ -100,21 +100,53 @@ def test_kernel_cost_is_bounded_before_allocation(capsys, argv):
     assert peak < 1 << 20
 
 
-angles = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+angles = st.one_of(st.floats(-10.0, 10.0), non_finite,
                    st.floats(allow_nan=True, allow_infinity=True))
 
 
-# n in between would pass the cost bound at up to ~2^31 multiply-adds, seconds per call
-@pytest.mark.filterwarnings("error")
-@settings(max_examples=80, deadline=None)
-@given(what=st.sampled_from(["E", "D"]), d=st.integers(1, 12),
-       n=st.one_of(st.integers(0, 40), st.integers(10**5, 10**12)), data=st.data())
-def test_kernel_fails_fast_or_prints_finite_values(what, d, n, data):
+@pytest.fixture(scope="module")
+def coeff_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "coeffs.json"
+    path.write_text(json.dumps({"head": [0.7, -0.3, 0.5], "tail": {"kind": "zero"}}))
+    return str(path)
+
+
+def _point_request(what, data, spec):
+    """argv of one kernel (E/D/G/H/h) or partial-sum (route name) request."""
+    if what in ("E", "D"):
+        # n in between would pass the cost bound at up to ~2^31 multiply-adds,
+        # seconds per call
+        d = data.draw(st.integers(1, 12))
+        n = data.draw(st.one_of(st.integers(0, 40), st.integers(10**5, 10**12)))
+        theta = data.draw(st.lists(angles, min_size=d, max_size=d))
+        return ["kernel", "--d", str(d), "--n", str(n), "--what", what,
+                "--theta=" + ",".join(map(repr, theta))]
+    if what in ("G", "H"):
+        d, n = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 10**12))
+        return ["kernel", "--d", str(d), "--n", str(n), "--what", what,
+                f"--theta={data.draw(angles)!r}"]
+    if what == "h":
+        # a degree-n polynomial overflows for large |u| and allocates n + 1
+        # Gegenbauer values, so u and n stay moderate here
+        d, n = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 40))
+        u = data.draw(st.one_of(st.floats(-10.0, 10.0), non_finite))
+        return ["kernel", "--d", str(d), "--n", str(n), "--what", "h", f"--u={u!r}"]
+    d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
     theta = data.draw(st.lists(angles, min_size=d, max_size=d))
+    return ["partial-sum", "--d", str(d), "--n", str(n), "--L", "8", "--spec", spec,
+            "--route", what, "--theta=" + ",".join(map(repr, theta))]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=120, deadline=None)
+@given(what=st.sampled_from(["E", "D", "G", "H", "h", "coefficients", "convolution"]),
+       data=st.data())
+def test_kernel_fails_fast_or_prints_finite_values(coeff_spec, what, data):
+    argv = _point_request(what, data, coeff_spec)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["kernel", "--d", str(d), "--n", str(n), "--what", what,
-                     "--theta=" + ",".join(map(repr, theta))])
+        code = main(argv)
     assert code in (0, 2)
     if code == 2:
         assert out.getvalue() == ""
@@ -122,7 +154,23 @@ def test_kernel_fails_fast_or_prints_finite_values(what, d, n, data):
     else:
         assert err.getvalue() == ""
         (row,) = csv_rows(out.getvalue())
-        assert math.isfinite(float(row["value"]))
+        values = [row["real"], row["imag"]] if argv[0] == "partial-sum" else [row["value"]]
+        assert all(math.isfinite(float(v)) for v in values)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--what", "G", "--theta", "nan"],
+    ["--what", "H", "--theta", "inf"],
+    ["--what", "h", "--u", "inf"],
+    ["--what", "h", "--u", "nan"],
+])
+def test_kernel_rejects_non_finite_point(capsys, argv):
+    code = main(["kernel", "--d", "3", "--n", "2", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    name = "theta" if "--theta" in argv else "u"
+    assert captured.err.strip().splitlines() == [f"error: {name} must be finite, got {argv[-1]}"]
 
 
 def test_kernel_json_format(capsys):
@@ -200,6 +248,38 @@ def test_verify_single_suite_passes(capsys):
     (suite,) = payload["suites"]
     assert suite["name"] == "biortho"
     assert suite["max_error"] <= suite["tolerance"]
+
+
+def test_verify_json_passed_is_a_boolean(capsys):
+    # these three suites printed "passed": 1.0, a NumPy bool through float()
+    code, out = run_cli(capsys, "verify", "--suite", "biortho-generating",
+                        "--suite", "mean-recursion", "--suite", "mean-methods")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert [s["passed"] for s in suites] == [True, True, True]
+    assert all(type(s["max_error"]) is float for s in suites)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "0"], "d must be >= 1, got 0"),
+    (["--nmax", "-1"], "nmax must be >= 0, got -1"),
+    (["--N", "-1"], "max_index must be >= 0, got -1"),
+    (["--K", "0"], "nterms must be >= 1, got 0"),
+    (["--budget", "0"], "budget must be >= 4, got 0"),
+    (["--budget", "3"], "budget must be >= 4, got 3"),
+    (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
+    (["--tol=-1e-9"], "tol must be finite and >= 0, got -1e-09"),
+    (["--suite", "shell-divdiff", "--nmax", "0"],
+     "suite shell-divdiff compares no case at {'dims': [2, 3, 4], 'n_range': [1, 0], "
+     "'points': 30}"),
+])
+def test_verify_rejects_out_of_range_overrides(capsys, argv, message):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
 
 
 def test_verify_exit_one_on_failure(capsys):

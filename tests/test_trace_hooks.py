@@ -19,6 +19,12 @@ def tracer_module():
     return mod
 
 
+def test_tracer_suites_are_the_deterministic_verify_suites(tracer_module):
+    from l1torus import verify
+
+    assert tracer_module.SUITES == [s for s in verify.SUITES if s != "mean-mc"]
+
+
 def _traced_attrs(tracer_module):
     out = {}
     for mod_name, names in tracer_module.TRACED.items():
