@@ -15,22 +15,18 @@ from .bspline_fourier import (DEFAULT_SERIES_TERMS, McEstimate, MeanEvaluator,
                               biorthogonality_matrix, mean_d2_closed,
                               mean_order0_closed, mean_order0_integral,
                               mean_recursion_sides, mean_series, mean_torus_mc)
-from .divdiff import (COALESCE_TOL, DerivativeOrderError, KnotVector, SmoothFn,
-                      divided_difference, divided_difference_cos)
+from .divdiff import KnotVector, divided_difference, divided_difference_cos
 from .kernels import (biortho_generating_pair, biortho_generating_tail,
                       biortho_poly, dirichlet_kernel, dirichlet_kernel_batch,
                       dirichlet_seed, dirichlet_seed_poly, dirichlet_seed_theta,
                       poisson_divdiff, poisson_kernel, poisson_product,
-                      shell_seed, shell_seed_poly, shell_seed_theta, shell_sum,
-                      shell_sum_batch)
+                      shell_seed, shell_seed_theta, shell_sum, shell_sum_batch)
 from .numerics import (DEFAULT_SEED, LatticeShell, QuadRule, ball_enumerate,
                        gauss_gegenbauer, gauss_legendre, rel_err, shell_count,
                        shell_enumerate, torus_trapezoid, wrap_angles)
 from .pdf import (CheckResult, GramSpec, MIN_POINT_SEPARATION, gram_matrix,
                   min_eigenvalue, pdf_check, spdf_check, spdf_pair_search)
-from .polys import (geg_connection_even, geg_generating, geg_generating_tail,
-                    geg_norm_c, gegenbauer, gegenbauer_at_one,
-                    gegenbauer_sequence, z_poly)
+from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 from .summability import (AllPositiveFrom, CoeffSeq, ResiduesPositive,
                           ResolutionError, SampledTorusFn, ZeroTail, build_fd,
                           fourier_coefficient, partial_sum, synth, synth_divdiff)
@@ -41,11 +37,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllPositiveFrom", "BsplineSpec", "CheckResult", "CoeffSeq",
-    "COALESCE_TOL", "DEFAULT_SEED", "DEFAULT_SERIES_TERMS",
-    "DerivativeOrderError", "GramSpec", "IdentityReport", "KnotVector",
-    "LatticeShell", "McEstimate", "MeanEvaluator", "MIN_POINT_SEPARATION",
-    "PoleError", "QuadRule", "ResiduesPositive", "ResolutionError",
-    "SampledTorusFn", "SmoothFn", "SUITES", "VerifyConfig", "ZeroTail",
+    "DEFAULT_SEED", "DEFAULT_SERIES_TERMS", "GramSpec", "IdentityReport",
+    "KnotVector", "LatticeShell", "McEstimate", "MeanEvaluator",
+    "MIN_POINT_SEPARATION", "PoleError", "QuadRule", "ResiduesPositive", "ResolutionError",
+    "SampledTorusFn", "SUITES", "VerifyConfig", "ZeroTail",
     "ball_enumerate", "biorthogonality_matrix", "biortho_generating_pair",
     "biortho_generating_tail", "biortho_poly", "bspline_eval",
     "bspline_knot_field", "bspline_values", "build_fd", "dirichlet_kernel",
@@ -53,14 +48,13 @@ __all__ = [
     "dirichlet_seed_poly", "dirichlet_seed_theta", "divided_difference",
     "divided_difference_cos", "field_integrals",
     "fourier_coefficient", "gauss_gegenbauer", "gauss_legendre",
-    "geg_connection_even", "geg_generating", "geg_generating_tail",
-    "geg_norm_c", "gegenbauer", "gegenbauer_at_one", "gegenbauer_sequence",
+    "geg_norm_c", "gegenbauer_at_one", "gegenbauer_sequence",
     "gram_matrix", "knot_field_batch", "mean_d2_closed",
     "mean_order0_closed", "mean_order0_integral", "mean_recursion_sides",
     "mean_series", "mean_torus_mc", "min_eigenvalue", "partial_sum",
     "pdf_check", "poisson_divdiff", "poisson_kernel", "poisson_product",
     "rel_err", "run_suites", "sample_separated_theta", "shell_count",
-    "shell_enumerate", "shell_seed", "shell_seed_poly", "shell_seed_theta",
+    "shell_enumerate", "shell_seed", "shell_seed_theta",
     "shell_sum", "shell_sum_batch", "spdf_check", "spdf_pair_search",
-    "synth", "synth_divdiff", "torus_trapezoid", "wrap_angles", "z_poly",
+    "synth", "synth_divdiff", "torus_trapezoid", "wrap_angles",
 ]

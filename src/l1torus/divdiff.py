@@ -1,77 +1,20 @@
-"""Divided differences with confluent (repeated) knots.
+"""Divided differences of Chebyshev series, with repeated or nearly repeated knots.
 
-The divided difference [x_0, ..., x_m]f is computed from a Newton table.
-When knots coincide, the table entry for a block of equal knots is the
-Taylor coefficient f^(j)(x)/j!, which requires derivative access on f; the
-:class:`SmoothFn` wrapper carries that capability.  Knots closer than a
-coalescence threshold are merged into a multiple knot before tabulation,
-because raw difference quotients lose all significant digits as knots
-collide (the map theta -> cos(theta) produces such near-collisions
-routinely).
+By Opitz's formula the divided difference [x_0, ..., x_m]p is the corner entry
+p(J)[0, m] of the bidiagonal matrix J with the knots on its diagonal and ones
+above it.  Clenshaw's recurrence evaluates the last column p(J) e_m with one
+product by J per Chebyshev coefficient, (J b)_i = x_i b_i + b_{i+1}.  No
+difference quotient is ever formed, so equal and nearly equal knots (which
+theta -> cos(theta) produces routinely) need neither derivatives nor merging.
+Refs: Opitz (1964); McCurdy, Ng and Parlett, Math. Comp. 43 (1984).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-COALESCE_TOL = 1e-9
-
-
-class DerivativeOrderError(ValueError):
-    """Raised when confluent knots demand derivatives the function lacks."""
-
-
-class SmoothFn:
-    """A univariate function together with derivative oracles.
-
-    Parameters
-    ----------
-    value : callable
-        Maps a float to a float.
-    derivative : callable, optional
-        ``derivative(u, j)`` returns the j-th derivative at u (j >= 1).
-        When omitted the function exposes values only.
-    max_order : int or None
-        Highest derivative order available; None means unlimited (only
-        meaningful when ``derivative`` is given).
-    """
-
-    def __init__(self, value: Callable[[float], float],
-                 derivative: Callable[[float, int], float] | None = None,
-                 max_order: int | None = None):
-        self._value = value
-        self._derivative = derivative
-        if derivative is None:
-            max_order = 0
-        self.max_order = max_order
-
-    def __call__(self, u: float) -> float:
-        return self._value(u)
-
-    def deriv(self, u: float, order: int) -> float:
-        """Derivative of the given order at u; order 0 is the value."""
-        if order == 0:
-            return self._value(u)
-        if self._derivative is None or (self.max_order is not None and order > self.max_order):
-            raise DerivativeOrderError(
-                f"derivative of order {order} is not available"
-            )
-        return self._derivative(u, order)
-
-    @classmethod
-    def from_poly(cls, p) -> "SmoothFn":
-        """Wrap a numpy polynomial (any basis); derivatives are exact."""
-        chain = [p]
-
-        def derivative(u: float, order: int) -> float:
-            while len(chain) <= order:
-                chain.append(chain[-1].deriv())
-            return float(chain[order](u))
-
-        return cls(lambda u: float(p(u)), derivative, max_order=None)
+from numpy.polynomial.chebyshev import Chebyshev
 
 
 @dataclass(frozen=True)
@@ -94,57 +37,32 @@ class KnotVector:
         """m for a knot vector x_0 <= ... <= x_m."""
         return len(self.knots) - 1
 
-    def coalesced(self, tol: float = COALESCE_TOL) -> list[tuple[float, int]]:
-        """Group knots into (site, multiplicity) pairs.
 
-        Consecutive knots within ``tol`` of the previous group member are
-        chained into one group; the site is the group mean.
-        """
-        groups: list[list[float]] = [[self.knots[0]]]
-        for x in self.knots[1:]:
-            if x - groups[-1][-1] <= tol:
-                groups[-1].append(x)
-            else:
-                groups.append([x])
-        return [(math.fsum(g) / len(g), len(g)) for g in groups]
+def divided_difference(p: Chebyshev, knots) -> float:
+    """Divided difference [x_0, ..., x_m]p of a Chebyshev series over the knots.
 
-
-def divided_difference(fn: SmoothFn, knots, coalesce_tol: float = COALESCE_TOL) -> float:
-    """Divided difference [x_0, ..., x_m]f over the given knots.
-
-    ``knots`` may be a :class:`KnotVector` or any sequence of reals.  Knots
-    within ``coalesce_tol`` are merged and evaluated through the Taylor
-    entries f^(j)(x)/j!; a knot of multiplicity mu needs derivatives up to
-    order mu - 1.
+    ``knots`` may be a :class:`KnotVector` or any sequence of reals; knots may
+    repeat.  A series on another domain is mapped to [-1, 1] with its knots.
     """
     kv = knots if isinstance(knots, KnotVector) else KnotVector(knots)
-    groups = kv.coalesced(coalesce_tol)
-    z: list[float] = []
-    gidx: list[int] = []
-    for g, (site, mult) in enumerate(groups):
-        z.extend([site] * mult)
-        gidx.extend([g] * mult)
-    m = len(z) - 1
-    need = max(mult for _, mult in groups) - 1
-    if fn.max_order is not None and need > fn.max_order:
-        raise DerivativeOrderError(
-            f"knot multiplicity {need + 1} requires derivatives up to order {need}"
-        )
-    col = [fn(zi) for zi in z]
-    for j in range(1, m + 1):
-        nxt = []
-        for i in range(m + 1 - j):
-            if gidx[i + j] == gidx[i]:
-                nxt.append(fn.deriv(z[i], j) / math.factorial(j))
-            else:
-                nxt.append((col[i + 1] - col[i]) / (z[i + j] - z[i]))
-        col = nxt
-    return float(col[0])
+    off, scl = p.mapparms()
+    x = [off + scl * v for v in kv.knots]
+    m = len(x) - 1
+    coef = p.coef.tolist()
+    # b1, b2 are b_{k+1}, b_{k+2} of b_k = c_k e_m + 2 J b_{k+1} - b_{k+2}, padded by one zero
+    b1, b2 = [0.0] * (m + 2), [0.0] * (m + 2)
+    for c in reversed(coef[1:]):
+        b = [2.0 * (xi * v + w) - u for xi, v, w, u in zip(x, b1, b1[1:], b2)] + [0.0]
+        b[m] += c
+        b1, b2 = b, b1
+    # p(J) e_m = c_0 e_m + J b_1 - b_2
+    corner = x[0] * b1[0] + b1[1] - b2[0] + (coef[0] if m == 0 else 0.0)
+    return corner * scl ** m
 
 
-def divided_difference_cos(fn: SmoothFn, theta, coalesce_tol: float = COALESCE_TOL) -> float:
-    """Divided difference of f over the knots cos(theta_1), ..., cos(theta_d)."""
+def divided_difference_cos(p: Chebyshev, theta) -> float:
+    """Divided difference of p over the knots cos(theta_1), ..., cos(theta_d)."""
     t = np.asarray(theta, dtype=float).ravel()
     if t.size == 0:
         raise ValueError("theta must contain at least one angle")
-    return divided_difference(fn, KnotVector(np.cos(t)), coalesce_tol)
+    return divided_difference(p, KnotVector(np.cos(t)))

@@ -4,17 +4,14 @@ Values come from the three-term recurrence
 
     n C_n^lam(t) = 2 (n + lam - 1) t C_{n-1}^lam(t) - (n + 2 lam - 2) C_{n-2}^lam(t)
 
-with C_0 = 1, C_1 = 2 lam t, and C_n = 0 for n < 0.  The module also provides
-the normalized variant Z_n^lam = ((n + lam)/lam) C_n^lam, the weight
-normalization constant c_lam, the generating function check, and the
-connection expansion of even Gegenbauer polynomials across parameters.
+with C_0 = 1 and C_1 = 2 lam t.  The module also provides the values at
+t = 1 and the weight normalization constant c_lam.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import poch as pochhammer
 
 
 def _check_lam(lam: float):
@@ -43,15 +40,6 @@ def gegenbauer_sequence(lam: float, nmax: int, t) -> np.ndarray:
     return out
 
 
-def gegenbauer(lam: float, n: int, t):
-    """C_n^lam(t); zero for negative n."""
-    _check_lam(lam)
-    if n < 0:
-        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    res = gegenbauer_sequence(lam, n, t)[n]
-    return res if np.ndim(t) else float(res)
-
-
 def gegenbauer_at_one(lam: float, nmax: int) -> np.ndarray:
     """Values at the right endpoint: C_n^lam(1) = (2 lam)_n / n! for n <= nmax."""
     _check_lam(lam)
@@ -62,18 +50,6 @@ def gegenbauer_at_one(lam: float, nmax: int) -> np.ndarray:
     return out
 
 
-def z_poly(lam: float, n: int, t):
-    """Normalized polynomial Z_n^lam(t) = ((n + lam)/lam) * C_n^lam(t).
-
-    Requires lam != 0; zero for negative n.
-    """
-    if lam == 0:
-        raise ValueError("Z_n^lam is undefined at lam = 0")
-    if n < 0:
-        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    return (n + lam) / lam * gegenbauer(lam, n, t)
-
-
 def geg_norm_c(lam: float) -> float:
     """Constant c_lam with c_lam * integral of (1 - t^2)^(lam - 1/2) over [-1, 1] = 1.
 
@@ -81,63 +57,3 @@ def geg_norm_c(lam: float) -> float:
     """
     _check_lam(lam)
     return math.gamma(lam + 1.0) / (math.gamma(0.5) * math.gamma(lam + 0.5))
-
-
-def geg_generating(lam: float, r: float, t: float, nterms: int) -> tuple[float, float]:
-    """Partial sum and closed form of sum_n C_n^lam(t) r^n.
-
-    Returns (sum over n <= nterms of C_n^lam(t) r^n, (1 - 2 r t + r^2)^(-lam)).
-    Callers assert closeness using :func:`geg_generating_tail`.
-    """
-    _check_lam(lam)
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
-    if abs(t) > 1:
-        raise ValueError("t must lie in [-1, 1]")
-    seq = gegenbauer_sequence(lam, nterms, t)
-    partial = float(np.dot(seq, r ** np.arange(nterms + 1)))
-    closed = (1.0 - 2.0 * r * t + r * r) ** (-lam)
-    return partial, closed
-
-
-def geg_generating_tail(lam: float, r: float, nterms: int, extra: int = 400) -> float:
-    """Upper bound for |sum over n > nterms of C_n^lam(t) r^n| for |t| <= 1.
-
-    Uses |C_n^lam(t)| <= C_n^lam(1) and sums the majorant numerically until
-    terms fall below machine precision.
-    """
-    _check_lam(lam)
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
-    top = nterms + extra
-    c1 = gegenbauer_at_one(lam, top)
-    tail = float(np.dot(c1[nterms + 1:], r ** np.arange(nterms + 1, top + 1)))
-    # Geometric bound on what the numeric majorant itself truncates.
-    ratio = r * (top + 2 * lam) / (top + 1)
-    rest = c1[top] * r**top * ratio / (1 - ratio) if ratio < 1 else math.inf
-    return tail + rest
-
-
-def geg_connection_even(d: int, n: int, t):
-    """Expansion of C_{2n}^(d-1) in the family Z^((d-1)/2) of even degrees.
-
-    C_{2n}^(d-1)(t) = sum_k a_k Z_{2n-2k}^((d-1)/2)(t) with
-
-        a_k = (d-1)_{2n-k} ((d-1)/2)_k / ( ((d-1)/2 + 1)_{2n-k} k! )
-
-    for 0 <= k <= n.  Returns the value of the right-hand side at t.
-    """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    half = (d - 1.0) / 2.0
-    total = 0.0
-    for k in range(n + 1):
-        coef = (
-            pochhammer(d - 1.0, 2 * n - k)
-            * pochhammer(half, k)
-            / (pochhammer(half + 1.0, 2 * n - k) * math.factorial(k))
-        )
-        total = total + coef * z_poly(half, 2 * n - 2 * k, t)
-    return total

@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .divdiff import SmoothFn, divided_difference_cos
-from .kernels import _shell_table, dirichlet_kernel_batch, shell_seed_poly
+from .divdiff import divided_difference_cos
+from .kernels import _shell_table, dirichlet_kernel_batch, shell_seed
 from .numerics import QuadRule, ball_enumerate, theta_vector, torus_trapezoid
 
 
@@ -164,7 +164,7 @@ def synth(d: int, coeffs: CoeffSeq, trunc: int, theta):
     return vals if batch else float(vals[0])
 
 
-def build_fd(d: int, coeffs: CoeffSeq, trunc: int) -> SmoothFn:
+def build_fd(d: int, coeffs: CoeffSeq, trunc: int) -> Chebyshev:
     """The univariate polynomial sum_{1 <= n <= trunc} c_n * shell_seed(d, n).
 
     Its divided difference over the knots cos(theta_i) reproduces the
@@ -179,8 +179,8 @@ def build_fd(d: int, coeffs: CoeffSeq, trunc: int) -> SmoothFn:
     for n in range(1, min(trunc, coeffs.max_head_index) + 1):
         c = coeffs.value(n)
         if c != 0.0:
-            total = total + c * shell_seed_poly(d, n)
-    return SmoothFn.from_poly(total)
+            total = total + c * shell_seed(d, n)
+    return total
 
 
 def synth_divdiff(d: int, coeffs: CoeffSeq, trunc: int, theta) -> float:

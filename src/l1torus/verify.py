@@ -249,7 +249,7 @@ def _poisson_divdiff(cfg: VerifyConfig):
     rng = np.random.default_rng([cfg.seed, 6])
     errors = []
     for d in dims:
-        # the last point's repeated knots exercise the derivative path
+        # the last point repeats the knot cos(0.8) d - 1 times
         thetas = [*sample_separated_theta(rng, d, 20), np.array([2.0] + [0.8] * (d - 1))]
         for r in (0.1, 0.3, 0.7):
             fn = poisson_kernel(r)
@@ -280,8 +280,8 @@ def _poisson_series(cfg: VerifyConfig):
         "integral of mean(d, n, u) * biortho_poly(d, n', u) du equals "
         "delta(n, n'); off-diagonal tolerance 1e-8, diagonal 1e-6")
 def _biortho(cfg: VerifyConfig):
-    max_index = cfg.max_index if cfg.max_index is not None else 5
-    cases = [(cfg.d, max_index)] if cfg.d is not None else [(2, 6), (3, 5)]
+    cases = [(cfg.d, 5)] if cfg.d is not None else [(2, 6), (3, 5)]
+    cases = [(d, cfg.max_index if cfg.max_index is not None else top) for d, top in cases]
     off_tol, diag_tol = 1e-8, 1e-6
     errors, details = [], {}
     for d, top in cases:

@@ -84,6 +84,8 @@ def test_kernel_large_shell_returns_exact_count(capsys):
 @pytest.mark.parametrize("argv", [
     ["--d", "3", "--n", "1000000000", "--what", "E", "--theta", "0.1,0.2,0.3"],
     ["--d", "8", "--n", "2", "--what", "E", "--grid", "30"],
+    ["--d", "3", "--n", "1000000000000", "--what", "h", "--u", "0.5"],
+    ["--d", "3", "--n", "3", "--what", "h", "--u", "1e200"],
 ])
 def test_kernel_cost_is_bounded_before_allocation(capsys, argv):
     tracemalloc.start()
@@ -127,10 +129,12 @@ def _point_request(what, data, spec):
         return ["kernel", "--d", str(d), "--n", str(n), "--what", what,
                 f"--theta={data.draw(angles)!r}"]
     if what == "h":
-        # a degree-n polynomial overflows for large |u| and allocates n + 1
-        # Gegenbauer values, so u and n stay moderate here
-        d, n = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 40))
-        u = data.draw(st.one_of(st.floats(-10.0, 10.0), non_finite))
+        # n in between would pass the cost bound at up to 2^20 recurrence steps,
+        # seconds per call
+        d = data.draw(st.integers(1, 12))
+        n = data.draw(st.one_of(st.integers(0, 40), st.integers(10**5, 10**12)))
+        u = data.draw(st.one_of(st.floats(-10.0, 10.0), non_finite,
+                                st.floats(allow_nan=False, allow_infinity=False)))
         return ["kernel", "--d", str(d), "--n", str(n), "--what", "h", f"--u={u!r}"]
     d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
     theta = data.draw(st.lists(angles, min_size=d, max_size=d))
@@ -248,6 +252,15 @@ def test_verify_single_suite_passes(capsys):
     (suite,) = payload["suites"]
     assert suite["name"] == "biortho"
     assert suite["max_error"] <= suite["tolerance"]
+
+
+def test_verify_biortho_index_applies_to_default_dimensions(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "biortho", "--N", "2")
+    assert code == 0
+    (suite,) = json.loads(out)["suites"]
+    assert suite["params"] == {"cases": [{"d": 2, "max_index": 2}, {"d": 3, "max_index": 2}]}
+    assert sorted(suite["details"]) == ["d=2", "d=3"]
+    assert [v["size"] for v in suite["details"].values()] == [3, 3]
 
 
 def test_verify_json_passed_is_a_boolean(capsys):

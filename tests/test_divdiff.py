@@ -1,19 +1,13 @@
-"""Divided differences with confluent (repeated) knots."""
+"""Divided differences of Chebyshev series with confluent (repeated) knots."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.polynomial import Polynomial
 
-from l1torus.divdiff import (
-    COALESCE_TOL,
-    DerivativeOrderError,
-    KnotVector,
-    SmoothFn,
-    divided_difference,
-    divided_difference_cos,
-)
+from l1torus.divdiff import KnotVector, divided_difference, divided_difference_cos
 
 TOL = 1e-10
 
@@ -29,23 +23,19 @@ def newton_distinct(fn, knots):
     return col[0]
 
 
+def cheb(power_coeffs):
+    """The Chebyshev series of the polynomial with these power-basis coefficients."""
+    return Polynomial(power_coeffs).convert(kind=Chebyshev)
+
+
 def test_knot_vector_sorts_and_freezes():
     kv = KnotVector([0.5, -0.2, 0.1])
     assert kv.knots == (-0.2, 0.1, 0.5)
     assert len(kv) == 3
 
 
-def test_knot_vector_coalesces_chains():
-    kv = KnotVector([0.1, 0.1 + 1e-12, 0.3])
-    groups = kv.coalesced()
-    assert len(groups) == 2
-    site, mult = groups[0]
-    assert mult == 2
-    assert abs(site - 0.1) < 1e-11
-
-
 def test_single_knot_is_plain_evaluation():
-    fn = SmoothFn.from_poly(Polynomial([1.0, 2.0, 3.0]))
+    fn = cheb([1.0, 2.0, 3.0])
     assert abs(divided_difference(fn, [0.4]) - fn(0.4)) < 1e-15
 
 
@@ -55,11 +45,19 @@ def test_single_knot_is_plain_evaluation():
     [-0.7, -0.1, 0.3, 0.9, 1.4],
 ])
 def test_distinct_knots_match_newton_table(knots, rng):
-    coeffs = rng.uniform(-1, 1, len(knots) + 2)
-    fn = SmoothFn.from_poly(Polynomial(coeffs))
+    fn = Chebyshev(rng.uniform(-1, 1, len(knots) + 2))
     got = divided_difference(fn, knots)
     ref = newton_distinct(fn, knots)
     assert abs(got - ref) < TOL * max(1.0, abs(ref))
+
+
+def test_series_on_another_domain_is_mapped(rng):
+    # the same polynomial on [0, 1] and on the default [-1, 1]
+    knots = [0.1, 0.25, 0.55, 0.85]
+    mapped = Chebyshev(rng.uniform(-1, 1, 7), domain=[0.0, 1.0])
+    plain = mapped.convert(domain=[-1.0, 1.0])
+    ref = newton_distinct(plain, knots)
+    assert abs(divided_difference(mapped, knots) - ref) < TOL * max(1.0, abs(ref))
 
 
 @given(
@@ -68,7 +66,7 @@ def test_distinct_knots_match_newton_table(knots, rng):
 )
 @settings(max_examples=50, deadline=None)
 def test_permutation_invariance(coeffs, knots):
-    fn = SmoothFn.from_poly(Polynomial(coeffs))
+    fn = Chebyshev(coeffs)
     base = divided_difference(fn, knots)
     shuffled = list(reversed(knots))
     assert abs(divided_difference(fn, shuffled) - base) <= 1e-8 * max(1.0, abs(base))
@@ -82,64 +80,42 @@ def test_annihilates_lower_degree_and_extracts_leading_coefficient(m, rng):
     confluent = knots.copy()
     confluent[1] = confluent[0]  # force one repeated site
     for kn in (knots, confluent):
-        low = SmoothFn.from_poly(Polynomial(rng.uniform(-1, 1, m)))  # degree m-1
+        low = cheb(rng.uniform(-1, 1, m))  # degree m-1
         assert abs(divided_difference(low, kn)) < TOL
         lead = rng.uniform(0.5, 2.0)
-        coeffs = np.append(rng.uniform(-1, 1, m), lead)
-        high = SmoothFn.from_poly(Polynomial(coeffs))
+        high = cheb(np.append(rng.uniform(-1, 1, m), lead))
         assert abs(divided_difference(high, kn) - lead) < TOL
 
 
 def test_fully_confluent_is_taylor_coefficient():
     # all knots equal: [a, ..., a] f = f^(m)(a) / m!
-    poly = Polynomial([0.3, -1.2, 0.5, 2.0, -0.7])
-    fn = SmoothFn.from_poly(poly)
+    poly = cheb([0.3, -1.2, 0.5, 2.0, -0.7])
     a, m = 0.37, 3
-    got = divided_difference(fn, [a] * (m + 1))
+    got = divided_difference(poly, [a] * (m + 1))
     expect = poly.deriv(m)(a) / math.factorial(m)
     assert abs(got - expect) < TOL
 
 
 def test_double_knot_matches_derivative_limit():
     # [a, a, b] f computed against the h -> 0 limit of [a, a+h, b] f
-    poly = Polynomial([0.1, 0.4, -0.3, 0.9])
-    fn = SmoothFn.from_poly(poly)
+    poly = cheb([0.1, 0.4, -0.3, 0.9])
     a, b = 0.2, 0.8
-    got = divided_difference(fn, [a, a, b])
+    got = divided_difference(poly, [a, a, b])
     h = 1e-6
-    approx = newton_distinct(fn, [a, a + h, b])
+    approx = newton_distinct(poly, [a, a + h, b])
     assert abs(got - approx) < 1e-5
 
 
 def test_near_coincident_knots_are_merged_not_cancelled():
-    # spacing far below the coalescence tolerance must not blow up
-    poly = Polynomial([0.0, 0.0, 1.0])  # x^2
-    fn = SmoothFn.from_poly(poly)
+    # spacing far below any difference quotient's resolution must not blow up
+    poly = cheb([0.0, 0.0, 1.0])  # x^2
     a = 0.3
-    got = divided_difference(fn, [a, a + 1e-13, 1.0])
+    got = divided_difference(poly, [a, a + 1e-13, 1.0])
     assert abs(got - 1.0) < 1e-9  # leading coefficient of x^2 over 3 knots
-    assert COALESCE_TOL > 1e-13
-
-
-def test_smoothfn_without_derivatives_rejects_confluent_knots():
-    fn = SmoothFn(lambda x: math.exp(x), None, max_order=0)
-    assert abs(divided_difference(fn, [0.1, 0.5]) -
-               (math.exp(0.5) - math.exp(0.1)) / 0.4) < 1e-12
-    with pytest.raises(DerivativeOrderError):
-        divided_difference(fn, [0.3, 0.3])
-
-
-def test_explicit_derivative_oracle_is_used():
-    fn = SmoothFn(math.sin, lambda x, j: math.sin(x + j * math.pi / 2.0),
-                  max_order=None)
-    a = 0.9
-    got = divided_difference(fn, [a, a, a])
-    assert abs(got - (-math.sin(a) / 2.0)) < 1e-14  # f''(a)/2!
 
 
 def test_cos_wrapper_matches_explicit_cosines(rng):
-    poly = Polynomial(rng.uniform(-1, 1, 6))
-    fn = SmoothFn.from_poly(poly)
+    fn = Chebyshev(rng.uniform(-1, 1, 6))
     theta = rng.uniform(0.2, math.pi - 0.2, 3)
     got = divided_difference_cos(fn, theta)
     ref = divided_difference(fn, np.cos(theta))

@@ -19,7 +19,6 @@ from l1torus.kernels import (
     poisson_kernel,
     poisson_product,
     shell_seed,
-    shell_seed_poly,
     shell_seed_theta,
     shell_sum,
     shell_sum_batch,
@@ -91,7 +90,7 @@ def test_shell_seed_low_order_values():
 
 
 def test_shell_seed_vanishes_at_index_zero():
-    fn = shell_seed_poly(2, 0)
+    fn = shell_seed(2, 0)
     assert np.allclose(fn(np.linspace(-1, 1, 7)), 0.0)
 
 
@@ -101,7 +100,7 @@ def test_shell_seed_is_difference_of_dirichlet_seeds(d, n, rng):
     u = rng.uniform(-1, 1, 50)
     g_n = dirichlet_seed_poly(d, n)(u)
     g_prev = dirichlet_seed_poly(d, n - 1)(u)
-    h = shell_seed_poly(d, n)(u)
+    h = shell_seed(d, n)(u)
     assert np.max(np.abs(g_n - g_prev - h)) < 1e-12
 
 
@@ -272,8 +271,28 @@ def test_ball_sum_is_divided_difference_of_dirichlet_seed(d, rng):
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_divided_difference_holds_as_knots_merge(d):
+    # 2- and 3-knot clusters at theta-gaps 1e-2 ... 1e-12 and 0, against the
+    # product kernel: no digit is lost as knots approach each other
+    rng = np.random.default_rng([7, d])
+    gaps = [10.0 ** -k for k in range(2, 13, 2)] + [0.0]
+    for size in (2, 3) if d >= 3 else (2,):
+        for gap in gaps:
+            thetas = rng.uniform(-math.pi, math.pi, (3, d))
+            thetas[:, 1:size] = thetas[:, :1] + gap * np.arange(1, size)
+            for n in (1, 5, 12, 20, 30):
+                bound = 1e-10 if n <= 20 else 1e-9
+                for seed, ref in ((shell_seed, shell_sum_batch),
+                                  (dirichlet_seed, dirichlet_kernel_batch)):
+                    fn = seed(d, n)
+                    for t, want in zip(thetas, ref(d, n, thetas).tolist()):
+                        assert rel_err(divided_difference_cos(fn, t), want) <= bound, \
+                            (seed.__name__, n, size, gap)
+
+
 def test_divided_difference_route_handles_confluent_angles():
-    # equal angles force repeated cosine knots; the Taylor branch must engage
+    # equal angles force repeated cosine knots
     d, n = 3, 2
     theta = np.array([1.1, 0.4, 0.4])
     lhs = divided_difference_cos(shell_seed(d, n), theta)
@@ -315,7 +334,7 @@ def test_biortho_poly_at_one_counts_lattice_points(d):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_biortho_poly_is_high_derivative_of_shell_seed(d, n, rng):
     u = rng.uniform(-0.95, 0.95, 10)
-    deriv = shell_seed_poly(d, n).deriv(d - 1)(u)
+    deriv = shell_seed(d, n).deriv(d - 1)(u)
     got = biortho_poly(d, n, u)
     scale = max(1.0, float(np.max(np.abs(deriv))))
     assert np.max(np.abs(got - deriv)) < 1e-10 * scale
@@ -362,18 +381,21 @@ def test_poisson_divided_difference_confluent_knots():
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
-def test_poisson_kernel_derivatives_match_series(rng):
-    # 1/(1-2ru+r^2) = sum_k U_k(u) r^k gives the j-th u-derivative as
-    # sum_k U_k^(j)(u) r^k; compare at a safe interior point
-    from numpy.polynomial.chebyshev import Chebyshev
-
-    r, u, j = 0.4, 0.3, 3
+@pytest.mark.parametrize("r, terms", [(0.0, 0), (0.1, 32), (0.3, 62), (0.5, 106), (0.7, 206)])
+def test_poisson_kernel_series_matches_closed_form(r, terms, rng):
+    # the series stops at the first K with r^K <= 2^-106; inside the stated
+    # domain (r <= 0.7, d <= 6, knots anywhere in [-1, 1], repeated +-1
+    # included) values and divided differences hold to 1e-10 relative
     fn = poisson_kernel(r)
-    series = 0.0
-    for k in range(80):
-        cheb_u_k = Chebyshev([0] * (k + 1) + [1]).deriv(1) / (k + 1)  # U_k
-        series += cheb_u_k.deriv(j)(u) * r**k
-    assert abs(fn.deriv(u, j) - series) < 1e-8 * max(1.0, abs(series))
+    assert fn.degree() == terms
+    u = np.linspace(-1.0, 1.0, 41)
+    assert np.max(np.abs(fn(u) * (1.0 - 2.0 * r * u + r * r) - 1.0)) < 1e-14
+    for d in range(1, 7):
+        thetas = rng.uniform(-math.pi, math.pi, (14, d))
+        thetas[0], thetas[1] = 0.0, math.pi  # one knot at 1 or at -1, d times
+        thetas[2, :2], thetas[3, :2] = 0.0, math.pi  # a double knot at 1 or at -1
+        for t in thetas:
+            assert rel_err(divided_difference_cos(fn, t), poisson_divdiff(d, r, t)) < 1e-10
 
 
 def test_poisson_rejects_r_outside_unit_interval():

@@ -7,16 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer, gamma, poch
 
 from l1torus.numerics import gauss_gegenbauer
-from l1torus.polys import (
-    geg_connection_even,
-    geg_generating,
-    geg_generating_tail,
-    geg_norm_c,
-    gegenbauer,
-    gegenbauer_at_one,
-    gegenbauer_sequence,
-    z_poly,
-)
+from l1torus.polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 TOL = 1e-11
 
@@ -25,7 +16,7 @@ TOL = 1e-11
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
 def test_recurrence_matches_scipy(lam, n):
     t = np.linspace(-1.0, 1.0, 9)
-    ours = gegenbauer(lam, n, t)
+    ours = gegenbauer_sequence(lam, n, t)[n]
     ref = eval_gegenbauer(n, lam, t)
     assert np.max(np.abs(ours - ref)) < TOL * max(1.0, np.max(np.abs(ref)))
 
@@ -38,7 +29,7 @@ def test_recurrence_matches_scipy(lam, n):
 @settings(max_examples=60, deadline=None)
 def test_recurrence_matches_scipy_property(lam, n, t):
     ref = float(eval_gegenbauer(n, lam, t))
-    got = float(gegenbauer(lam, n, t))
+    got = float(gegenbauer_sequence(lam, n, t)[n])
     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
@@ -48,7 +39,7 @@ def test_sequence_stacks_all_degrees(rng):
     seq = gegenbauer_sequence(lam, nmax, t)
     assert seq.shape == (nmax + 1, t.size)
     for n in range(nmax + 1):
-        assert np.allclose(seq[n], gegenbauer(lam, n, t), atol=1e-12)
+        assert np.allclose(seq[n], eval_gegenbauer(n, lam, t), atol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
@@ -57,14 +48,7 @@ def test_value_at_one_is_pochhammer(lam, n):
     # C_n^lam(1) = (2 lam)_n / n!
     expect = poch(2 * lam, n) / math.factorial(n)
     assert abs(gegenbauer_at_one(lam, n)[n] - expect) < 1e-12 * max(1.0, expect)
-    assert abs(gegenbauer(lam, n, 1.0) - expect) < 1e-10 * max(1.0, expect)
-
-
-@pytest.mark.parametrize("lam,n", [(1.0, 3), (1.5, 4), (2.0, 6)])
-def test_z_poly_is_rescaled_gegenbauer(lam, n, rng):
-    t = rng.uniform(-1, 1, 7)
-    assert np.allclose(z_poly(lam, n, t), (n + lam) / lam * gegenbauer(lam, n, t),
-                       atol=1e-12)
+    assert abs(gegenbauer_sequence(lam, n, 1.0)[n] - expect) < 1e-10 * max(1.0, expect)
 
 
 def test_norm_constant_known_values():
@@ -107,36 +91,12 @@ def test_orthogonality_under_matching_weight(lam):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("r", [0.0, 0.2, 0.6])
 def test_generating_function_partial_vs_closed(lam, r, rng):
-    for t in rng.uniform(-1, 1, 4):
-        nterms = 200
-        partial, closed = geg_generating(lam, r, float(t), nterms)
-        if r == 0.0:
-            assert partial == 1.0 and closed == 1.0
-            continue
-        tail = geg_generating_tail(lam, r, nterms)
-        assert abs(partial - closed) <= tail + 1e-12
-
-
-def test_generating_tail_bounds_actual_remainder():
-    lam, r, nterms = 1.5, 0.5, 30
-    bound = geg_generating_tail(lam, r, nterms)
-    # worst case over t is at t = 1 where all terms are positive
-    partial, closed = geg_generating(lam, r, 1.0, nterms)
-    assert abs(closed - partial) <= bound
-    assert bound < 1e-2  # tight enough to be informative
-
-
-def test_generating_rejects_r_out_of_range():
-    with pytest.raises(ValueError):
-        geg_generating(1.0, 1.0, 0.3, 10)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("n", [0, 1, 2, 4])
-def test_even_degree_connection_formula(d, n, rng):
-    # the degree-2n polynomial C_{2n}^(d-1) re-expanded in the half-parameter
-    # family evaluates identically
-    for t in rng.uniform(-1, 1, 5):
-        lhs = gegenbauer(float(d - 1), 2 * n, float(t))
-        rhs = geg_connection_even(d, n, float(t))
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+    # sum_n C_n^lam(t) r^n = (1 - 2rt + r^2)^(-lam); |C_n^lam(t)| <= C_n^lam(1)
+    # bounds the tail beyond nterms, and beyond top it is below 1e-15
+    nterms, top = 200, 600
+    powers = r ** np.arange(top + 1)
+    tail = float(np.dot(gegenbauer_at_one(lam, top)[nterms + 1:], powers[nterms + 1:]))
+    t = rng.uniform(-1, 1, 4)
+    partial = powers[:nterms + 1] @ gegenbauer_sequence(lam, nterms, t)
+    closed = (1.0 - 2.0 * r * t + r * r) ** (-lam)
+    assert np.all(np.abs(partial - closed) <= tail + 1e-12)

@@ -124,9 +124,9 @@ def test_build_fd_skips_constant_term(rng):
     d = 2
     seq = CoeffSeq(head=(123.0, 0.5), tail=ZeroTail())
     fn = build_fd(d, seq, 1)
-    from l1torus.kernels import shell_seed_poly
+    from l1torus.kernels import shell_seed
 
-    poly = shell_seed_poly(d, 1)
+    poly = shell_seed(d, 1)
     for u in rng.uniform(-1, 1, 5):
         assert abs(fn(float(u)) - 0.5 * poly(float(u))) < 1e-12
 
