@@ -17,30 +17,8 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .divdiff import KnotVector
-from .numerics import theta_vector
-
-
-class PoleError(ArithmeticError):
-    """Knot configuration on which the field has a pole (order 1, equal knots)."""
-
-
-@dataclass(frozen=True)
-class BsplineSpec:
-    """Order m >= 1 together with its m + 1 knots."""
-
-    order: int
-    knots: KnotVector
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if len(self.knots) != self.order + 1:
-            raise ValueError("an order-m B-spline needs exactly m + 1 knots")
 
 
 def bspline_values(knots, u) -> np.ndarray:
@@ -66,12 +44,15 @@ def bspline_values(knots, u) -> np.ndarray:
     return vals[..., 0] / math.factorial(m - 1)
 
 
-def bspline_eval(spec: BsplineSpec, u: float) -> float:
-    """Value of M_m(u | knots); zero outside [x_0, x_m].
+def bspline_eval(knots, u: float) -> float:
+    """Value of M_m(u | knots), m = len(knots) - 1; zero outside [x_0, x_m].
 
-    All knots equal is rejected: the B-spline degenerates to a point mass.
+    The knots are sorted here.  Fewer than two knots, or all knots equal (the
+    B-spline degenerates to a point mass), are rejected.
     """
-    x = np.asarray(spec.knots.knots, dtype=float)
+    x = np.sort(np.asarray(knots, dtype=float).ravel())
+    if x.size < 2:
+        raise ValueError("a B-spline needs at least two knots")
     if x[0] == x[-1]:
         raise ValueError("all knots coincide; the B-spline is not a function")
     return float(bspline_values(x, float(u)))
@@ -93,20 +74,3 @@ def knot_field_batch(d: int, u: float, cos_knots: np.ndarray) -> np.ndarray:
         return np.zeros(x.shape[0])
     return bspline_values(x, u)
 
-
-def bspline_knot_field(d: int, u: float, theta) -> float:
-    """M_{d-1}(u | cos theta_1, ..., cos theta_d) as a function on the torus.
-
-    Returns 0 for |u| >= 1 (the knots lie in [-1, 1]).  For d = 2 a pair of
-    equal knots is a genuine pole and raises :class:`PoleError`.
-    """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    knots = np.sort(np.cos(theta_vector(theta, d)))
-    if abs(u) >= 1.0:
-        return 0.0
-    if d == 2 and knots[0] == knots[1]:
-        raise PoleError("order-1 field with equal knots has a pole")
-    if knots[0] == knots[-1]:
-        raise ValueError("all knots coincide; the field is not a function")
-    return float(bspline_values(knots, float(u)))

@@ -34,6 +34,7 @@ DEFAULT_SERIES_TERMS = 2000
 SERIES_EDGE_MARGIN = 1e-3
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
+_MC_BATCH_PAIRS = 50_000  # antithetic pairs drawn per Monte-Carlo batch
 
 
 def mean_d2_closed(n: int, alpha: float) -> float:
@@ -77,11 +78,8 @@ def mean_order0_integral(d: int) -> float:
 
     Evaluates to 1/(d-1)! in exact arithmetic.
     """
-    _check_dn(d, 0)
-    const = math.gamma((d + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(d / 2.0)
-                                         * math.factorial(d - 1))
-    beta = math.sqrt(math.pi) * math.gamma(d / 2.0) / math.gamma((d + 1) / 2.0)
-    return const * beta
+    const = mean_order0_closed(d, 0.0)  # checks d; the constant factor, at u = 0
+    return const * (math.sqrt(math.pi) * math.gamma(d / 2.0) / math.gamma((d + 1) / 2.0))
 
 
 def _series_coefficients(d: int, nterms: int) -> np.ndarray:
@@ -93,23 +91,22 @@ def _series_coefficients(d: int, nterms: int) -> np.ndarray:
     return a
 
 
-def mean_series(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS,
-                cesaro: bool = True, edge_margin: float = SERIES_EDGE_MARGIN):
+def mean_series(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS):
     """Gegenbauer series route for mean(d, n, u).
 
     mean(d, n, u) = (1-u^2)^(d-3/2) * c_{d-1}/(d-1)! *
                     sum_k a_k C_{n+2k}^{d-1}(u) / C_{n+2k}^{d-1}(1),
     a_k = (d-1)_k/k!.  The series converges only conditionally (for d = 2 it
-    is a trigonometric series), so partial sums are averaged (Cesaro (C, 1))
-    unless ``cesaro`` is false.  Requires |u| <= 1 - edge_margin: the
-    averaging degrades near the endpoints.  ``u`` may be scalar or ndarray.
+    is a trigonometric series), so partial sums are averaged (Cesaro (C, 1)).
+    Requires |u| <= 1 - SERIES_EDGE_MARGIN: the averaging degrades near the
+    endpoints.  ``u`` may be scalar or ndarray.
     """
     _check_dn(d, n)
     if nterms < 1:
         raise ValueError("nterms must be >= 1")
     u_arr = np.asarray(u, dtype=float)
-    if np.any(np.abs(u_arr) > 1.0 - edge_margin):
-        raise ValueError(f"series route requires |u| <= 1 - {edge_margin:g}")
+    if np.any(np.abs(u_arr) > 1.0 - SERIES_EDGE_MARGIN):
+        raise ValueError(f"series route requires |u| <= 1 - {SERIES_EDGE_MARGIN:g}")
     lam = d - 1
     degmax = n + 2 * (nterms - 1)
     seq = gegenbauer_sequence(float(lam), degmax, u_arr)[n::2]
@@ -117,18 +114,19 @@ def mean_series(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS,
     a = _series_coefficients(d, nterms)
     terms = a.reshape((-1,) + (1,) * u_arr.ndim) * seq / ones.reshape((-1,) + (1,) * u_arr.ndim)
     partials = np.cumsum(terms, axis=0)
-    s = partials.mean(axis=0) if cesaro else partials[-1]
-    out = (1.0 - u_arr * u_arr) ** (d - 1.5) * geg_norm_c(float(lam)) / math.factorial(lam) * s
+    out = ((1.0 - u_arr * u_arr) ** (d - 1.5) * geg_norm_c(float(lam)) / math.factorial(lam)
+           * partials.mean(axis=0))
     return out if np.ndim(u) else float(out)
 
 
-def mean_recursion_sides(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS):
+def mean_recursion_sides(d: int, n: int, u):
     """Both sides of the mean recursion.
 
     lhs = (d-1)! sum_{j=0}^{d-1} (-1)^j C(d-1, j) mean(d, n+2j, u)
     rhs = c_{d-1} (1-u^2)^(d-3/2) C_n^{d-1}(u) / C_n^{d-1}(1)
 
-    The means use the closed form for d = 2 and the Cesaro series otherwise.
+    The means use the closed form for d = 2 and otherwise the Cesaro series
+    of DEFAULT_SERIES_TERMS terms.
     ``u`` may be scalar or ndarray; each side has the shape of ``u``.
     """
     _check_dn(d, n)
@@ -140,7 +138,7 @@ def mean_recursion_sides(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS):
             mj = np.array([mean_d2_closed(n + 2 * j, math.acos(x))
                            for x in u_arr.ravel().tolist()]).reshape(u_arr.shape)
         else:
-            mj = mean_series(d, n + 2 * j, u_arr, nterms=nterms)
+            mj = mean_series(d, n + 2 * j, u_arr)
         lhs = lhs + (-1) ** j * math.comb(d - 1, j) * mj
     lhs = lhs * math.factorial(d - 1)
     cn = gegenbauer_sequence(float(lam), n, u_arr)[n]
@@ -161,7 +159,7 @@ class McEstimate:
 
 
 def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
-                  seed: int = DEFAULT_SEED, batch_pairs: int = 50_000) -> McEstimate:
+                  seed: int = DEFAULT_SEED) -> McEstimate:
     """Seeded Monte-Carlo estimate of mean(d, n, u) by torus averaging.
 
     Draws uniform points on the torus in antithetic pairs (theta, pi - theta);
@@ -171,7 +169,7 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
     below 1e-12 are rejected and redrawn (the integrand is integrable but
     unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
     rounds of redraws raises ValueError.  ``budget`` counts integrand
-    evaluations; the default is 2e6 for d = 2 and 1e7 for d = 3.
+    evaluations, at least 4; the default is 2e6 for d = 2 and 1e7 for d = 3.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
@@ -182,14 +180,16 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
         raise ValueError("Monte-Carlo route requires |u| < 1")
     if budget is None:
         budget = _MC_DEFAULT_BUDGET[d]
-    total_pairs = max(budget // 2, 1)
+    if budget < 4:  # fewer than two antithetic pairs give no spread
+        raise ValueError(f"budget must be >= 4, got {budget}")
+    total_pairs = budget // 2
     rng = np.random.default_rng(seed)
     count = shell_count(d, n)
     sgn = -1.0 if n % 2 else 1.0
     chunks = []
     remaining = total_pairs
     while remaining > 0:
-        b = min(batch_pairs, remaining)
+        b = min(_MC_BATCH_PAIRS, remaining)
         theta = rng.uniform(-math.pi, math.pi, size=(b, d))
         knots = np.sort(np.cos(theta), axis=1)
         bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
@@ -209,26 +209,25 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
         remaining -= b
     vals = np.concatenate(chunks)
     value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.inf
+    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return McEstimate(value, stderr, int(vals.size))
 
 
-def biorthogonality_matrix(d: int, max_index: int, quad_order: int | None = None) -> np.ndarray:
+def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
     """Pairing matrix B[n, n'] = integral of mean(d, n, .) * biortho_poly(d, n', .).
 
     Indices run over 0 <= n, n' <= max_index; the result is the identity in
     exact arithmetic.  The mean enters through its Gegenbauer series: terms
     of degree beyond max_index + 4 are orthogonal to every polynomial row and
     are dropped exactly, after which a Gauss rule for the weight
-    (1-u^2)^(d-3/2) of order quad_order (default max_index + 8) integrates
-    the remaining polynomial pairings exactly.
+    (1-u^2)^(d-3/2) of order max_index + 8 integrates the remaining
+    polynomial pairings exactly.
     """
     _check_dn(d, 0)
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     lam = d - 1
-    q = quad_order if quad_order is not None else max_index + 8
-    rule = gauss_gegenbauer(q, float(lam))
+    rule = gauss_gegenbauer(max_index + 8, float(lam))
     x, w = rule.nodes, rule.weights
     degmax = max_index + 6
     seq = gegenbauer_sequence(float(lam), degmax, x)

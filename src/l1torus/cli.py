@@ -23,11 +23,13 @@ from .bspline_fourier import DEFAULT_SERIES_TERMS, MeanEvaluator
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
 from .numerics import DEFAULT_SEED, shell_count, torus_trapezoid
-from .pdf import GramSpec, gram_matrix, min_eigenvalue, pdf_check, spdf_check
-from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
+from .pdf import (GramSpec, _check_gram_size, gram_matrix, min_eigenvalue, pdf_check,
+                  spdf_check)
+from .summability import CoeffSeq, SampledTorusFn, _check_phases, partial_sum, synth
 from .verify import SUITES, VerifyConfig, run_suites
 
 _FMT = "%.17g"
+_MAX_GRID_U = 1 << 16  # points one --grid-u may ask for
 
 
 def _fmt(x: float) -> str:
@@ -76,20 +78,26 @@ def _parse_theta(raw: str, d: int) -> np.ndarray:
     return vals
 
 
-def _parse_grid_u(raw: str) -> np.ndarray:
-    parts = raw.split(":")
+def _u_points(args) -> list[float]:
+    """The points of --u (repeatable) or of --grid-u start:stop:count."""
+    if args.u is not None:
+        return [float(v) for v in args.u]
+    if args.grid_u is None:
+        raise ValueError("provide --u (repeatable) or --grid-u")
+    parts = args.grid_u.split(":")
     if len(parts) != 3:
         raise ValueError("--grid-u expects start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("--grid-u count must be >= 1")
-    return np.linspace(start, stop, count)
+    if count > _MAX_GRID_U:
+        raise ValueError(f"--grid-u count {count} is over the limit of {_MAX_GRID_U}")
+    return [float(v) for v in np.linspace(start, stop, count)]
 
 
-def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")):
+def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write output to this file instead of stdout")
-    if formats:
-        p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _cmd_kernel(args) -> int:
@@ -111,28 +119,15 @@ def _cmd_kernel(args) -> int:
         fn = dirichlet_seed_theta if what == "G" else shell_seed_theta
         header = ["d", "n", "theta", "value"]
         rows = [[d, n, float(t), fn(d, n, float(t))] for t in args.theta]
-    elif what == "h":
-        if args.u is not None:
-            us = [float(v) for v in args.u]
-        elif args.grid_u is not None:
-            us = [float(v) for v in _parse_grid_u(args.grid_u)]
-        else:
-            raise ValueError("provide --u (repeatable) or --grid-u for h")
+    else:  # "h"; argparse restricts the choices
         header = ["d", "n", "u", "value"]
-        rows = [[d, n, u, float(biortho_poly(d, n, u))] for u in us]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kernel: {what!r}")
+        rows = [[d, n, u, float(biortho_poly(d, n, u))] for u in _u_points(args)]
     _emit_rows(header, rows, args.format, args.out)
     return 0
 
 
 def _cmd_mnd(args) -> int:
-    if args.u is not None:
-        us = [float(v) for v in args.u]
-    elif args.grid_u is not None:
-        us = [float(v) for v in _parse_grid_u(args.grid_u)]
-    else:
-        raise ValueError("provide --u (repeatable) or --grid-u")
+    us = _u_points(args)
     ev = MeanEvaluator(args.d, args.n, args.method, nterms=args.K,
                        budget=args.budget, seed=args.seed)
     header = ["d", "n", "u", "method", "value", "stderr"]
@@ -167,6 +162,7 @@ def _cmd_pdf(args) -> int:
         strict = spdf_check(coeffs)
         result["spdf"] = strict.ok
         result["witness"] = list(strict.witness) if strict.witness is not None else None
+    _check_gram_size(args.points)
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-math.pi, math.pi, (args.points, args.d))
     trunc = args.trunc if args.trunc is not None else coeffs.max_head_index
@@ -200,6 +196,8 @@ def _cmd_partial_sum(args) -> int:
         raise ValueError(
             f"--L must exceed twice the largest frequency ({max(args.n, trunc)})"
         )
+    if args.route == "coefficients":
+        _check_phases(d, args.n, args.L ** d)
     f = SampledTorusFn.sample(d, args.L, lambda pts: synth(d, coeffs, trunc, pts))
     if not args.theta:
         raise ValueError("provide --theta (repeatable)")

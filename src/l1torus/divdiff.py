@@ -10,43 +10,20 @@ Refs: Opitz (1964); McCurdy, Ng and Parlett, Math. Comp. 43 (1984).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-
-
-@dataclass(frozen=True)
-class KnotVector:
-    """A sorted tuple of knots; repeats encode multiplicities."""
-
-    knots: tuple
-
-    def __init__(self, values: Sequence[float]):
-        vals = tuple(sorted(float(v) for v in values))
-        if not vals:
-            raise ValueError("a knot vector needs at least one knot")
-        object.__setattr__(self, "knots", vals)
-
-    def __len__(self) -> int:
-        return len(self.knots)
-
-    @property
-    def order(self) -> int:
-        """m for a knot vector x_0 <= ... <= x_m."""
-        return len(self.knots) - 1
 
 
 def divided_difference(p: Chebyshev, knots) -> float:
     """Divided difference [x_0, ..., x_m]p of a Chebyshev series over the knots.
 
-    ``knots`` may be a :class:`KnotVector` or any sequence of reals; knots may
+    ``knots`` is any nonempty sequence of reals, sorted here; knots may
     repeat.  A series on another domain is mapped to [-1, 1] with its knots.
     """
-    kv = knots if isinstance(knots, KnotVector) else KnotVector(knots)
+    if len(knots) == 0:
+        raise ValueError("a knot vector needs at least one knot")
     off, scl = p.mapparms()
-    x = [off + scl * v for v in kv.knots]
+    x = [off + scl * v for v in sorted(float(v) for v in knots)]
     m = len(x) - 1
     coef = p.coef.tolist()
     # b1, b2 are b_{k+1}, b_{k+2} of b_k = c_k e_m + 2 J b_{k+1} - b_{k+2}, padded by one zero
@@ -62,7 +39,4 @@ def divided_difference(p: Chebyshev, knots) -> float:
 
 def divided_difference_cos(p: Chebyshev, theta) -> float:
     """Divided difference of p over the knots cos(theta_1), ..., cos(theta_d)."""
-    t = np.asarray(theta, dtype=float).ravel()
-    if t.size == 0:
-        raise ValueError("theta must contain at least one angle")
-    return divided_difference(p, KnotVector(np.cos(t)))
+    return divided_difference(p, np.cos(np.asarray(theta, dtype=float).ravel()))

@@ -315,12 +315,16 @@ def biortho_generating_pair(d: int, r: float, u: float, nterms: int) -> tuple[fl
     return partial, closed
 
 
-def biortho_generating_tail(d: int, r: float, nterms: int, extra: int = 400) -> float:
-    """Bound for the omitted tail of the biorthogonal generating series, |u| <= 1."""
+def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
+    """Bound for the omitted tail of the biorthogonal generating series, |u| <= 1.
+
+    A majorant is summed over the 400 terms after ``nterms``, and the rest is
+    bounded by a geometric series.
+    """
     _check_dn(d, 0)
     if not (0 <= r < 1):
         raise ValueError("r must lie in [0, 1)")
-    top = nterms + extra
+    top = nterms + 400
     c1 = gegenbauer_at_one(float(d), top)
     # |biortho_poly(d, n, u)| <= (d-1)! sum_j C(d,j) C_{n-2j}^d(1) =: majorant(n)
     maj = np.zeros(top + 1)

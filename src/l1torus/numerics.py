@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -18,6 +18,7 @@ from scipy.special import roots_gegenbauer
 DEFAULT_SEED = 1234567
 MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it gives up
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
+_MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n one shell_enumerate may cache
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -39,15 +40,11 @@ class QuadRule:
     """A quadrature rule: sum(weights * f(nodes)) approximates an integral.
 
     ``nodes`` has shape (npts,) for rules on an interval and (npts, d) for
-    tensor rules on the d-torus.  ``exact_degree`` is the largest polynomial
-    degree (trigonometric degree per axis, for torus rules) integrated
-    exactly.
+    tensor rules on the d-torus.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _readonly(np.asarray(self.nodes, dtype=float)))
@@ -56,10 +53,6 @@ class QuadRule:
             raise ValueError("nodes and weights must have matching length")
         if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
-
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]):
-        """Apply the rule to a vectorized function of the nodes."""
-        return np.dot(self.weights, fn(self.nodes))
 
 
 def gauss_legendre(npts: int) -> QuadRule:
@@ -71,7 +64,7 @@ def gauss_legendre(npts: int) -> QuadRule:
     if npts < 1:
         raise ValueError("npts must be >= 1")
     nodes, weights = leggauss(npts)
-    return QuadRule("gauss-legendre", nodes, weights, 2 * npts - 1)
+    return QuadRule(nodes, weights)
 
 
 def gauss_gegenbauer(npts: int, lam: float) -> QuadRule:
@@ -85,13 +78,13 @@ def gauss_gegenbauer(npts: int, lam: float) -> QuadRule:
     if lam <= -0.5:
         raise ValueError("lam must exceed -1/2")
     nodes, weights = roots_gegenbauer(npts, lam)
-    return QuadRule(f"gauss-gegenbauer({lam:g})", nodes, weights, 2 * npts - 1)
+    return QuadRule(nodes, weights)
 
 
 def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
     """Uniform tensor grid on [-pi, pi)^d with equal weights 1/npts^d.
 
-    Normalized so that integrate() computes (2*pi)^-d times the integral
+    Normalized so that the rule computes (2*pi)^-d times the integral
     over the torus; exponentials exp(i a.theta) with max|a_j| < npts_per_axis
     integrate exactly (to 1 for a = 0, otherwise 0).
     """
@@ -106,22 +99,7 @@ def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     weights = np.full(npts_per_axis**d, float(npts_per_axis) ** (-d))
-    return QuadRule(f"torus-trapezoid(d={d})", nodes, weights, npts_per_axis - 1)
-
-
-@dataclass(frozen=True)
-class LatticeShell:
-    """All integer vectors alpha in Z^d with |alpha|_1 = n."""
-
-    d: int
-    n: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(np.asarray(self.points, dtype=np.int64)))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
+    return QuadRule(nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -136,20 +114,27 @@ def _shell_tuples(d: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def shell_enumerate(d: int, n: int) -> LatticeShell:
-    """Enumerate the l1 shell {alpha in Z^d : |alpha|_1 = n}.
+def shell_enumerate(d: int, n: int) -> np.ndarray:
+    """The l1 shell {alpha in Z^d : |alpha|_1 = n} as a read-only (count, d) int64 array.
 
     Points are listed in lexicographic order; the enumeration is checked
-    against the generating-function count.
+    against the generating-function count.  Shells are cached, and loops
+    over n (``ball_enumerate``, the shell-count suite) keep every one, so the
+    shells 0..n together may hold at most ``_MAX_SHELL_ENTRIES`` entries,
+    checked before any is built.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("shell index must be >= 0")
+    entries = _ball_size(d, n) * d
+    if entries > _MAX_SHELL_ENTRIES:
+        raise ValueError(f"the l1 shells 0..{n} in d = {d} hold {entries:.3g} entries, "
+                         f"over the limit of {_MAX_SHELL_ENTRIES:.3g}")
     pts = np.array(_shell_tuples(d, n), dtype=np.int64).reshape(-1, d)
     if pts.shape[0] != shell_count(d, n):
         raise AssertionError("shell enumeration disagrees with shell count")
-    return LatticeShell(d, n, pts)
+    return _readonly(pts)
 
 
 def shell_count(d: int, n: int) -> int:
@@ -167,9 +152,14 @@ def shell_count(d: int, n: int) -> int:
     )
 
 
+def _ball_size(d: int, n: int) -> int:
+    """Number of alpha in Z^d with |alpha|_1 <= n: sum_k 2^k C(d, k) C(n, k)."""
+    return sum(2**k * math.comb(d, k) * math.comb(n, k) for k in range(min(d, n) + 1))
+
+
 def ball_enumerate(d: int, n: int) -> np.ndarray:
     """All alpha in Z^d with |alpha|_1 <= n, stacked shell by shell."""
-    return np.concatenate([shell_enumerate(d, k).points for k in range(n + 1)], axis=0)
+    return np.concatenate([shell_enumerate(d, k) for k in range(n + 1)], axis=0)
 
 
 def finite(values, name: str) -> np.ndarray:

@@ -3,13 +3,14 @@
 A coefficient sequence with nonnegative values everywhere synthesizes a
 positive definite function.  Strict positive definiteness additionally
 requires, for every pair 0 <= n < l, some m >= 0 with a strictly positive
-coefficient at index n + m*l or (l - n) + m*l.  For residue-class tails this
-reduces to an exact divisor-cover certificate: writing R for the positive
-residue set modulo q, the tail settles the pair (n, l) precisely when
-n mod g lies in (R union -R) mod g with g = gcd(l, q), so strictness holds
-iff every divisor g of q is fully covered by (R union -R) mod g.  Failing
-pairs are produced as finite witnesses; a windowed brute-force search over
-(n, l, m) is provided as an independent cross-check.
+coefficient at index n + m*l or (l - n) + m*l.  Every tail is a residue
+class rule, so this reduces to an exact divisor-cover certificate: writing R
+for the positive residue set modulo q, the tail settles the pair (n, l)
+precisely when n mod g lies in (R union -R) mod g with g = gcd(l, q), so
+strictness holds iff every divisor g of q is fully covered by (R union -R)
+mod g.  The zero tail (R empty) covers nothing.  Failing pairs are produced
+as finite witnesses; a windowed brute-force search over (n, l, m) is
+provided as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -20,9 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import wrap_angles
-from .summability import AllPositiveFrom, CoeffSeq, ResiduesPositive, ZeroTail, synth
+from .summability import CoeffSeq, synth
 
 MIN_POINT_SEPARATION = 1e-9
+_MAX_GRAM_PAIRS = 1 << 20  # point pairs, npts (npts - 1) / 2, one Gram matrix may hold
 
 
 class CheckResult(NamedTuple):
@@ -49,16 +51,17 @@ def pdf_check(coeffs: CoeffSeq) -> CheckResult:
     return CheckResult(True, None)
 
 
-def _positive_head_indices(coeffs: CoeffSeq) -> set[int]:
-    return {i for i, v in enumerate(coeffs.head) if v > 0.0}
+def _classes(residues, g: int) -> set[int]:
+    """The classes (R union -R) mod g of the residue set R."""
+    return {r % g for r in residues} | {(-r) % g for r in residues}
 
 
 def _pair_settled(coeffs: CoeffSeq, n: int, l: int) -> bool:
     """Exact decision: does some m >= 0 give a positive coefficient at
-    n + m*l or (l - n) + m*l?  Head indices are scanned directly; tails are
+    n + m*l or (l - n) + m*l?  Head indices are scanned directly; the tail is
     decided in closed form (progressions are infinite, so residue membership
     suffices)."""
-    pos = _positive_head_indices(coeffs)
+    pos = {i for i, v in enumerate(coeffs.head) if v > 0.0}
     top = coeffs.max_head_index
     for start in (n, l - n):
         idx = start
@@ -66,48 +69,28 @@ def _pair_settled(coeffs: CoeffSeq, n: int, l: int) -> bool:
             if idx in pos:
                 return True
             idx += l
-    tail = coeffs.tail
-    if isinstance(tail, ZeroTail):
-        return False
-    if isinstance(tail, AllPositiveFrom):
-        return True
-    g = math.gcd(l, tail.modulus)
-    cls = n % g
-    covered = {r % g for r in tail.residues} | {(-r) % g for r in tail.residues}
-    return cls in covered
+    g = math.gcd(l, coeffs.tail.modulus)
+    return n % g in _classes(coeffs.tail.residues, g)
 
 
 def spdf_check(coeffs: CoeffSeq) -> CheckResult:
     """Strict positive definiteness certificate.
 
-    Requires a nonnegative sequence (ValueError otherwise).  All-positive
-    tails are immediately strict.  Residue tails are decided by the
-    divisor-cover criterion; zero tails always fail because a finite head
-    cannot settle arbitrarily long pair progressions.  On failure the
-    smallest failing pair (lexicographically by l, then n) is returned,
-    found by an exact search whose termination bound comes from the
-    certificate's proof.
+    Requires a nonnegative sequence (ValueError otherwise).  The tail is
+    decided by the divisor-cover criterion: an all-positive tail covers
+    every class and is strict, a zero tail covers none and always fails
+    because a finite head cannot settle arbitrarily long pair progressions.
+    On failure the smallest failing pair (lexicographically by l, then n) is
+    returned, found by an exact search whose termination bound comes from
+    the certificate's proof.
     """
     if not pdf_check(coeffs).ok:
         raise ValueError("strictness is only defined for nonnegative sequences")
     tail = coeffs.tail
-    if isinstance(tail, AllPositiveFrom):
+    q = tail.modulus
+    if all(len(_classes(tail.residues, g)) == g for g in range(1, q + 1) if q % g == 0):
         return CheckResult(True, None)
-    if isinstance(tail, ResiduesPositive):
-        q = tail.modulus
-        covered_all = True
-        for g in range(1, q + 1):
-            if q % g:
-                continue
-            covered = {r % g for r in tail.residues} | {(-r) % g for r in tail.residues}
-            if len(covered) < g:
-                covered_all = False
-                break
-        if covered_all:
-            return CheckResult(True, None)
-        l_cap = 2 * (coeffs.max_head_index + 1) + 3 * q + 8
-    else:
-        l_cap = 2 * (coeffs.max_head_index + 1) + 4
+    l_cap = 2 * (coeffs.max_head_index + 1) + 3 * q + 8
     for l in range(1, l_cap + 1):
         for n in range(l):
             if not _pair_settled(coeffs, n, l):
@@ -156,15 +139,25 @@ class GramSpec:
             raise ValueError("trunc must be >= 0")
 
 
+def _check_gram_size(npts: int):
+    """ValueError when npts points make more than ``_MAX_GRAM_PAIRS`` pairs."""
+    pairs = npts * (npts - 1) // 2
+    if pairs > _MAX_GRAM_PAIRS:
+        raise ValueError(f"a Gram matrix of {npts} points holds {pairs:.3g} pairs, "
+                         f"over the limit of {_MAX_GRAM_PAIRS:.3g}")
+
+
 def gram_matrix(spec: GramSpec) -> np.ndarray:
     """Gram matrix A[i, j] = f(theta_i - theta_j) of the synthesized kernel.
 
     Points must be pairwise distinct modulo 2 pi (separation at least 1e-9
-    in the wrapped sup-norm).  The kernel is even, so one batched synthesis
+    in the wrapped sup-norm), and at most ``_MAX_GRAM_PAIRS`` pairs, checked
+    before any allocation.  The kernel is even, so one batched synthesis
     over the upper-triangle differences fills the matrix symmetrically.
     """
     pts = spec.points
     npts = pts.shape[0]
+    _check_gram_size(npts)
     i, j = np.triu_indices(npts, k=1)
     delta = wrap_angles(pts[i] - pts[j])
     close = np.max(np.abs(delta), axis=1) < MIN_POINT_SEPARATION

@@ -2,15 +2,14 @@
 
 A function on the d-torus whose Fourier coefficients depend only on the l1
 norm of the frequency is determined by one scalar per shell.  This module
-holds the coefficient-sequence type (explicit head values plus a sign-rule
-descriptor for the tail), synthesis from batched shell sums, the
+holds the coefficient-sequence type (explicit head values plus one
+residue-class sign rule for the tail), synthesis from batched shell sums, the
 equivalent divided-difference route through a single univariate polynomial,
 and partial-sum operators for grid-sampled functions.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,7 +17,10 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from .divdiff import divided_difference_cos
 from .kernels import _shell_table, dirichlet_kernel_batch, shell_seed
-from .numerics import QuadRule, ball_enumerate, theta_vector, torus_trapezoid
+from .numerics import (QuadRule, _ball_size, ball_enumerate, finite, theta_vector,
+                       torus_trapezoid)
+
+_MAX_PHASES = 1 << 22  # complex entries, grid nodes x ball points, of one coefficients-route table
 
 
 class ResolutionError(ValueError):
@@ -26,44 +28,17 @@ class ResolutionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ZeroTail:
-    """All coefficients beyond the head are zero."""
+class Tail:
+    """Beyond the head, indices n >= n0 with n mod modulus in ``residues`` are
+    strictly positive and the rest are zero.
 
-    def positive(self, n: int) -> bool:
-        return False
-
-    def to_json(self) -> dict:
-        return {"kind": "zero"}
-
-
-@dataclass(frozen=True)
-class AllPositiveFrom:
-    """Coefficients with index >= n0 beyond the head are strictly positive."""
-
-    n0: int
-
-    def __post_init__(self):
-        if self.n0 < 0:
-            raise ValueError("n0 must be >= 0")
-
-    def positive(self, n: int) -> bool:
-        return n >= self.n0
-
-    def to_json(self) -> dict:
-        return {"kind": "all-positive-from", "n0": self.n0}
-
-
-@dataclass(frozen=True)
-class ResiduesPositive:
-    """Beyond the head, indices >= n0 in the given residue classes are positive.
-
-    Indices n >= n0 with n mod modulus in ``residues`` carry strictly
-    positive coefficients; the remaining tail indices are zero.
+    The empty residue set (the default) is the zero tail, and (n0, 1, {0}) is
+    "positive from n0 on".
     """
 
-    n0: int
-    modulus: int
-    residues: frozenset[int]
+    n0: int = 0
+    modulus: int = 1
+    residues: frozenset[int] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "residues", frozenset(int(r) for r in self.residues))
@@ -71,20 +46,16 @@ class ResiduesPositive:
             raise ValueError("n0 must be >= 0")
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-        if not self.residues:
-            raise ValueError("residue set must be nonempty")
         if any(not (0 <= r < self.modulus) for r in self.residues):
             raise ValueError("residues must lie in [0, modulus)")
 
     def positive(self, n: int) -> bool:
         return n >= self.n0 and (n % self.modulus) in self.residues
 
-    def to_json(self) -> dict:
-        return {"kind": "residues-positive", "n0": self.n0,
-                "modulus": self.modulus, "residues": sorted(self.residues)}
 
-
-Tail = ZeroTail | AllPositiveFrom | ResiduesPositive
+# tail kind of a JSON spec -> the keys its object must carry (n0 defaults to 0)
+_TAIL_KEYS = {"zero": (), "all-positive-from": ("n0",),
+              "residues-positive": ("modulus", "residues")}
 
 
 @dataclass(frozen=True)
@@ -99,14 +70,14 @@ class CoeffSeq:
     """
 
     head: tuple
-    tail: Tail = field(default_factory=ZeroTail)
+    tail: Tail = Tail()
 
-    def __init__(self, head, tail: Tail | None = None):
+    def __init__(self, head, tail: Tail = Tail()):
         vals = tuple(float(v) for v in head)
         if not vals:
             raise ValueError("head must contain at least one coefficient")
         object.__setattr__(self, "head", vals)
-        object.__setattr__(self, "tail", tail if tail is not None else ZeroTail())
+        object.__setattr__(self, "tail", tail)
 
     @property
     def max_head_index(self) -> int:
@@ -126,25 +97,35 @@ class CoeffSeq:
             return self.head[n] > 0.0
         return self.tail.positive(n)
 
-    def to_json(self) -> dict:
-        return {"head": list(self.head), "tail": self.tail.to_json()}
-
     @classmethod
-    def from_json(cls, obj: dict) -> "CoeffSeq":
-        if "head" not in obj:
-            raise ValueError("coefficient spec needs a 'head' list")
-        tail_obj = obj.get("tail", {"kind": "zero"})
-        kind = tail_obj.get("kind")
+    def from_json(cls, obj) -> "CoeffSeq":
+        """The spec {"head": [...], "tail": {"kind": ...}}; ValueError names what is malformed."""
+        head = obj.get("head") if isinstance(obj, dict) else None
+        if not isinstance(head, list) or not all(
+                isinstance(v, (int, float)) and type(v) is not bool for v in head):
+            raise ValueError("coefficient spec needs a 'head' list of numbers")
+        try:
+            head = finite(head, "head")
+        except OverflowError:
+            raise ValueError("head must be finite, got an integer beyond the float range") from None
+        tail = obj.get("tail", {"kind": "zero"})
+        kind = tail.get("kind") if isinstance(tail, dict) else None
+        if kind not in list(_TAIL_KEYS):  # a list, as a JSON kind may be unhashable
+            raise ValueError(f"tail must be an object whose kind is one of "
+                             f"{', '.join(_TAIL_KEYS)}, got kind {kind!r}")
+        for key in _TAIL_KEYS[kind]:
+            if key not in tail:
+                raise ValueError(f"the {kind} tail needs the key {key!r}")
+        n0, q, res = tail.get("n0", 0), tail.get("modulus", 1), tail.get("residues", [])
+        if not isinstance(res, list) or not all(type(v) is int for v in (n0, q, *res)):
+            raise ValueError("tail n0 and modulus must be integers, and residues a list of them")
         if kind == "zero":
-            tail: Tail = ZeroTail()
-        elif kind == "all-positive-from":
-            tail = AllPositiveFrom(int(tail_obj["n0"]))
-        elif kind == "residues-positive":
-            tail = ResiduesPositive(int(tail_obj.get("n0", 0)), int(tail_obj["modulus"]),
-                                    frozenset(int(r) for r in tail_obj["residues"]))
-        else:
-            raise ValueError(f"unknown tail kind: {kind!r}")
-        return cls(obj["head"], tail)
+            return cls(head)
+        if kind == "all-positive-from":
+            return cls(head, Tail(n0, 1, {0}))
+        if not res:
+            raise ValueError("residue set must be nonempty")
+        return cls(head, Tail(n0, q, frozenset(res)))
 
 
 def synth(d: int, coeffs: CoeffSeq, trunc: int, theta):
@@ -203,28 +184,21 @@ class SampledTorusFn:
 
     @classmethod
     def sample(cls, d: int, npts_per_axis: int, fn: Callable) -> "SampledTorusFn":
-        """Sample ``fn`` on the grid; fn maps an (npts, d) array to values."""
+        """Sample ``fn`` on the grid; fn maps an (npts, d) array to npts values."""
         rule = torus_trapezoid(d, npts_per_axis)
-        try:
-            vals = np.asarray(fn(rule.nodes), dtype=complex)
-            if vals.shape != (rule.nodes.shape[0],):
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([fn(p) for p in rule.nodes], dtype=complex)
+        vals = np.asarray(fn(rule.nodes), dtype=complex)
+        if vals.shape != (rule.nodes.shape[0],):
+            raise ValueError("fn must map the (npts, d) grid to npts values")
         vals.setflags(write=False)
         return cls(d, npts_per_axis, rule, vals)
 
 
-def fourier_coefficient(f: SampledTorusFn, alpha) -> complex:
-    """Grid Fourier coefficient (2 pi)^-d integral of f(y) exp(-i alpha.y) dy.
-
-    Exact for trigonometric polynomials with per-axis degree below the grid
-    size; aliased otherwise.
-    """
-    a = np.asarray(alpha, dtype=float).ravel()
-    if a.size != f.d:
-        raise ValueError("alpha must have d entries")
-    return complex(np.dot(f.rule.weights, f.values * np.exp(-1j * (f.rule.nodes @ a))))
+def _check_phases(d: int, n: int, nodes: int):
+    """ValueError when the coefficients route's (nodes x ball) phase table is over the limit."""
+    cost = nodes * _ball_size(d, n)
+    if cost > _MAX_PHASES:
+        raise ValueError(f"the phase table of {nodes} nodes by the l1 ball of radius {n} "
+                         f"holds {cost:.3g} entries, over the limit of {_MAX_PHASES:.3g}")
 
 
 def partial_sum(f: SampledTorusFn, n: int, theta, route: str = "coefficients") -> complex:
@@ -234,6 +208,8 @@ def partial_sum(f: SampledTorusFn, n: int, theta, route: str = "coefficients") -
     ball and resums them at theta; route="convolution" averages f against
     the Dirichlet kernel translated to theta.  Both need the grid to resolve
     frequencies up to n: npts_per_axis > 2n, else :class:`ResolutionError`.
+    The coefficients route's (nodes x ball) phase table must hold at most
+    ``_MAX_PHASES`` entries, checked before it is built.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
@@ -243,6 +219,7 @@ def partial_sum(f: SampledTorusFn, n: int, theta, route: str = "coefficients") -
         )
     t = theta_vector(theta, f.d)
     if route == "coefficients":
+        _check_phases(f.d, n, f.rule.nodes.shape[0])
         ball = ball_enumerate(f.d, n)
         phases = np.exp(-1j * (f.rule.nodes @ ball.T))
         coeffs = (f.rule.weights * f.values) @ phases

@@ -28,7 +28,7 @@ from .kernels import (_shell_table, biortho_generating_pair,
 from .numerics import (DEFAULT_SEED, MAX_DRAWS, gauss_legendre, rel_err, shell_count,
                        shell_enumerate, theta_vector)
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, spdf_check, spdf_pair_search
-from .summability import CoeffSeq, ResiduesPositive
+from .summability import CoeffSeq, Tail
 
 
 @dataclass
@@ -153,6 +153,7 @@ def _shell_count(cfg: VerifyConfig):
     nmax = cfg.nmax if cfg.nmax is not None else 10
     errors = []
     for d in dims:
+        shell_enumerate(d, nmax)  # the loop below builds no larger shell: fail before any
         for n in range(nmax + 1):
             count = shell_count(d, n)
             enum = len(shell_enumerate(d, n))
@@ -392,7 +393,7 @@ _SPDF_SPECS: list[tuple[tuple[float, ...], int, int, tuple[int, ...]]] = [
 def _spdf_cross(cfg: VerifyConfig):
     errors, cases = [], []
     for head, n0, q, res in _SPDF_SPECS:
-        c = CoeffSeq(head, ResiduesPositive(n0, q, frozenset(res)))
+        c = CoeffSeq(head, Tail(n0, q, frozenset(res)))
         cert = spdf_check(c)
         failures = spdf_pair_search(c, pair_limit=40, m_limit=200)
         # a refuted certificate must name a pair the brute force also fails on

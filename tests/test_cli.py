@@ -102,6 +102,30 @@ def test_kernel_cost_is_bounded_before_allocation(capsys, argv):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("argv", [
+    ["mnd", "--d", "2", "--n", "1", "--method", "closed", "--grid-u", "0:0.5:100000000000"],
+    ["kernel", "--d", "3", "--n", "2", "--what", "h", "--grid-u", "0:0.5:100000000000"],
+    ["pdf", "--points", "200000"],
+    ["verify", "--suite", "shell-count", "--d", "4", "--nmax", "300"],
+    ["partial-sum", "--d", "2", "--n", "3", "--L", "2000", "--theta", "0,0"],
+])
+def test_request_cost_is_bounded_before_allocation(capsys, coeff_spec, argv):
+    if argv[0] in ("pdf", "partial-sum"):
+        argv = [*argv, "--spec", coeff_spec]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "over the limit" in captured.err
+    assert peak < 1 << 20
+
+
 non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 angles = st.one_of(st.floats(-10.0, 10.0), non_finite,
                    st.floats(allow_nan=True, allow_infinity=True))
@@ -160,6 +184,85 @@ def test_kernel_fails_fast_or_prints_finite_values(coeff_spec, what, data):
         (row,) = csv_rows(out.getvalue())
         values = [row["real"], row["imag"]] if argv[0] == "partial-sum" else [row["value"]]
         assert all(math.isfinite(float(v)) for v in values)
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 10), st.floats(),
+                        st.text(max_size=3))
+spec_tails = st.one_of(
+    st.just({"kind": "zero"}),
+    st.builds(lambda n0: {"kind": "all-positive-from", "n0": n0}, st.integers(-2, 8)),
+    st.builds(lambda n0, q, res: {"kind": "residues-positive", "n0": n0, "modulus": q,
+                                  "residues": res},
+              st.integers(-1, 8), st.integers(-1, 8), st.lists(st.integers(-1, 8), max_size=4)),
+    json_scalars,
+    st.dictionaries(st.sampled_from(["kind", "n0", "modulus", "residues"]), json_scalars,
+                    max_size=4),
+)
+coeff_specs = st.one_of(
+    st.fixed_dictionaries({"head": st.lists(st.floats(-2.0, 2.0) | st.integers(0, 3),
+                                            max_size=6)}, optional={"tail": spec_tails}),
+    st.fixed_dictionaries({"head": st.lists(json_scalars, max_size=4)},
+                          optional={"tail": spec_tails}),
+    json_scalars,
+)
+# suites that finish in milliseconds at small overrides
+CHEAP_SUITES = ["shell-count", "poisson-divdiff", "poisson-series", "biortho",
+                "biortho-generating", "mean-methods", "gram-psd", "spdf-cross"]
+
+
+def _request(command, data, spec_path):
+    """argv of one mnd, pdf, count or verify request."""
+    small = st.integers(-2, 6)
+    if command == "mnd":
+        method = data.draw(st.sampled_from(["closed", "series", "mc"]))
+        u = data.draw(st.one_of(st.floats(-1.5, 1.5), non_finite))
+        argv = ["mnd", "--d", str(data.draw(small)), "--n", str(data.draw(st.integers(-1, 8))),
+                "--method", method, f"--u={u!r}", "--K", str(data.draw(st.integers(-1, 60)))]
+        return argv + ["--budget", str(data.draw(st.integers(-4, 400)))] if method == "mc" else argv
+    if command == "pdf":
+        spec_path.write_text(json.dumps(data.draw(coeff_specs)))
+        argv = ["pdf", "--spec", str(spec_path), "--d", str(data.draw(small)),
+                "--points", str(data.draw(st.integers(-1, 30)))]
+        trunc = data.draw(st.none() | st.integers(-1, 8))
+        return argv if trunc is None else argv + ["--trunc", str(trunc)]
+    if command == "count":
+        which = data.draw(st.sampled_from(["--n", "--nmax"]))
+        return ["count", "--d", str(data.draw(st.integers(-1, 12))), which,
+                str(data.draw(st.integers(-2, 40)))]
+    argv = ["verify", "--suite", data.draw(st.sampled_from(CHEAP_SUITES))]
+    for flag, values in (("--d", small), ("--nmax", small), ("--N", small),
+                         ("--K", st.integers(-1, 40)),
+                         ("--tol", st.floats(-1.0, 1.0) | non_finite)):
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(values)!r}")
+    return argv
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["mnd", "pdf", "count", "verify"]), data=st.data())
+def test_requests_fail_fast_or_print_finite_values(tmp_path_factory, command, data):
+    argv = _request(command, data, tmp_path_factory.getbasetemp() / "spec.json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1
+        return
+    assert err.getvalue() == ""
+    text = out.getvalue()
+    if command in ("pdf", "verify"):
+        json.loads(text, parse_constant=lambda c: pytest.fail(f"{argv} printed {c}"))
+        return
+    for row in csv_rows(text):
+        for cell in row.values():
+            try:
+                value = float(cell)
+            except ValueError:  # the method name and an empty stderr
+                continue
+            assert math.isfinite(value), (argv, row)
 
 
 @pytest.mark.parametrize("argv", [
@@ -368,6 +471,44 @@ def test_pdf_malformed_spec_is_usage_error(capsys, tmp_path):
     spec.write_text("{not json")
     code, _ = run_cli(capsys, "pdf", "--spec", str(spec))
     assert code == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"head": 5}', "needs a 'head' list of numbers"),
+    ('{"head": [null]}', "needs a 'head' list of numbers"),
+    ('{"head": [true]}', "needs a 'head' list of numbers"),
+    ('{"head": ["nan", 1.0]}', "needs a 'head' list of numbers"),
+    ('{"tail": {"kind": "zero"}}', "needs a 'head' list of numbers"),
+    ('[1.0, 0.5]', "needs a 'head' list of numbers"),
+    ('{"head": [NaN, 1.0]}', "head must be finite, got nan"),
+    ('{"head": [1.0, Infinity]}', "head must be finite, got inf"),
+    pytest.param('{"head": [1' + '0' * 400 + ']}', "beyond the float range", id="huge-int"),
+    ('{"head": [1.0], "tail": 5}', "tail must be an object whose kind is one of"),
+    ('{"head": [1.0], "tail": {"kind": []}}', "got kind []"),
+    ('{"head": [1.0], "tail": {"kind": "all-positive-from"}}', "needs the key 'n0'"),
+    ('{"head": [1.0], "tail": {"kind": "residues-positive", "residues": [1]}}',
+     "needs the key 'modulus'"),
+    ('{"head": [1.0], "tail": {"kind": "residues-positive", "modulus": 2, "residues": 1}}',
+     "residues a list"),
+    ('{"head": [1.0], "tail": {"kind": "residues-positive", "modulus": 2.0, "residues": [1]}}',
+     "must be integers"),
+    ('{"head": [1.0], "tail": {"kind": "residues-positive", "modulus": 2, "residues": []}}',
+     "residue set must be nonempty"),
+])
+@pytest.mark.parametrize("command", ["pdf", "partial-sum"])
+def test_malformed_spec_values_are_usage_errors(capsys, tmp_path, command, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    argv = ["pdf", "--spec", str(path)]
+    if command == "partial-sum":
+        argv = ["partial-sum", "--d", "2", "--n", "1", "--L", "8", "--spec", str(path),
+                "--theta", "0,0"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert message in line
 
 
 # ------------------------------------------------------------------- count

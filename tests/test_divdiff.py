@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.polynomial import Polynomial
 
-from l1torus.divdiff import KnotVector, divided_difference, divided_difference_cos
+from l1torus.divdiff import divided_difference, divided_difference_cos
 
 TOL = 1e-10
 
@@ -28,10 +28,11 @@ def cheb(power_coeffs):
     return Polynomial(power_coeffs).convert(kind=Chebyshev)
 
 
-def test_knot_vector_sorts_and_freezes():
-    kv = KnotVector([0.5, -0.2, 0.1])
-    assert kv.knots == (-0.2, 0.1, 0.5)
-    assert len(kv) == 3
+def test_knots_are_sorted_and_must_be_nonempty():
+    fn = cheb([0.3, -1.0, 0.5, 2.0])
+    assert divided_difference(fn, [0.5, -0.2, 0.1]) == divided_difference(fn, (-0.2, 0.1, 0.5))
+    with pytest.raises(ValueError, match="at least one knot"):
+        divided_difference(fn, [])
 
 
 def test_single_knot_is_plain_evaluation():

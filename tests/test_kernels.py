@@ -141,7 +141,7 @@ def test_shell_sum_batch_matches_scalar(rng):
     d, n = 3, 20
     step = _BLOCK_ENTRIES // (d * (n + 1))  # rows per block
     thetas = rng.uniform(-math.pi, math.pi, (2 * step + 7, d))
-    pts = shell_enumerate(d, n).points
+    pts = shell_enumerate(d, n)
     direct = np.cos(thetas @ pts.T).sum(axis=1)
     assert np.max(np.abs(shell_sum_batch(d, n, thetas) - direct)) < 1e-9
     for k in (0, step - 1, step, len(thetas) - 1):
@@ -182,7 +182,7 @@ def test_product_kernel_matches_lattice_oracles(d, rng):
         if (2 * n + 1) ** d <= 2000:
             ref = np.array([brute_shell_sum(d, n, t) for t in thetas])
         elif shell_count(d, n) <= 50_000:
-            ref = np.cos(thetas @ shell_enumerate(d, n).points.T).sum(axis=1)
+            ref = np.cos(thetas @ shell_enumerate(d, n).T).sum(axis=1)
         else:
             ref = folded_shell_sums(d, n, thetas)
         ball = ball + ref

@@ -12,22 +12,26 @@ from l1torus.pdf import (
     spdf_check,
     spdf_pair_search,
 )
-from l1torus.summability import AllPositiveFrom, CoeffSeq, ResiduesPositive, ZeroTail
+from l1torus.summability import CoeffSeq, Tail
 
 
 def seq(head, tail):
     return CoeffSeq(head=tuple(head), tail=tail)
 
 
+def positive_from(n0):
+    return Tail(n0, 1, frozenset({0}))
+
+
 # --------------------------------------------------------------- pdf_check
 
 
 def test_nonnegative_head_passes():
-    assert pdf_check(seq([1.0, 0.0, 0.5], ZeroTail())) == (True, None)
+    assert pdf_check(seq([1.0, 0.0, 0.5], Tail())) == (True, None)
 
 
 def test_negative_entry_is_witnessed_by_index():
-    res = pdf_check(seq([1.0, -0.1], ZeroTail()))
+    res = pdf_check(seq([1.0, -0.1], Tail()))
     assert not res.ok
     assert res.witness == 1
 
@@ -37,31 +41,31 @@ def test_negative_entry_is_witnessed_by_index():
 
 def test_strictness_requires_nonnegativity():
     with pytest.raises(ValueError):
-        spdf_check(seq([1.0, -0.1], ZeroTail()))
+        spdf_check(seq([1.0, -0.1], Tail()))
 
 
 def test_all_positive_tail_is_strict():
-    assert spdf_check(seq([1.0, 0.5], AllPositiveFrom(2))).ok
+    assert spdf_check(seq([1.0, 0.5], positive_from(2))).ok
 
 
 def test_finite_support_is_never_strict():
-    res = spdf_check(seq([1.0, 0.5, 0.25], ZeroTail()))
+    res = spdf_check(seq([1.0, 0.5, 0.25], Tail()))
     assert not res.ok
     n, l = res.witness
     # the witness pair must genuinely fail in a brute-force window
-    assert (n, l) in spdf_pair_search(seq([1.0, 0.5, 0.25], ZeroTail()),
+    assert (n, l) in spdf_pair_search(seq([1.0, 0.5, 0.25], Tail()),
                                       pair_limit=max(l, 8))
 
 
 def test_full_cover_residue_tail_is_strict():
     # residues {0, 1, 2} mod 3: every divisor class is covered
-    tail = ResiduesPositive(3, 3, frozenset({0, 1, 2}))
+    tail = Tail(3, 3, frozenset({0, 1, 2}))
     assert spdf_check(seq([1.0], tail)).ok
 
 
 def test_odd_only_tail_fails_on_even_progressions():
     # positive only on odd indices: pairs with even n and even l never settle
-    tail = ResiduesPositive(2, 2, frozenset({1}))
+    tail = Tail(2, 2, frozenset({1}))
     res = spdf_check(seq([1.0, 0.5], tail))
     assert not res.ok
     n, l = res.witness
@@ -74,12 +78,12 @@ def test_odd_only_tail_fails_on_even_progressions():
 def test_symmetric_residues_cover_via_negation():
     # residues {1} mod 5 cover classes {1, 4} via r and -r; divisor 5 is not
     # fully covered, so strictness fails
-    tail = ResiduesPositive(5, 5, frozenset({1}))
+    tail = Tail(5, 5, frozenset({1}))
     res = spdf_check(seq([1.0], tail))
     assert not res.ok
     # but {1, 2} mod 5 covers {1, 2, 3, 4} plus class 0 via the head? no:
     # class 0 mod 5 stays uncovered, so it still fails
-    res2 = spdf_check(seq([1.0], ResiduesPositive(5, 5, frozenset({1, 2}))))
+    res2 = spdf_check(seq([1.0], Tail(5, 5, frozenset({1, 2}))))
     assert not res2.ok
     n, l = res2.witness
     assert n % math.gcd(l, 5) == 0
@@ -87,12 +91,12 @@ def test_symmetric_residues_cover_via_negation():
 
 def test_certificate_agrees_with_brute_force_window():
     specs = [
-        seq([1.0, 0.5], ZeroTail()),
-        seq([1.0], AllPositiveFrom(1)),
-        seq([1.0, 0.0, 0.3], ResiduesPositive(3, 2, frozenset({1}))),
-        seq([0.5], ResiduesPositive(1, 4, frozenset({1, 3}))),
-        seq([0.5], ResiduesPositive(1, 4, frozenset({1, 2, 3}))),
-        seq([1.0, 0.2, 0.0, 0.1], ResiduesPositive(4, 6, frozenset({2, 4}))),
+        seq([1.0, 0.5], Tail()),
+        seq([1.0], positive_from(1)),
+        seq([1.0, 0.0, 0.3], Tail(3, 2, frozenset({1}))),
+        seq([0.5], Tail(1, 4, frozenset({1, 3}))),
+        seq([0.5], Tail(1, 4, frozenset({1, 2, 3}))),
+        seq([1.0, 0.2, 0.0, 0.1], Tail(4, 6, frozenset({2, 4}))),
     ]
     for s in specs:
         verdict = spdf_check(s)
@@ -100,7 +104,7 @@ def test_certificate_agrees_with_brute_force_window():
         if verdict.ok:
             assert failures == []
         else:
-            assert failures, f"certificate failed {s.to_json()} but window found nothing"
+            assert failures, f"certificate failed {s} but window found nothing"
             assert verdict.witness in failures
 
 
@@ -110,7 +114,7 @@ def test_certificate_agrees_with_brute_force_window():
 def test_gram_matrix_of_nonnegative_kernel_is_psd(rng):
     for d in (2, 3):
         head = rng.uniform(0.0, 1.0, 5)
-        s = seq(head, ZeroTail())
+        s = seq(head, Tail())
         pts = rng.uniform(-math.pi, math.pi, (10, d))
         a = gram_matrix(GramSpec(d, pts, s, 4))
         assert np.max(np.abs(a - a.T)) == 0.0
@@ -123,7 +127,7 @@ def test_gram_matrix_diagonal_is_value_at_zero(rng):
 
     d = 2
     head = [0.3, 0.2, 0.1]
-    s = seq(head, ZeroTail())
+    s = seq(head, Tail())
     pts = rng.uniform(-math.pi, math.pi, (4, d))
     a = gram_matrix(GramSpec(d, pts, s, 2))
     expect = sum(head[n] * shell_count(d, n) for n in range(3))
@@ -131,7 +135,7 @@ def test_gram_matrix_diagonal_is_value_at_zero(rng):
 
 
 def test_gram_matrix_rejects_coincident_points():
-    s = seq([1.0, 0.5], ZeroTail())
+    s = seq([1.0, 0.5], Tail())
     pts = np.array([[0.1, 0.2], [0.1 + 2 * math.pi, 0.2]])
     with pytest.raises(ValueError):
         gram_matrix(GramSpec(2, pts, s, 1))
@@ -143,7 +147,7 @@ def test_gram_matrix_rejects_coincident_points():
 
 
 def test_gram_spec_validates_shape():
-    s = seq([1.0], ZeroTail())
+    s = seq([1.0], Tail())
     with pytest.raises(ValueError):
         GramSpec(2, np.zeros((3, 3)), s, 0)
     with pytest.raises(ValueError):
@@ -167,7 +171,7 @@ def test_strictly_positive_kernel_has_positive_gram(rng):
     # truncation give an (empirically) strictly positive definite sample Gram
     d = 2
     head = [math.exp(-0.4 * n) for n in range(7)]
-    s = seq(head, AllPositiveFrom(7))
+    s = seq(head, positive_from(7))
     pts = rng.uniform(-math.pi, math.pi, (8, d))
     a = gram_matrix(GramSpec(d, pts, s, 6))
     assert min_eigenvalue(a) > 0.0

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from l1torus.summability import (
-    AllPositiveFrom,
     CoeffSeq,
-    ResiduesPositive,
     ResolutionError,
     SampledTorusFn,
-    ZeroTail,
+    Tail,
     build_fd,
-    fourier_coefficient,
     partial_sum,
     synth,
     synth_divdiff,
@@ -25,7 +22,7 @@ HEAD = (0.7, -0.3, 0.5, 0.1)
 
 
 def test_head_values_then_tail_rule():
-    seq = CoeffSeq(head=(1.0, -0.5), tail=AllPositiveFrom(2))
+    seq = CoeffSeq(head=(1.0, -0.5), tail=Tail(2, 1, frozenset({0})))
     assert seq.value(0) == 1.0
     assert seq.value(1) == -0.5
     assert seq.is_positive(0)
@@ -34,13 +31,14 @@ def test_head_values_then_tail_rule():
 
 
 def test_zero_tail_is_never_positive():
-    seq = CoeffSeq(head=(1.0,), tail=ZeroTail())
+    seq = CoeffSeq(head=(1.0,), tail=Tail())
+    assert seq.tail == CoeffSeq(head=(1.0,)).tail
     assert seq.value(5) == 0.0
     assert not seq.is_positive(5)
 
 
 def test_residue_tail_positivity_pattern():
-    tail = ResiduesPositive(4, 3, frozenset({1}))
+    tail = Tail(4, 3, frozenset({1}))
     seq = CoeffSeq(head=(1.0, 0.0, 0.0, 0.0), tail=tail)
     # from n0 = 4 onward, positive exactly when n = 1 mod 3
     assert seq.is_positive(4)
@@ -53,37 +51,41 @@ def test_residue_tail_positivity_pattern():
 
 def test_residue_tail_validates_inputs():
     with pytest.raises(ValueError):
-        ResiduesPositive(0, 0, frozenset({0}))  # modulus must be positive
+        Tail(0, 0, frozenset({0}))  # modulus must be positive
     with pytest.raises(ValueError):
-        ResiduesPositive(0, 3, frozenset({3}))  # residue out of range
+        Tail(0, 3, frozenset({3}))  # residue out of range
     with pytest.raises(ValueError):
-        ResiduesPositive(0, 3, frozenset())  # empty residue set
+        Tail(-1, 3, frozenset({1}))  # n0 must be nonnegative
+    # an empty residue set is the zero tail
+    assert not any(Tail(0, 3, frozenset()).positive(n) for n in range(12))
     # modulus 1 with residue {0} is the everything-positive tail
-    assert ResiduesPositive(2, 1, frozenset({0})).positive(5)
+    assert Tail(2, 1, frozenset({0})).positive(5)
 
 
 def test_coeffseq_requires_head_entry():
     with pytest.raises(ValueError):
-        CoeffSeq(head=(), tail=ZeroTail())
+        CoeffSeq(head=())
 
 
 @pytest.mark.parametrize("tail", [
-    ZeroTail(),
-    AllPositiveFrom(3),
-    ResiduesPositive(5, 4, frozenset({1, 2})),
+    ({"kind": "zero"}, Tail()),
+    ({"kind": "all-positive-from", "n0": 3}, Tail(3, 1, frozenset({0}))),
+    ({"kind": "residues-positive", "n0": 5, "modulus": 4, "residues": [1, 2]},
+     Tail(5, 4, frozenset({1, 2}))),
 ])
 def test_json_round_trip(tail):
-    seq = CoeffSeq(head=HEAD, tail=tail)
-    clone = CoeffSeq.from_json(seq.to_json())
-    assert clone.head == seq.head
-    assert clone.to_json() == seq.to_json()
-    for n in range(12):
-        assert clone.is_positive(n) == seq.is_positive(n)
+    spec, rule = tail
+    seq = CoeffSeq.from_json({"head": list(HEAD), "tail": spec})
+    assert seq == CoeffSeq(HEAD, rule)
+    positive = [n for n in range(12) if seq.is_positive(n)]
+    assert positive == [n for n in range(12) if (HEAD[n] > 0 if n < 4 else rule.positive(n))]
 
 
 def test_from_json_rejects_unknown_tail():
     with pytest.raises(ValueError):
         CoeffSeq.from_json({"head": [1.0], "tail": {"kind": "mystery"}})
+    # the tail may be left out: it is then the zero tail
+    assert CoeffSeq.from_json({"head": [1.0]}).tail == Tail()
 
 
 # ------------------------------------------------------------- synthesis
@@ -91,7 +93,7 @@ def test_from_json_rejects_unknown_tail():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_synthesis_routes_agree(d, rng):
-    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+    seq = CoeffSeq(head=HEAD, tail=Tail())
     for t in rng.uniform(-math.pi, math.pi, (8, d)):
         a = synth(d, seq, 3, t)
         b = synth_divdiff(d, seq, 3, t)
@@ -100,7 +102,7 @@ def test_synthesis_routes_agree(d, rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_batched_synthesis_matches_per_point(d, rng):
-    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+    seq = CoeffSeq(head=HEAD, tail=Tail())
     pts = rng.uniform(-math.pi, math.pi, (7, d))
     batch = synth(d, seq, 3, pts)
     assert batch.shape == (7,)
@@ -114,7 +116,7 @@ def test_synthesis_at_origin_sums_counts():
     from l1torus.numerics import shell_count
 
     d = 2
-    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+    seq = CoeffSeq(head=HEAD, tail=Tail())
     expect = sum(HEAD[n] * shell_count(d, n) for n in range(4))
     assert abs(synth(d, seq, 3, [0.0, 0.0]) - expect) < 1e-12
 
@@ -122,7 +124,7 @@ def test_synthesis_at_origin_sums_counts():
 def test_build_fd_skips_constant_term(rng):
     # the polynomial route carries indices >= 1; index 0 enters additively
     d = 2
-    seq = CoeffSeq(head=(123.0, 0.5), tail=ZeroTail())
+    seq = CoeffSeq(head=(123.0, 0.5), tail=Tail())
     fn = build_fd(d, seq, 1)
     from l1torus.kernels import shell_seed
 
@@ -133,7 +135,7 @@ def test_build_fd_skips_constant_term(rng):
 
 def test_truncation_clips_to_head(rng):
     d = 2
-    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+    seq = CoeffSeq(head=HEAD, tail=Tail())
     t = rng.uniform(-math.pi, math.pi, d)
     assert abs(synth(d, seq, 99, t) - synth(d, seq, 3, t)) < 1e-12
 
@@ -142,22 +144,24 @@ def test_truncation_clips_to_head(rng):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_grid_fourier_coefficients_recover_shell_values(d):
-    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+def test_grid_coefficients_recover_shell_values(d):
+    seq = CoeffSeq(head=HEAD, tail=Tail())
     f = SampledTorusFn.sample(d, 16, lambda th: synth(d, seq, 3, th))
     cases = [[0] * d, [1] + [0] * (d - 1), [1, -1] + [0] * (d - 2),
              [2, 1] + [0] * (d - 2), [4] + [0] * (d - 1)]
     for alpha in cases:
         n = int(np.abs(alpha).sum())
         expect = seq.value(n) if n <= 3 else 0.0
-        got = fourier_coefficient(f, alpha)
+        # the grid coefficient (2 pi)^-d integral of f(y) exp(-i alpha.y) dy
+        phase = np.exp(-1j * (f.rule.nodes @ np.asarray(alpha, dtype=float)))
+        got = np.dot(f.rule.weights, f.values * phase)
         assert abs(got - expect) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("order", [0, 1, 3])
 def test_partial_sum_routes_agree_and_recover_truncation(d, order, rng):
-    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+    seq = CoeffSeq(head=HEAD, tail=Tail())
     f = SampledTorusFn.sample(d, 16, lambda th: synth(d, seq, 3, th))
     for t in rng.uniform(-math.pi, math.pi, (4, d)):
         a = partial_sum(f, order, t, route="coefficients")
@@ -169,7 +173,7 @@ def test_partial_sum_routes_agree_and_recover_truncation(d, order, rng):
 
 
 def test_partial_sum_needs_resolving_grid():
-    seq = CoeffSeq(head=HEAD, tail=ZeroTail())
+    seq = CoeffSeq(head=HEAD, tail=Tail())
     f = SampledTorusFn.sample(2, 8, lambda th: synth(2, seq, 3, th))
     with pytest.raises(ResolutionError):
         partial_sum(f, 4, [0.0, 0.0])
@@ -177,7 +181,8 @@ def test_partial_sum_needs_resolving_grid():
         partial_sum(f, 2, [0.0, 0.0], route="magic")
 
 
-def test_sample_accepts_vectorized_and_scalar_callables():
-    g1 = SampledTorusFn.sample(2, 6, lambda pts: np.cos(pts).sum(axis=1))
-    g2 = SampledTorusFn.sample(2, 6, lambda p: math.cos(p[0]) + math.cos(p[1]))
-    assert np.allclose(g1.values, g2.values, atol=1e-15)
+def test_sample_needs_one_value_per_node():
+    g = SampledTorusFn.sample(2, 6, lambda pts: np.cos(pts).sum(axis=1))
+    assert g.values.shape == (36,) and not g.values.flags.writeable
+    with pytest.raises(ValueError, match="npts values"):
+        SampledTorusFn.sample(2, 6, lambda pts: np.cos(pts))

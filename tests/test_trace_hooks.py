@@ -63,7 +63,7 @@ def test_tracer_installs_counts_and_uninstalls(tracer_module, tmp_path):
             assert cli.main(argv) == 0, argv
         kernels.shell_sum(2, 1, [0.1, 0.2])
         kernels.dirichlet_kernel(2, 1, [0.1, 0.2])
-        bspline.bspline_eval(bspline.BsplineSpec(2, divdiff.KnotVector([0.0, 0.5, 1.0])), 0.3)
+        bspline.bspline_eval([0.0, 0.5, 1.0], 0.3)
         divdiff.divided_difference_cos(kernels.shell_seed(2, 1), [0.1, 0.7])
         summary = tracer.summary()
     finally:
