@@ -58,19 +58,26 @@ def bspline_eval(knots, u: float) -> float:
     return float(bspline_values(x, float(u)))
 
 
-def knot_field_batch(d: int, u: float, cos_knots: np.ndarray) -> np.ndarray:
+def knot_field_batch(d: int, u, cos_knots: np.ndarray) -> np.ndarray:
     """Vectorized M_{d-1}(u | rows of cos_knots) for a batch of knot rows.
 
-    ``cos_knots`` has shape (batch, d) with rows sorted ascending.  Rows on
-    which the field has a pole or degenerates must be filtered by the caller;
-    zero spans simply contribute zero terms here.
+    ``cos_knots`` has shape (batch, d) with rows sorted ascending.  ``u`` is
+    one point, giving shape (batch,), or a 1-D array of points, giving shape
+    (len(u), batch) from one pass of the recurrence (the Monte-Carlo mean takes
+    +u and -u together).  The field is zero at every point with |u| >= 1.
+    Rows on which the field has a pole or degenerates must be filtered by the
+    caller; zero spans simply contribute zero terms here.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     x = np.asarray(cos_knots, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError("cos_knots must have shape (batch, d)")
-    if abs(u) >= 1.0:
-        return np.zeros(x.shape[0])
-    return bspline_values(x, u)
-
+    u = np.asarray(u, dtype=float)
+    if u.ndim > 1:
+        raise ValueError("u must be a scalar or a 1-D array of points")
+    pts = u.reshape(-1)
+    inside = np.abs(pts) < 1.0
+    vals = np.zeros((pts.size, x.shape[0]))
+    vals[inside] = bspline_values(x, pts[inside, None])
+    return vals if u.ndim else vals[0]

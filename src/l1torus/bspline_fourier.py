@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import knot_field_batch
-from .kernels import _check_dn, biortho_poly, shell_sum_batch
+from .kernels import _check_dn, _shell_core, _shell_finish, biortho_poly
 from .numerics import DEFAULT_SEED, MAX_DRAWS, finite, gauss_gegenbauer, shell_count
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
@@ -35,6 +35,8 @@ SERIES_EDGE_MARGIN = 1e-3
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
 _MC_BATCH_PAIRS = 50_000  # antithetic pairs drawn per Monte-Carlo batch
+_MAX_CLOSED_TERMS = 1 << 22  # sine terms, about n / 2, one mean_d2_closed call may sum
+_MAX_SERIES_VALUES = 1 << 22  # Gegenbauer values, degrees * points, of one mean_series table
 
 
 def mean_d2_closed(n: int, alpha: float) -> float:
@@ -48,6 +50,9 @@ def mean_d2_closed(n: int, alpha: float) -> float:
         raise ValueError("index n must be >= 0")
     if not (0.0 < alpha < math.pi):
         raise ValueError("alpha must lie strictly inside (0, pi)")
+    if n // 2 > _MAX_CLOSED_TERMS:
+        raise ValueError(f"closed form at n = {n} sums {n // 2:.3g} terms, "
+                         f"over the limit of {_MAX_CLOSED_TERMS:.3g}")
     if n == 0:
         return 0.5
     if n % 2 == 0:
@@ -99,7 +104,9 @@ def mean_series(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS):
     a_k = (d-1)_k/k!.  The series converges only conditionally (for d = 2 it
     is a trigonometric series), so partial sums are averaged (Cesaro (C, 1)).
     Requires |u| <= 1 - SERIES_EDGE_MARGIN: the averaging degrades near the
-    endpoints.  ``u`` may be scalar or ndarray.
+    endpoints.  ``u`` may be scalar or ndarray.  Raises ValueError before
+    allocating when the (n + 2 nterms - 1) * points table of Gegenbauer values
+    exceeds ``_MAX_SERIES_VALUES``.
     """
     _check_dn(d, n)
     if nterms < 1:
@@ -109,6 +116,11 @@ def mean_series(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS):
         raise ValueError(f"series route requires |u| <= 1 - {SERIES_EDGE_MARGIN:g}")
     lam = d - 1
     degmax = n + 2 * (nterms - 1)
+    cost = (degmax + 1) * u_arr.size
+    if cost > _MAX_SERIES_VALUES:
+        raise ValueError(f"series at n = {n}, K = {nterms} for {u_arr.size} point(s) needs "
+                         f"{cost:.3g} Gegenbauer values, over the limit of "
+                         f"{_MAX_SERIES_VALUES:.3g}")
     seq = gegenbauer_sequence(float(lam), degmax, u_arr)[n::2]
     ones = gegenbauer_at_one(float(lam), degmax)[n::2]
     a = _series_coefficients(d, nterms)
@@ -170,6 +182,10 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
     unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
     rounds of redraws raises ValueError.  ``budget`` counts integrand
     evaluations, at least 4; the default is 2e6 for d = 2 and 1e7 for d = 3.
+
+    The cosines of each batch are sorted once: the shell product takes those
+    rows as they are, and one field call evaluates +u and -u on them together.
+    At n = 0 the shell sum is 1 exactly and is not computed.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
@@ -190,21 +206,18 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
     remaining = total_pairs
     while remaining > 0:
         b = min(_MC_BATCH_PAIRS, remaining)
-        theta = rng.uniform(-math.pi, math.pi, size=(b, d))
-        knots = np.sort(np.cos(theta), axis=1)
+        knots = np.sort(np.cos(rng.uniform(-math.pi, math.pi, size=(b, d))), axis=1)
         bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
         for _ in range(MAX_DRAWS):
             if not np.any(bad):
                 break
             redraw = rng.uniform(-math.pi, math.pi, size=(int(bad.sum()), d))
-            theta[bad] = redraw
             knots[bad] = np.sort(np.cos(redraw), axis=1)
             bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
         if np.any(bad):
             raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
-        ssum = shell_sum_batch(d, n, theta)
-        f_plus = knot_field_batch(d, u, knots)
-        f_minus = knot_field_batch(d, -u, knots)
+        ssum = _shell_core(d, n, knots, _shell_finish) if n else 1.0  # E_0 = 1
+        f_plus, f_minus = knot_field_batch(d, (u, -u), knots)
         chunks.append(0.5 * (f_plus + sgn * f_minus) * ssum / count)
         remaining -= b
     vals = np.concatenate(chunks)

@@ -30,6 +30,7 @@ from .verify import SUITES, VerifyConfig, run_suites
 
 _FMT = "%.17g"
 _MAX_GRID_U = 1 << 16  # points one --grid-u may ask for
+_MAX_COUNT_ROWS = 1 << 16  # rows one count --nmax may ask for
 
 
 def _fmt(x: float) -> str:
@@ -176,6 +177,9 @@ def _cmd_pdf(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.nmax is not None:
+        if args.nmax >= _MAX_COUNT_ROWS:
+            raise ValueError(f"--nmax {args.nmax} asks for {args.nmax + 1} rows, over the "
+                             f"limit of {_MAX_COUNT_ROWS}")
         ns = list(range(args.nmax + 1))
     elif args.n is not None:
         ns = [args.n]

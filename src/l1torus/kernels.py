@@ -167,16 +167,21 @@ def shell_sum(d: int, n: int, theta) -> float:
     return float(shell_sum_batch(d, n, theta_vector(theta, d)[None, :])[0])
 
 
+def _check_cost(d: int, n: int, rows: int):
+    """Reject a batch of ``rows`` points over ``_MAX_COST`` multiply-adds."""
+    cost = rows * d * (n + 1) ** 2
+    if cost > _MAX_COST:
+        raise ValueError(f"shell sums at d = {d}, n = {n} for {rows} point(s) cost "
+                         f"{cost:.3g} multiply-adds, over the limit of {_MAX_COST:.3g}")
+
+
 def _check_batch(d: int, n: int, thetas) -> np.ndarray:
     """The shared input check of the shell and Dirichlet batches, run before any allocation."""
     _check_dn(d, n, dmin=1)
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 2 or t.shape[1] != d:
         raise ValueError("thetas must have shape (batch, d)")
-    cost = t.shape[0] * d * (n + 1) ** 2
-    if cost > _MAX_COST:
-        raise ValueError(f"shell sums at d = {d}, n = {n} for {t.shape[0]} point(s) cost "
-                         f"{cost:.3g} multiply-adds, over the limit of {_MAX_COST:.3g}")
+    _check_cost(d, n, t.shape[0])
     return finite(t, "theta")
 
 
@@ -188,19 +193,20 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shell_product(d: int, n: int, thetas, finish) -> np.ndarray:
-    """``finish(head, last)`` per block of rows: ``head`` is the truncated product of the
-    first d - 1 factors 1, 2 cos(theta_i), ..., 2 cos(n theta_i) (Chebyshev recurrence
-    from one cosine per angle), ``last`` the last factor, both of shape (n+1, rows)."""
-    t = _check_batch(d, n, thetas)
+def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
+    """``finish(head, last)`` per block of rows of ``knots``, shape (rows, d), the cosines
+    cos(theta_i) of each point in ascending order: ``head`` is the truncated product of
+    the first d - 1 factors 1, 2 cos(theta_i), ..., 2 cos(n theta_i) (Chebyshev
+    recurrence from one cosine per angle), ``last`` the last factor, both of shape
+    (n+1, rows)."""
+    _check_cost(d, n, knots.shape[0])
     step = max(1, _BLOCK_ENTRIES // (d * (n + 1)))
+    # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
+    # meets a zero at r = 1 at once, so partial products never grow and cancel.
     ends = [d - 1 - i // 2 if i % 2 == 0 else i // 2 for i in range(d)]
     parts = []
-    for i in range(0, max(t.shape[0], 1), step):  # an empty batch takes one empty block
-        x2 = 2.0 * np.cos(t[i:i + step].T)
-        # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
-        # meets a zero at r = 1 at once, so partial products never grow and cancel.
-        x2 = np.take_along_axis(x2, np.argsort(x2, axis=0)[ends], axis=0)
+    for i in range(0, max(knots.shape[0], 1), step):  # an empty batch takes one empty block
+        x2 = 2.0 * knots[i:i + step].T[ends]
         c = np.empty((n + 1,) + x2.shape)
         c[0] = 2.0  # 2 cos(0 theta) for the recurrence; the zero frequency counts once
         c[1:2] = x2  # nothing when n = 0
@@ -215,17 +221,38 @@ def _shell_product(d: int, n: int, thetas, finish) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _shell_product(d: int, n: int, thetas, finish) -> np.ndarray:
+    """:func:`_shell_core` on the checked angles' sorted cosines."""
+    t = _check_batch(d, n, thetas)
+    return _shell_core(d, n, np.sort(np.cos(t), axis=1), finish)
+
+
+def _shell_finish(head: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The per-block finish of :func:`shell_sum_batch` and the Monte-Carlo mean."""
+    return (head * last[::-1]).sum(axis=0)
+
+
+def _dirichlet_finish(head: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The per-block finish of :func:`dirichlet_kernel_batch`."""
+    return (head * np.cumsum(last, axis=0)[::-1]).sum(axis=0)
+
+
+def _table_finish(head: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The per-block finish of :func:`_shell_table`."""
+    return _times(head, last).T
+
+
 def shell_sum_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
     """Shell sums for a batch of points, shape (batch, d) -> (batch,).
 
     The product of the first d - 1 factors dotted with the last one reversed.
     """
-    return _shell_product(d, n, thetas, lambda head, last: (head * last[::-1]).sum(axis=0))
+    return _shell_product(d, n, thetas, _shell_finish)
 
 
 def _shell_table(d: int, n: int, thetas) -> np.ndarray:
     """Shell sums E_0, ..., E_n for a batch of points, shape (batch, d) -> (batch, n+1)."""
-    return _shell_product(d, n, thetas, lambda head, last: _times(head, last).T)
+    return _shell_product(d, n, thetas, _table_finish)
 
 
 def dirichlet_kernel(d: int, n: int, theta) -> float:
@@ -239,8 +266,7 @@ def dirichlet_kernel_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
     The product of the first d - 1 factors dotted with the running sum of the
     last one, reversed.
     """
-    return _shell_product(d, n, thetas, lambda head, last: (
-        head * np.cumsum(last, axis=0)[::-1]).sum(axis=0))
+    return _shell_product(d, n, thetas, _dirichlet_finish)
 
 
 def poisson_product(d: int, r: float, theta) -> float:

@@ -153,6 +153,24 @@ def test_field_vanishes_outside_open_interval():
         assert batch[0] == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_takes_an_array_of_points(d, rng):
+    knots = np.sort(np.cos(rng.uniform(-math.pi, math.pi, (30, d))), axis=1)
+    knots[0] = [-1.0, 0.2, 0.5][:d]  # a knot at -1
+    if d == 2:  # the box is 1/1.2 at its left end: only the |u| >= 1 rule makes it 0
+        assert bspline_values(knots[0], -1.0) > 0.0
+    us = np.array([-0.4, 1.0, -1.0, 0.0, 1.5, -3.0, 0.8])
+    grid = knot_field_batch(d, us, knots)
+    assert grid.shape == (len(us), len(knots))
+    for row, u in zip(grid, us):
+        assert np.array_equal(row, knot_field_batch(d, float(u), knots))
+    assert not np.any(grid[np.abs(us) >= 1.0])
+    assert np.any(grid[np.abs(us) < 1.0])
+    assert knot_field_batch(d, us[:0], knots).shape == (0, len(knots))
+    with pytest.raises(ValueError, match="1-D"):
+        knot_field_batch(d, us.reshape(7, 1), knots)
+
+
 def test_batch_validates_shape():
     with pytest.raises(ValueError):
         knot_field_batch(3, 0.0, np.zeros((4, 2)))

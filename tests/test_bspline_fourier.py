@@ -14,7 +14,9 @@ from l1torus.bspline_fourier import (
     mean_series,
     mean_torus_mc,
 )
-from l1torus.numerics import gauss_legendre
+from l1torus.bspline import knot_field_batch
+from l1torus.kernels import shell_sum_batch
+from l1torus.numerics import gauss_legendre, shell_count
 
 TOL = 1e-10
 
@@ -147,6 +149,24 @@ def test_mc_exact_zero_for_odd_orders_at_origin():
     est = mean_torus_mc(2, 1, 0.0, budget=20_000, seed=3)
     assert est.value == 0.0
     assert est.stderr == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_mc_reproduces_the_two_call_formula_bitwise(d, n):
+    # one batch of 1 000 pairs: rebuild its draws, take the shell sums from the
+    # angles and the field at +u and -u in two scalar calls
+    seed, u = 2024, 0.37
+    theta = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(1000, d))
+    knots = np.sort(np.cos(theta), axis=1)
+    assert np.min(np.diff(knots, axis=1)) >= 1e-12  # no redraws
+    sgn = -1.0 if n % 2 else 1.0
+    vals = (0.5 * (knot_field_batch(d, u, knots) + sgn * knot_field_batch(d, -u, knots))
+            * shell_sum_batch(d, n, theta) / shell_count(d, n))
+    est = mean_torus_mc(d, n, u, budget=2000, seed=seed)
+    assert est.value == float(vals.mean())
+    assert est.stderr == float(vals.std(ddof=1) / math.sqrt(vals.size))
+    assert est.pairs == 1000
 
 
 def test_mc_validates_inputs():

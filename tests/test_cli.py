@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from l1torus import cli
 from l1torus.cli import main
 from l1torus.numerics import shell_count
 
@@ -108,6 +109,11 @@ def test_kernel_cost_is_bounded_before_allocation(capsys, argv):
     ["pdf", "--points", "200000"],
     ["verify", "--suite", "shell-count", "--d", "4", "--nmax", "300"],
     ["partial-sum", "--d", "2", "--n", "3", "--L", "2000", "--theta", "0,0"],
+    ["mnd", "--d", "2", "--n", "1000000000000", "--method", "closed", "--u", "0.5"],
+    ["mnd", "--d", "3", "--n", "1000000000000", "--method", "series", "--u", "0.5"],
+    ["mnd", "--d", "3", "--n", "1000000000000", "--method", "mc", "--u", "0.5",
+     "--budget", "400"],
+    ["count", "--d", "3", "--nmax", "1000000000"],
 ])
 def test_request_cost_is_bounded_before_allocation(capsys, coeff_spec, argv):
     if argv[0] in ("pdf", "partial-sum"):
@@ -519,6 +525,17 @@ def test_count_range_rows(capsys):
     assert code == 0
     rows = csv_rows(out)
     assert [int(r["count"]) for r in rows] == [1, 6, 18, 38, 66]
+
+
+def test_count_rows_are_bounded(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_COUNT_ROWS", 5)
+    code, out = run_cli(capsys, "count", "--d", "3", "--nmax", "4")
+    assert code == 0 and len(csv_rows(out)) == 5
+    code = main(["count", "--d", "3", "--nmax", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert "over the limit of 5" in line
 
 
 def test_count_requires_an_index(capsys):

@@ -23,7 +23,12 @@ from l1torus.kernels import (
     shell_sum,
     shell_sum_batch,
     _BLOCK_ENTRIES,
+    _dirichlet_finish,
+    _shell_core,
+    _shell_finish,
     _shell_table,
+    _table_finish,
+    _times,
 )
 from l1torus.numerics import rel_err, shell_count, shell_enumerate
 
@@ -220,6 +225,52 @@ def test_batch_input_check_runs_before_allocation():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _argsort_product(d, n, thetas, finish):
+    """The shell product as it was before the sorted-cosine core: cos and argsort per block."""
+    t = np.asarray(thetas, dtype=float)
+    step = max(1, _BLOCK_ENTRIES // (d * (n + 1)))
+    ends = [d - 1 - i // 2 if i % 2 == 0 else i // 2 for i in range(d)]
+    parts = []
+    for i in range(0, max(t.shape[0], 1), step):
+        x2 = 2.0 * np.cos(t[i:i + step].T)
+        x2 = np.take_along_axis(x2, np.argsort(x2, axis=0)[ends], axis=0)
+        c = np.empty((n + 1,) + x2.shape)
+        c[0] = 2.0
+        c[1:2] = x2
+        for k in range(2, n + 1):
+            np.multiply(x2, c[k - 1], out=c[k])
+            c[k] -= c[k - 2]
+        c[0] = 1.0
+        head = c[:, 0] if d > 1 else np.eye(n + 1, 1)
+        for j in range(1, d - 1):
+            head = _times(head, c[:, j])
+        parts.append(finish(head, c[:, d - 1]))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 8), (5, 12)])
+def test_sorted_cosine_core_is_bitwise_the_batch_kernels(d, n, rng):
+    rows = _BLOCK_ENTRIES // (d * (n + 1)) + 37  # longer than one block
+    thetas = rng.uniform(-4.0, 4.0, (rows, d))
+    thetas[:20, -1] = -thetas[:20, 0]  # tied cosines: theta and -theta in one row
+    thetas[20:40, 0] = 0.0
+    thetas[20:40, -1] = math.pi
+    thetas[40:60] = 0.0  # every cosine tied at 1
+    for fn, finish in ((shell_sum_batch, _shell_finish),
+                       (dirichlet_kernel_batch, _dirichlet_finish),
+                       (_shell_table, _table_finish)):
+        for t in (thetas, thetas[:0]):
+            got = fn(d, n, t)
+            assert np.array_equal(got, _shell_core(d, n, np.sort(np.cos(t), axis=1), finish))
+            assert np.array_equal(got, _argsort_product(d, n, t, finish)), fn.__name__
+        assert fn(d, n, thetas[:0]).shape == ((0, n + 1) if fn is _shell_table else (0,))
+
+
+def test_sorted_cosine_core_checks_its_cost():
+    with pytest.raises(ValueError, match="over the limit"):
+        _shell_core(3, 10**9, np.zeros((1, 3)), _shell_finish)
 
 
 def test_dirichlet_kernel_is_cumulative_shell_sum(rng):

@@ -66,14 +66,19 @@ def test_tracer_installs_counts_and_uninstalls(tracer_module, tmp_path):
         bspline.bspline_eval([0.0, 0.5, 1.0], 0.3)
         divdiff.divided_difference_cos(kernels.shell_seed(2, 1), [0.1, 0.7])
         summary = tracer.summary()
+        spans = tracer.spans
     finally:
         tracer.uninstall()
     assert _traced_attrs(tracer_module) == before
     assert l1torus.shell_sum is before["kernels.shell_sum"]
     for name in ("kernels.shell_sum", "kernels.shell_sum_batch", "kernels.dirichlet_kernel",
-                 "bspline_fourier.mean_torus_mc", "summability.partial_sum",
-                 "pdf.gram_matrix", "cli.main"):
+                 "bspline_fourier.mean_torus_mc", "bspline.knot_field_batch",
+                 "summability.partial_sum", "pdf.gram_matrix", "cli.main"):
         assert summary["spans"][name][0] > 0, name
+    # the Monte-Carlo field stays inside the benchmark's per-layer view
+    assert any(name == "bspline.knot_field_batch"
+               and spans[parent][0] == "bspline_fourier.mean_torus_mc"
+               for name, parent, _ in spans)
     for counter in ("numerics.lattice_points", "polys.gegenbauer_terms", "bspline.field_evals",
                     "divdiff.knots", "pdf.gram_entries", "bspline_fourier.mc_pairs",
                     "cli.output_bytes"):
