@@ -10,9 +10,8 @@ for every identity, and positive-definiteness checks for shell-coefficient
 kernels.
 """
 from .bspline import bspline_eval, bspline_values, knot_field_batch
-from .bspline_fourier import (DEFAULT_SERIES_TERMS, McEstimate, MeanEvaluator,
-                              biorthogonality_matrix, mean_d2_closed,
-                              mean_order0_closed, mean_order0_integral,
+from .bspline_fourier import (McEstimate, MeanEvaluator, biorthogonality_matrix,
+                              mean_d2_closed, mean_order0_closed, mean_order0_integral,
                               mean_recursion_sides, mean_series, mean_torus_mc)
 from .divdiff import divided_difference, divided_difference_cos
 from .kernels import (biortho_generating_pair, biortho_generating_tail,
@@ -34,7 +33,7 @@ from .verify import (IdentityReport, SUITES, VerifyConfig, field_integrals,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "CoeffSeq", "DEFAULT_SEED", "DEFAULT_SERIES_TERMS", "GramSpec",
+    "CheckResult", "CoeffSeq", "DEFAULT_SEED", "GramSpec",
     "IdentityReport", "McEstimate", "MeanEvaluator", "MIN_POINT_SEPARATION",
     "QuadRule", "ResolutionError", "SampledTorusFn", "SUITES", "Tail", "VerifyConfig",
     "ball_enumerate", "biorthogonality_matrix", "biortho_generating_pair",

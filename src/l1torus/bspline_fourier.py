@@ -8,7 +8,7 @@ For d >= 2 and n >= 0 define
 the average of the n-th normalized shell sum against the B-spline whose
 knots are the cosines of the angles.  Routes implemented here:
 
-* ``mean_series``      Gegenbauer series with Cesaro (C, 1) summation,
+* ``mean_series``      Gegenbauer series under a spectral exponential filter,
                        valid for every d >= 2 away from u = +-1;
 * ``mean_d2_closed``   elementary closed form for d = 2 in the angle
                        variable u = cos(alpha);
@@ -30,13 +30,14 @@ from .kernels import _check_dn, _shell_core, _shell_finish, biortho_poly
 from .numerics import DEFAULT_SEED, MAX_DRAWS, finite, gauss_gegenbauer, shell_count
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
-DEFAULT_SERIES_TERMS = 2000
 SERIES_EDGE_MARGIN = 1e-3
+_SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
 _MC_BATCH_PAIRS = 50_000  # antithetic pairs drawn per Monte-Carlo batch
+_MAX_MC_BUDGET = 1 << 25  # integrand evaluations, one float kept per pair, of one mean_torus_mc
 _MAX_CLOSED_TERMS = 1 << 22  # sine terms, about n / 2, one mean_d2_closed call may sum
-_MAX_SERIES_VALUES = 1 << 22  # Gegenbauer values, degrees * points, of one mean_series table
+_MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
 
 
 def mean_d2_closed(n: int, alpha: float) -> float:
@@ -87,47 +88,42 @@ def mean_order0_integral(d: int) -> float:
     return const * (math.sqrt(math.pi) * math.gamma(d / 2.0) / math.gamma((d + 1) / 2.0))
 
 
-def _series_coefficients(d: int, nterms: int) -> np.ndarray:
-    """a_k = (d-1)_k / k! for k < nterms."""
-    a = np.empty(nterms)
-    a[0] = 1.0
-    for k in range(1, nterms):
-        a[k] = a[k - 1] * (d - 2.0 + k) / k
-    return a
+def mean_series(d: int, n: int, u, nterms: int | None = None):
+    """Filtered Gegenbauer series route for mean(d, n, u), for u scalar or ndarray.
 
-
-def mean_series(d: int, n: int, u, nterms: int = DEFAULT_SERIES_TERMS):
-    """Gegenbauer series route for mean(d, n, u).
-
-    mean(d, n, u) = (1-u^2)^(d-3/2) * c_{d-1}/(d-1)! *
-                    sum_k a_k C_{n+2k}^{d-1}(u) / C_{n+2k}^{d-1}(1),
-    a_k = (d-1)_k/k!.  The series converges only conditionally (for d = 2 it
-    is a trigonometric series), so partial sums are averaged (Cesaro (C, 1)).
-    Requires |u| <= 1 - SERIES_EDGE_MARGIN: the averaging degrades near the
-    endpoints.  ``u`` may be scalar or ndarray.  Raises ValueError before
-    allocating when the (n + 2 nterms - 1) * points table of Gegenbauer values
-    exceeds ``_MAX_SERIES_VALUES``.
+    mean(d, n, u) = (1-u^2)^(d-3/2) c_{d-1}/(d-1)! sum_{k<K} sigma(k/K) a_k R_{n+2k}(u),
+    a_k = (d-1)_k/k!, R_m = C_m^{d-1}(u)/C_m^{d-1}(1).  The filter sigma(eta) =
+    exp(-36 eta^8) makes the conditionally convergent series converge spectrally
+    away from u = +-1.  K = ceil(100 / arccos|u|) per point (``nterms``, if given,
+    everywhere); one recurrence pass keeps two rows of R.  Requires |u| <=
+    1 - SERIES_EDGE_MARGIN (so K <= 2 236).  ValueError before the pass when its
+    (n + 2K - 1) * points values exceed _MAX_SERIES_VALUES.
     """
     _check_dn(d, n)
-    if nterms < 1:
+    if nterms is not None and nterms < 1:
         raise ValueError("nterms must be >= 1")
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = finite(u, "u")
     if np.any(np.abs(u_arr) > 1.0 - SERIES_EDGE_MARGIN):
         raise ValueError(f"series route requires |u| <= 1 - {SERIES_EDGE_MARGIN:g}")
-    lam = d - 1
-    degmax = n + 2 * (nterms - 1)
-    cost = (degmax + 1) * u_arr.size
+    terms = (np.ceil(_SERIES_REACH / np.arccos(np.abs(u_arr))) if nterms is None
+             else np.full(u_arr.shape, float(nterms)))
+    kmax = int(terms.max(initial=0))
+    cost = (n + 2 * kmax - 1) * u_arr.size
     if cost > _MAX_SERIES_VALUES:
-        raise ValueError(f"series at n = {n}, K = {nterms} for {u_arr.size} point(s) needs "
-                         f"{cost:.3g} Gegenbauer values, over the limit of "
-                         f"{_MAX_SERIES_VALUES:.3g}")
-    seq = gegenbauer_sequence(float(lam), degmax, u_arr)[n::2]
-    ones = gegenbauer_at_one(float(lam), degmax)[n::2]
-    a = _series_coefficients(d, nterms)
-    terms = a.reshape((-1,) + (1,) * u_arr.ndim) * seq / ones.reshape((-1,) + (1,) * u_arr.ndim)
-    partials = np.cumsum(terms, axis=0)
-    out = ((1.0 - u_arr * u_arr) ** (d - 1.5) * geg_norm_c(float(lam)) / math.factorial(lam)
-           * partials.mean(axis=0))
+        raise ValueError(f"series at n = {n}, K = {kmax} for {u_arr.size} point(s) steps through "
+                         f"{cost:.3g} values, over the limit of {_MAX_SERIES_VALUES:.3g}")
+    lam = d - 1.0
+    expo = -36.0 / terms ** 8  # sigma(k/K) = exp(k^8 * expo)
+    prev, cur, total = np.zeros_like(u_arr), np.ones_like(u_arr), np.zeros_like(u_arr)
+    m = 0  # cur = R_m, prev = R_{m-1}
+    for k in range(kmax):
+        while m < n + 2 * k:  # (m+2lam-1) R_m = 2 (m+lam-1) u R_{m-1} - (m-1) R_{m-2}
+            m += 1
+            prev, cur = cur, ((2.0 * (m + lam - 1.0) * u_arr * cur - (m - 1.0) * prev)
+                              / (m + 2.0 * lam - 1.0))
+        a_k = float(math.comb(k + d - 2, k))  # (d-1)_k / k!
+        total += np.where(k < terms, a_k * np.exp(k ** 8 * expo), 0.0) * cur
+    out = (1.0 - u_arr * u_arr) ** (d - 1.5) * geg_norm_c(lam) / math.factorial(d - 1) * total
     return out if np.ndim(u) else float(out)
 
 
@@ -137,8 +133,7 @@ def mean_recursion_sides(d: int, n: int, u):
     lhs = (d-1)! sum_{j=0}^{d-1} (-1)^j C(d-1, j) mean(d, n+2j, u)
     rhs = c_{d-1} (1-u^2)^(d-3/2) C_n^{d-1}(u) / C_n^{d-1}(1)
 
-    The means use the closed form for d = 2 and otherwise the Cesaro series
-    of DEFAULT_SERIES_TERMS terms.
+    The means use the closed form for d = 2 and otherwise the filtered series.
     ``u`` may be scalar or ndarray; each side has the shape of ``u``.
     """
     _check_dn(d, n)
@@ -181,7 +176,7 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
     below 1e-12 are rejected and redrawn (the integrand is integrable but
     unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
     rounds of redraws raises ValueError.  ``budget`` counts integrand
-    evaluations, at least 4; the default is 2e6 for d = 2 and 1e7 for d = 3.
+    evaluations, 4 to ``_MAX_MC_BUDGET``; the default is 2e6 (d = 2), 1e7 (d = 3).
 
     The cosines of each batch are sorted once: the shell product takes those
     rows as they are, and one field call evaluates +u and -u on them together.
@@ -198,6 +193,8 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
         budget = _MC_DEFAULT_BUDGET[d]
     if budget < 4:  # fewer than two antithetic pairs give no spread
         raise ValueError(f"budget must be >= 4, got {budget}")
+    if budget > _MAX_MC_BUDGET:
+        raise ValueError(f"budget {budget:.3g} is over the limit of {_MAX_MC_BUDGET:.3g}")
     total_pairs = budget // 2
     rng = np.random.default_rng(seed)
     count = shell_count(d, n)
@@ -245,7 +242,7 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
     degmax = max_index + 6
     seq = gegenbauer_sequence(float(lam), degmax, x)
     ones = gegenbauer_at_one(float(lam), degmax)
-    a = _series_coefficients(d, degmax)
+    a = np.array([math.comb(k + d - 2, k) for k in range(degmax)], dtype=float)  # (d-1)_k/k!
     const = geg_norm_c(float(lam)) / math.factorial(lam)
     rows = np.empty((max_index + 1, x.size))
     for n in range(max_index + 1):
@@ -261,15 +258,15 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
 class MeanEvaluator:
     """Dispatch for evaluating mean(d, n, u) by a named method.
 
-    ``method`` is one of "closed" (d = 2 or n = 0), "series" (Cesaro
-    Gegenbauer series), or "mc" (seeded Monte-Carlo; returns a standard
-    error).
+    ``method`` is one of "closed" (d = 2 or n = 0), "series" (filtered
+    Gegenbauer series; ``nterms`` None takes the per-point K), or "mc"
+    (seeded Monte-Carlo; returns a standard error).
     """
 
     d: int
     n: int
     method: str
-    nterms: int = DEFAULT_SERIES_TERMS
+    nterms: int | None = None
     budget: int | None = None
     seed: int = DEFAULT_SEED
 

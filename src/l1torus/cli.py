@@ -6,8 +6,8 @@ suites), pdf (definiteness checks on a coefficient spec), count (shell
 cardinalities), partial-sum (l1 partial sums of a synthesized function).
 
 Outputs are deterministic for a fixed seed: CSV values use 17 significant
-digits, JSON is emitted with sorted keys.  Exit codes: 0 success, 1 a
-verification suite failed, 2 usage error.
+digits and integers print exactly, JSON is emitted with sorted keys.  Exit
+codes: 0 success, 1 a verification suite failed, 2 usage error.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bspline_fourier import DEFAULT_SERIES_TERMS, MeanEvaluator
+from .bspline_fourier import MeanEvaluator
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
 from .numerics import DEFAULT_SEED, shell_count, torus_trapezoid
@@ -34,7 +34,7 @@ _MAX_COUNT_ROWS = 1 << 16  # rows one count --nmax may ask for
 
 
 def _fmt(x: float) -> str:
-    return _FMT % x
+    return str(x) if isinstance(x, int) else _FMT % x  # counts stay exact
 
 
 def _env_seed() -> int:
@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", action="append", help="evaluation point; repeatable")
     p.add_argument("--grid-u", help="start:stop:count grid")
     p.add_argument("--method", choices=["closed", "series", "mc"], default="series")
-    p.add_argument("--K", type=int, default=DEFAULT_SERIES_TERMS,
-                   help="series truncation (series method)")
+    p.add_argument("--K", type=int, help="series terms for every point (series method); "
+                                         "default ceil(100 / arccos|u|) per point")
     p.add_argument("--budget", type=int, help="sample budget (mc method)")
     p.add_argument("--seed", type=int, default=_env_seed())
     _add_output_flags(p)

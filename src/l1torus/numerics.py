@@ -19,6 +19,7 @@ DEFAULT_SEED = 1234567
 MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it gives up
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
 _MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n one shell_enumerate may cache
+_MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -147,14 +148,22 @@ def shell_count(d: int, n: int) -> int:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("shell index must be >= 0")
-    return sum(
-        math.comb(d, j) * math.comb(n - j + d - 1, d - 1) for j in range(min(d, n) + 1)
-    )
+    return _binomial_sum(d, n, lambda j: math.comb(d, j) * math.comb(n - j + d - 1, d - 1))
+
+
+def _binomial_sum(d: int, n: int, term) -> int:
+    """Sum of term(j), 0 <= j <= min(d, n); refused first when its big integers cost too much."""
+    terms = min(d, n) + 1  # each of about log2 C(n + d, d) + min(d, n) bits
+    bits = (math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1)) / math.log(2) + terms
+    if terms * bits > _MAX_COUNT_BITS:
+        raise ValueError(f"the l1 count at d = {d}, n = {n} sums {terms:.3g} binomials of "
+                         f"~{bits:.3g} bits, over the limit of {_MAX_COUNT_BITS:.3g}")
+    return sum(map(term, range(terms)))
 
 
 def _ball_size(d: int, n: int) -> int:
     """Number of alpha in Z^d with |alpha|_1 <= n: sum_k 2^k C(d, k) C(n, k)."""
-    return sum(2**k * math.comb(d, k) * math.comb(n, k) for k in range(min(d, n) + 1))
+    return _binomial_sum(d, n, lambda k: 2**k * math.comb(d, k) * math.comb(n, k))
 
 
 def ball_enumerate(d: int, n: int) -> np.ndarray:

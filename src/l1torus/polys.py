@@ -20,13 +20,8 @@ def _check_lam(lam: float):
 
 
 def gegenbauer_sequence(lam: float, nmax: int, t) -> np.ndarray:
-    """All values C_0^lam(t), ..., C_nmax^lam(t) in one recurrence pass.
-
-    ``t`` may be a scalar or an ndarray; the result has shape
-    (nmax + 1,) + shape(t).  One pass costs O(nmax) operations, so callers
-    that need many degrees (series evaluation, biorthogonality matrices)
-    should use this rather than repeated single-degree calls.
-    """
+    """All values C_0^lam(t), ..., C_nmax^lam(t), shape (nmax + 1,) + shape(t), from one
+    recurrence pass; ``t`` may be a scalar or an ndarray."""
     _check_lam(lam)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")

@@ -65,7 +65,7 @@ def test_acceptance_3_mean_d2_closed_form():
     ok = series.passed and worst_sigma <= 1.0
     assert report(
         3, ok,
-        f"d=2 mean closed form vs Cesaro series on 50-point grid: "
+        f"d=2 mean closed form vs filtered series on 50-point grid: "
         f"{series.max_error:.3e} (tol {series.tolerance:g}); vs Monte-Carlo "
         f"(budget 2e6, 12 cases): worst {3.0 * worst_sigma:.2f} sigma "
         f"(band 3 sigma)")

@@ -1,5 +1,6 @@
 """Fourier means of the B-spline knot field and their biorthogonal partners."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,12 +72,12 @@ def test_d2_closed_order0_and_parity(rng):
             assert abs(b - (-1.0) ** n * a) < 1e-12
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(9))
 def test_d2_closed_matches_cesaro_series(n):
-    us = np.linspace(-0.95, 0.95, 21)
+    us = np.linspace(-0.999, 0.999, 41)
     series = mean_series(2, n, us)
     closed = np.array([mean_d2_closed(n, math.acos(u)) for u in us])
-    assert np.max(np.abs(series - closed)) < 2e-3
+    assert np.max(np.abs(series - closed)) < 1e-12
 
 
 # --------------------------------------------------------------- the series
@@ -104,12 +105,46 @@ def test_series_accepts_arrays():
     assert vals.shape == us.shape
     for u, v in zip(us, vals):
         assert abs(v - mean_series(3, 2, float(u))) < 1e-15
+    assert mean_series(3, 2, us.reshape(3, 1)).shape == (3, 1)
+    assert mean_series(3, 2, np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_series_matches_order0_closed_form(d):
+    us = np.linspace(-0.999, 0.999, 41)
+    closed = np.array([mean_order0_closed(d, float(u)) for u in us])
+    assert np.max(np.abs(mean_series(d, 0, us) - closed)) < 1e-12
+
+
+def test_series_terms_are_chosen_per_point():
+    # u = 0.5 takes ceil(100 / arccos 0.5) = 96 terms whatever else is in the batch
+    assert math.ceil(100.0 / math.acos(0.5)) == 96
+    alone = mean_series(3, 1, 0.5, nterms=96)
+    assert mean_series(3, 1, 0.5) == alone
+    assert abs(mean_series(3, 1, np.array([0.5, 0.999]))[0] - alone) < 1e-15
+    with pytest.raises(ValueError, match="nterms must be >= 1"):
+        mean_series(3, 1, 0.5, nterms=0)
+
+
+def test_series_memory_does_not_grow_with_terms():
+    us = np.linspace(-0.9, 0.9, 10_000)
+    peaks = []
+    for nterms in (200, 2000):
+        tracemalloc.start()
+        try:
+            mean_series(3, 2, us, nterms=nterms)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a few rows of 10^4 points, where a table of the degrees would hold 4 000 rows
+    assert peaks[1] <= peaks[0] + 4096
+    assert peaks[0] < 20 * us.nbytes
 
 
 # -------------------------------------------------------------- recursion
 
 
-@pytest.mark.parametrize("d,tol", [(2, 1e-10), (3, 5e-3)])
+@pytest.mark.parametrize("d,tol", [(2, 1e-10), (3, 1e-12)])
 def test_alternating_sum_recursion(d, tol, rng):
     us = rng.uniform(-0.9, 0.9, 4)
     for n in (0, 1, 3):
@@ -120,6 +155,14 @@ def test_alternating_sum_recursion(d, tol, rng):
             assert type(lhs) is float and type(rhs) is float
             assert abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
             assert abs(lb - lhs) <= 1e-14 and abs(rb - rhs) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_series_recursion_holds_to_the_edge_margin(d):
+    us = np.linspace(-0.999, 0.999, 41)
+    for n in range(6):
+        lhs, rhs = mean_recursion_sides(d, n, us)
+        assert np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))) < 1e-12
 
 
 # ------------------------------------------------------------- Monte-Carlo
@@ -220,4 +263,4 @@ def test_evaluator_closed_agrees_with_series():
     for u in (-0.5, 0.1, 0.7):
         a = ev_closed.evaluate(u)[0]
         b = ev_series.evaluate(u)[0]
-        assert abs(a - b) < 2e-3
+        assert abs(a - b) < 1e-12

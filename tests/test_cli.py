@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -312,14 +315,14 @@ def test_mnd_closed_contract_values(capsys):
 
 
 def test_mnd_series_matches_closed_route(capsys):
-    code, out = run_cli(capsys, "mnd", "--d", "2", "--n", "2", "--u", "0",
-                        "--method", "series", "--K", "2000")
-    assert code == 0
-    (row,) = csv_rows(out)
     from l1torus.bspline_fourier import mean_d2_closed
 
-    assert abs(float(row["value"]) - mean_d2_closed(2, math.pi / 2.0)) < 2e-3
-    assert abs(float(row["value"]) - (-0.13664263984585534)) < 1e-12
+    for k_flags in (["--K", "2000"], []):
+        code, out = run_cli(capsys, "mnd", "--d", "2", "--n", "2", "--u", "0",
+                            "--method", "series", *k_flags)
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert abs(float(row["value"]) - mean_d2_closed(2, math.pi / 2.0)) < 1e-12
 
 
 def test_mnd_mc_reports_stderr(capsys):
@@ -536,6 +539,37 @@ def test_count_rows_are_bounded(capsys, monkeypatch):
     assert code == 2 and captured.out == ""
     (line,) = captured.err.strip().splitlines()
     assert "over the limit of 5" in line
+
+
+def test_count_prints_large_counts_exactly(capsys):
+    code, out = run_cli(capsys, "count", "--d", "1000", "--n", "1000")
+    assert code == 0
+    (row,) = csv_rows(out)
+    assert int(row["count"]) == shell_count(1000, 1000)
+    code, out = run_cli(capsys, "count", "--d", "3", "--n", "1000000000000")
+    (row,) = csv_rows(out)
+    assert row["count"] == str(shell_count(3, 10**12)) == "4000000000000000000000002"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--d", "1000000000", "--n", "1000000000"],
+    ["verify", "--suite", "shell-count", "--d", "1000000000", "--nmax", "1000000000"],
+    ["mnd", "--d", "2", "--n", "1", "--method", "mc", "--u", "0.3",
+     "--budget", "1000000000000"],
+    ["verify", "--suite", "mean-mc", "--budget", "1000000000000"],
+])
+def test_oversized_requests_exit_two_in_a_fresh_process(argv):
+    # a separate process under a timeout: a request that runs instead of being
+    # refused fails the test rather than hanging the suite
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    (line,) = done.stderr.strip().splitlines()
+    assert "over the limit" in line
 
 
 def test_count_requires_an_index(capsys):

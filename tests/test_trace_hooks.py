@@ -52,6 +52,7 @@ def test_tracer_installs_counts_and_uninstalls(tracer_module, tmp_path):
         runs = [
             ["kernel", "--d", "3", "--n", "2", "--what", "E", "--theta", "0.1,0.2,0.3"],
             ["kernel", "--d", "2", "--n", "2", "--what", "D", "--grid", "4"],
+            ["kernel", "--d", "3", "--n", "2", "--what", "h", "--u", "0.3"],
             ["mnd", "--d", "3", "--n", "1", "--method", "mc", "--budget", "400", "--u", "0.2"],
             ["mnd", "--d", "3", "--n", "1", "--method", "series", "--u", "0.2", "--K", "50"],
             ["partial-sum", "--d", "2", "--n", "1", "--L", "6", "--spec", str(spec),
