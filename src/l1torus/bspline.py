@@ -16,9 +16,9 @@ test suite.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .numerics import _float_factorial
 
 
 def bspline_values(knots, u) -> np.ndarray:
@@ -41,7 +41,7 @@ def bspline_values(knots, u) -> np.ndarray:
         vals = np.divide(num, span, where=span > 0, out=np.zeros_like(num))
     # The recurrence yields the raw divided difference of (x - u)_+^(m-1),
     # whose integral is 1/m; dividing by (m-1)! lands on the 1/m! contract.
-    return vals[..., 0] / math.factorial(m - 1)
+    return vals[..., 0] / _float_factorial(m - 1)
 
 
 def bspline_eval(knots, u: float) -> float:

@@ -21,13 +21,15 @@ knots are the cosines of the angles.  Routes implemented here:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bspline import knot_field_batch
-from .kernels import _check_dn, _shell_core, _shell_finish, biortho_poly
-from .numerics import DEFAULT_SEED, MAX_DRAWS, finite, gauss_gegenbauer, shell_count
+from .kernels import _biortho_table, _check_dn, _shell_core, _shell_finish
+from .numerics import (DEFAULT_SEED, MAX_DRAWS, _float_factorial, finite, gauss_gegenbauer,
+                       shell_count)
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 SERIES_EDGE_MARGIN = 1e-3
@@ -75,7 +77,7 @@ def mean_order0_closed(d: int, u: float) -> float:
     if abs(u) > 1.0:
         return 0.0
     const = math.gamma((d + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(d / 2.0)
-                                         * math.factorial(d - 1))
+                                         * _float_factorial(d - 1))
     return const * (1.0 - u * u) ** ((d - 2) / 2.0)
 
 
@@ -88,18 +90,30 @@ def mean_order0_integral(d: int) -> float:
     return const * (math.sqrt(math.pi) * math.gamma(d / 2.0) / math.gamma((d + 1) / 2.0))
 
 
-def mean_series(d: int, n: int, u, nterms: int | None = None):
+def mean_series(d: int, n, u, nterms: int | None = None):
     """Filtered Gegenbauer series route for mean(d, n, u), for u scalar or ndarray.
 
     mean(d, n, u) = (1-u^2)^(d-3/2) c_{d-1}/(d-1)! sum_{k<K} sigma(k/K) a_k R_{n+2k}(u),
     a_k = (d-1)_k/k!, R_m = C_m^{d-1}(u)/C_m^{d-1}(1).  The filter sigma(eta) =
     exp(-36 eta^8) makes the conditionally convergent series converge spectrally
     away from u = +-1.  K = ceil(100 / arccos|u|) per point (``nterms``, if given,
-    everywhere); one recurrence pass keeps two rows of R.  Requires |u| <=
-    1 - SERIES_EDGE_MARGIN (so K <= 2 236).  ValueError before the pass when its
-    (n + 2K - 1) * points values exceed _MAX_SERIES_VALUES.
+    everywhere).  Requires |u| <= 1 - SERIES_EDGE_MARGIN (so K <= 2 236).
+
+    ``n`` is one order, or a sequence of orders: then the result has one row per
+    order, shape (len(n),) + shape(u), each row the value one call at that order
+    returns.  One recurrence pass over m serves every order, keeping two rows of
+    R and one running total per order; each total sums k upward.  ValueError
+    before the pass when its (max(n) + 2K - 1 + (len(n) - 1) K) * points values
+    exceed _MAX_SERIES_VALUES, or when (d-1)! is beyond the float range.
     """
-    _check_dn(d, n)
+    one = isinstance(n, (int, np.integer))
+    if not one and len(n) > _MAX_SERIES_VALUES:  # a long range is refused before it is listed
+        raise ValueError(f"series at {len(n):.3g} orders, "
+                         f"over the limit of {_MAX_SERIES_VALUES:.3g}")
+    orders = [n] if one else [int(x) for x in n]
+    for order in orders:
+        _check_dn(d, order)
+    top = max(orders, default=0)
     if nterms is not None and nterms < 1:
         raise ValueError("nterms must be >= 1")
     u_arr = finite(u, "u")
@@ -108,23 +122,39 @@ def mean_series(d: int, n: int, u, nterms: int | None = None):
     terms = (np.ceil(_SERIES_REACH / np.arccos(np.abs(u_arr))) if nterms is None
              else np.full(u_arr.shape, float(nterms)))
     kmax = int(terms.max(initial=0))
-    cost = (n + 2 * kmax - 1) * u_arr.size
+    # the recurrence's values, plus the terms each further order adds up
+    cost = (top + 2 * kmax - 1 + (len(orders) - 1) * kmax) * u_arr.size
     if cost > _MAX_SERIES_VALUES:
-        raise ValueError(f"series at n = {n}, K = {kmax} for {u_arr.size} point(s) steps through "
-                         f"{cost:.3g} values, over the limit of {_MAX_SERIES_VALUES:.3g}")
+        raise ValueError(f"series at n = {top}, K = {kmax} for {len(orders)} order(s) at "
+                         f"{u_arr.size} point(s) steps through {cost:.3g} values, "
+                         f"over the limit of {_MAX_SERIES_VALUES:.3g}")
+    fact = _float_factorial(d - 1)
     lam = d - 1.0
+    x, terms = u_arr[()], terms[()]  # a lone point steps as numpy scalars: the same arithmetic
     expo = -36.0 / terms ** 8  # sigma(k/K) = exp(k^8 * expo)
-    prev, cur, total = np.zeros_like(u_arr), np.ones_like(u_arr), np.zeros_like(u_arr)
-    m = 0  # cur = R_m, prev = R_{m-1}
-    for k in range(kmax):
-        while m < n + 2 * k:  # (m+2lam-1) R_m = 2 (m+lam-1) u R_{m-1} - (m-1) R_{m-2}
-            m += 1
-            prev, cur = cur, ((2.0 * (m + lam - 1.0) * u_arr * cur - (m - 1.0) * prev)
+    kfull = int(np.min(terms, initial=kmax))  # every point takes the terms k < kfull
+    totals = {order: np.zeros_like(u_arr)[()] for order in orders}
+    parity = ([o for o in sorted(totals) if o % 2 == 0], [o for o in sorted(totals) if o % 2])
+    weights = {}  # k -> sigma(k/K) a_k, until the largest order of its parity has taken it
+    prev, cur = np.zeros_like(u_arr)[()], np.ones_like(u_arr)[()]  # R_{m-1}, R_m
+    for m in range(top + 2 * kmax - 1 if kmax else 0):
+        if m:  # (m+2lam-1) R_m = 2 (m+lam-1) u R_{m-1} - (m-1) R_{m-2}
+            prev, cur = cur, ((2.0 * (m + lam - 1.0) * x * cur - (m - 1.0) * prev)
                               / (m + 2.0 * lam - 1.0))
-        a_k = float(math.comb(k + d - 2, k))  # (d-1)_k / k!
-        total += np.where(k < terms, a_k * np.exp(k ** 8 * expo), 0.0) * cur
-    out = (1.0 - u_arr * u_arr) ** (d - 1.5) * geg_norm_c(lam) / math.factorial(d - 1) * total
-    return out if np.ndim(u) else float(out)
+        group = parity[m % 2]
+        # the orders whose term k < K sits at degree m = order + 2k
+        for order in group[bisect_left(group, m - 2 * kmax + 2):bisect_right(group, m)]:
+            k = (m - order) // 2
+            if k not in weights:
+                a_k = float(math.comb(k + d - 2, k))  # (d-1)_k / k!
+                w = a_k * np.exp(k ** 8 * expo)
+                weights[k] = w if k < kfull else np.where(k < terms, w, 0.0)
+            totals[order] += (weights.pop(k) if order == group[-1] else weights[k]) * cur
+    const = geg_norm_c(lam)
+    outs = [(1.0 - x * x) ** (d - 1.5) * const / fact * totals[order] for order in orders]
+    if not one:
+        return np.array(outs).reshape((len(orders),) + u_arr.shape)
+    return outs[0] if np.ndim(u) else float(outs[0])
 
 
 def mean_recursion_sides(d: int, n: int, u):
@@ -133,21 +163,23 @@ def mean_recursion_sides(d: int, n: int, u):
     lhs = (d-1)! sum_{j=0}^{d-1} (-1)^j C(d-1, j) mean(d, n+2j, u)
     rhs = c_{d-1} (1-u^2)^(d-3/2) C_n^{d-1}(u) / C_n^{d-1}(1)
 
-    The means use the closed form for d = 2 and otherwise the filtered series.
-    ``u`` may be scalar or ndarray; each side has the shape of ``u``.
+    The means use the closed form for d = 2 and otherwise the filtered series,
+    all d orders from one pass.  ``u`` may be scalar or ndarray; each side has
+    the shape of ``u``.
     """
     _check_dn(d, n)
     lam = d - 1
     u_arr = np.asarray(u, dtype=float)
+    if d == 2:
+        means = [np.array([mean_d2_closed(n + 2 * j, math.acos(x))
+                           for x in u_arr.ravel().tolist()]).reshape(u_arr.shape)
+                 for j in range(d)]
+    else:
+        means = mean_series(d, [n + 2 * j for j in range(d)], u_arr)
     lhs = 0.0
     for j in range(d):
-        if d == 2:
-            mj = np.array([mean_d2_closed(n + 2 * j, math.acos(x))
-                           for x in u_arr.ravel().tolist()]).reshape(u_arr.shape)
-        else:
-            mj = mean_series(d, n + 2 * j, u_arr)
-        lhs = lhs + (-1) ** j * math.comb(d - 1, j) * mj
-    lhs = lhs * math.factorial(d - 1)
+        lhs = lhs + (-1) ** j * math.comb(d - 1, j) * means[j]
+    lhs = lhs * _float_factorial(d - 1)
     cn = gegenbauer_sequence(float(lam), n, u_arr)[n]
     cn1 = gegenbauer_at_one(float(lam), n)[n]
     rhs = geg_norm_c(float(lam)) * (1.0 - u_arr * u_arr) ** (d - 1.5) * cn / cn1
@@ -243,14 +275,15 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
     seq = gegenbauer_sequence(float(lam), degmax, x)
     ones = gegenbauer_at_one(float(lam), degmax)
     a = np.array([math.comb(k + d - 2, k) for k in range(degmax)], dtype=float)  # (d-1)_k/k!
-    const = geg_norm_c(float(lam)) / math.factorial(lam)
+    fact = _float_factorial(lam)  # checked before c_lam, which overflows from the same d on
+    const = geg_norm_c(float(lam)) / fact
     rows = np.empty((max_index + 1, x.size))
     for n in range(max_index + 1):
         kmax = (max_index - n) // 2 + 2
         degs = n + 2 * np.arange(kmax + 1)
         degs = degs[degs <= degmax]
         rows[n] = const * np.tensordot(a[: degs.size] / ones[degs], seq[degs], axes=(0, 0))
-    hmat = np.stack([np.asarray(biortho_poly(d, m, x)) for m in range(max_index + 1)])
+    hmat = _biortho_table(d, max_index, x)
     return rows @ (w * hmat).T
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .bspline_fourier import MeanEvaluator
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
-from .numerics import DEFAULT_SEED, shell_count, torus_trapezoid
+from .numerics import DEFAULT_SEED, _check_grid, shell_count, torus_trapezoid
 from .pdf import (GramSpec, _check_gram_size, gram_matrix, min_eigenvalue, pdf_check,
                   spdf_check)
 from .summability import CoeffSeq, SampledTorusFn, _check_phases, partial_sum, synth
@@ -201,7 +201,7 @@ def _cmd_partial_sum(args) -> int:
             f"--L must exceed twice the largest frequency ({max(args.n, trunc)})"
         )
     if args.route == "coefficients":
-        _check_phases(d, args.n, args.L ** d)
+        _check_phases(d, args.n, _check_grid(d, args.L))
     f = SampledTorusFn.sample(d, args.L, lambda pts: synth(d, coeffs, trunc, pts))
     if not args.theta:
         raise ValueError("provide --theta (repeatable)")

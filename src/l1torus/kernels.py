@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .numerics import finite, theta_vector
+from .numerics import _float_factorial, finite, theta_vector
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
 # Entries of the (n+1, d, rows) cosine table taken per row block (128 KiB, in cache)
@@ -132,10 +132,24 @@ def biortho_poly(d: int, n: int, u, form: str = "c"):
     The "c" form is the definition; the "z" form must agree to 1e-11.
     The value equals the (d-1)-st derivative of the shell seed, and at u = 1
     it is (d-1)! times the shell count.  ``u`` may be a scalar or ndarray.
-    Raises ValueError before allocating when the (n+1) * points table of
-    Gegenbauer values exceeds ``_MAX_GEGENBAUER``, and when a value overflows.
+    Row n of :func:`_biortho_table`, with its checks: ValueError before
+    allocating when the (n+1) * points table of Gegenbauer values exceeds
+    ``_MAX_GEGENBAUER`` or (d-1)! is beyond the float range, and when a value
+    of row n overflows.
     """
-    _check_dn(d, n)
+    total = _biortho_table(d, n, u, form, first=n)[n]
+    return total.copy() if np.ndim(u) else float(total)
+
+
+def _biortho_table(d: int, nmax: int, u, form: str = "c", first: int = 0) -> np.ndarray:
+    """Rows biortho_poly(d, n, u) for n = 0, ..., nmax, shape (nmax + 1,) + shape(u).
+
+    One Gegenbauer pass serves every row; row n sums its terms j = 0, 1, ...
+    in the order the definition lists them.  ValueError before allocating when
+    the table exceeds ``_MAX_GEGENBAUER`` values or (d-1)! is beyond the float
+    range, and naming the first row from ``first`` on that overflows.
+    """
+    _check_dn(d, nmax)
     u_arr = finite(u, "u")
     if form == "c":
         lam, base = float(d), d
@@ -143,23 +157,26 @@ def biortho_poly(d: int, n: int, u, form: str = "c"):
         lam, base = float(d - 1), d - 1
     else:
         raise ValueError("form must be 'c' or 'z'")
-    cost = (n + 1) * u_arr.size
+    cost = (nmax + 1) * u_arr.size
     if cost > _MAX_GEGENBAUER:
-        raise ValueError(f"biortho_poly at n = {n} for {u_arr.size} point(s) needs {cost:.3g} "
+        raise ValueError(f"biortho_poly at n = {nmax} for {u_arr.size} point(s) needs {cost:.3g} "
                          f"Gegenbauer values, over the limit of {_MAX_GEGENBAUER:.3g}")
+    scale = _float_factorial(d - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        seq = gegenbauer_sequence(lam, n, u_arr)
-        total = np.zeros(u_arr.shape)
-        for j in range(min(base, n // 2) + 1):
-            k = n - 2 * j
-            term = seq[k] if form == "c" else (k + lam) / lam * seq[k]
-            total = total + (-1) ** j * math.comb(base, j) * term
-        total = math.factorial(d - 1) * total
-    if not np.all(np.isfinite(total)):
-        bad = float(u_arr[~np.isfinite(total)].flat[0])
-        raise ValueError(f"biortho_poly at d = {d}, n = {n} overflows at u = {bad:g}, "
+        terms = gegenbauer_sequence(lam, nmax, u_arr)
+        if form == "z":
+            terms = ((np.arange(nmax + 1) + lam) / lam).reshape((-1,) + (1,) * u_arr.ndim) * terms
+        table = np.zeros(terms.shape)
+        for j in range(min(base, nmax // 2) + 1):  # row n takes the terms j <= n / 2
+            table[2 * j:] += (-1) ** j * math.comb(base, j) * terms[:nmax + 1 - 2 * j]
+        table *= scale
+    bad = ~np.isfinite(table[first:].reshape(nmax + 1 - first, -1))
+    if bad.any():
+        n = first + int(np.argmax(bad.any(axis=1)))
+        at = float(u_arr.reshape(-1)[np.argmax(bad[n - first])])
+        raise ValueError(f"biortho_poly at d = {d}, n = {n} overflows at u = {at:g}, "
                          f"over the limit of {np.finfo(float).max:.3g}")
-    return total if np.ndim(u) else float(total)
+    return table
 
 
 def shell_sum(d: int, n: int, theta) -> float:
@@ -336,8 +353,9 @@ def biortho_generating_pair(d: int, r: float, u: float, nterms: int) -> tuple[fl
         partial += (-1) ** j * math.comb(d, j) * float(
             np.dot(powers[shift:], seq[: nterms - shift + 1])
         )
-    partial *= math.factorial(d - 1)
-    closed = math.factorial(d - 1) * (1 - r * r) ** d / (1 - 2 * r * u + r * r) ** d
+    fact = _float_factorial(d - 1)
+    partial *= fact
+    closed = fact * (1 - r * r) ** d / (1 - 2 * r * u + r * r) ** d
     return partial, closed
 
 
@@ -359,7 +377,7 @@ def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
         if shift > top:
             break
         maj[shift:] += math.comb(d, j) * c1[: top - shift + 1]
-    maj *= math.factorial(d - 1)
+    maj *= _float_factorial(d - 1)
     tail = float(np.dot(maj[nterms + 1:], r ** np.arange(nterms + 1, top + 1)))
     ratio = r * ((top + 2.0 * d) / (top + 1.0)) ** (2 * d)
     rest = maj[top] * r**top * ratio / (1 - ratio) if ratio < 1 else math.inf

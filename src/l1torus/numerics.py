@@ -20,6 +20,7 @@ MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it 
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
 _MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n one shell_enumerate may cache
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
+_MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -56,11 +57,13 @@ class QuadRule:
             raise ValueError("quadrature weights must be positive")
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(npts: int) -> QuadRule:
     """Gauss-Legendre rule with ``npts`` nodes on [-1, 1].
 
     Exact for polynomials of degree 2*npts - 1; nodes lie strictly inside
-    the interval.
+    the interval.  Rules are cached: each order is built once, and its
+    read-only arrays are shared by every caller.
     """
     if npts < 1:
         raise ValueError("npts must be >= 1")
@@ -89,18 +92,36 @@ def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
     over the torus; exponentials exp(i a.theta) with max|a_j| < npts_per_axis
     integrate exactly (to 1 for a = 0, otherwise 0).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if npts_per_axis < 1:
-        raise ValueError("npts_per_axis must be >= 1")
-    if npts_per_axis**d * d > _MAX_GRID_FLOATS:
-        raise ValueError(f"a torus grid of {npts_per_axis}^{d} nodes holds "
-                         f"{npts_per_axis**d * d:.3g} floats, over the limit of {_MAX_GRID_FLOATS:.3g}")
+    _check_grid(d, npts_per_axis)
     axis = -np.pi + 2.0 * np.pi * np.arange(npts_per_axis) / npts_per_axis
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     weights = np.full(npts_per_axis**d, float(npts_per_axis) ** (-d))
     return QuadRule(nodes, weights)
+
+
+def _check_grid(d: int, npts_per_axis: int) -> int:
+    """The node count npts_per_axis^d of a torus grid; ValueError when its nodes x d
+    floats exceed ``_MAX_GRID_FLOATS``.  The bound is compared in log2 first, so a
+    large d is refused without forming the exact power."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if npts_per_axis < 1:
+        raise ValueError("npts_per_axis must be >= 1")
+    bits = d * math.log2(npts_per_axis) + math.log2(d)
+    if bits > math.log2(_MAX_GRID_FLOATS) + 1 or npts_per_axis**d * d > _MAX_GRID_FLOATS:
+        size = f"{npts_per_axis**d * d:.3g}" if bits < 1000 else f"2^{bits:.4g}"
+        raise ValueError(f"a torus grid of {npts_per_axis}^{d} nodes holds "
+                         f"{size} floats, over the limit of {_MAX_GRID_FLOATS:.3g}")
+    return npts_per_axis**d
+
+
+def _float_factorial(k: int) -> float:
+    """k! as a float; ValueError when it is beyond the float range (k > 170)."""
+    if k > _MAX_FACTORIAL:
+        raise ValueError(f"{k}! is over the limit of {np.finfo(float).max:.3g}, "
+                         f"the largest float")
+    return float(math.factorial(k))
 
 
 @lru_cache(maxsize=None)

@@ -56,23 +56,6 @@ def _classes(residues, g: int) -> set[int]:
     return {r % g for r in residues} | {(-r) % g for r in residues}
 
 
-def _pair_settled(coeffs: CoeffSeq, n: int, l: int) -> bool:
-    """Exact decision: does some m >= 0 give a positive coefficient at
-    n + m*l or (l - n) + m*l?  Head indices are scanned directly; the tail is
-    decided in closed form (progressions are infinite, so residue membership
-    suffices)."""
-    pos = {i for i, v in enumerate(coeffs.head) if v > 0.0}
-    top = coeffs.max_head_index
-    for start in (n, l - n):
-        idx = start
-        while idx <= top:
-            if idx in pos:
-                return True
-            idx += l
-    g = math.gcd(l, coeffs.tail.modulus)
-    return n % g in _classes(coeffs.tail.residues, g)
-
-
 def spdf_check(coeffs: CoeffSeq) -> CheckResult:
     """Strict positive definiteness certificate.
 
@@ -82,18 +65,25 @@ def spdf_check(coeffs: CoeffSeq) -> CheckResult:
     because a finite head cannot settle arbitrarily long pair progressions.
     On failure the smallest failing pair (lexicographically by l, then n) is
     returned, found by an exact search whose termination bound comes from
-    the certificate's proof.
+    the certificate's proof.  The head's positivity table and the classes
+    (R union -R) mod g of each divisor g are built once per check.
     """
     if not pdf_check(coeffs).ok:
         raise ValueError("strictness is only defined for nonnegative sequences")
     tail = coeffs.tail
     q = tail.modulus
-    if all(len(_classes(tail.residues, g)) == g for g in range(1, q + 1) if q % g == 0):
+    classes = {g: _classes(tail.residues, g) for g in range(1, q + 1) if q % g == 0}
+    if all(len(c) == g for g, c in classes.items()):
         return CheckResult(True, None)
+    head_pos = coeffs.is_positive(np.arange(len(coeffs.head))).tolist()
     l_cap = 2 * (coeffs.max_head_index + 1) + 3 * q + 8
     for l in range(1, l_cap + 1):
+        g = math.gcd(l, q)
         for n in range(l):
-            if not _pair_settled(coeffs, n, l):
+            # Settled when a head index n + m*l or (l - n) + m*l is positive, or
+            # by the tail in closed form: its progressions are infinite, so
+            # residue membership suffices.
+            if not (any(head_pos[n::l]) or any(head_pos[l - n::l]) or n % g in classes[g]):
                 return CheckResult(False, (n, l))
     raise RuntimeError("witness search exceeded its theoretical bound")
 
@@ -101,18 +91,17 @@ def spdf_check(coeffs: CoeffSeq) -> CheckResult:
 def spdf_pair_search(coeffs: CoeffSeq, pair_limit: int = 40, m_limit: int = 200) -> list[tuple[int, int]]:
     """Brute-force cross-check: pairs (n, l) with n < l <= pair_limit that no
     m <= m_limit settles.  Independent of the closed-form reasoning in
-    :func:`spdf_check` (up to the window limits)."""
+    :func:`spdf_check` (up to the window limits): one positivity table over the
+    indices 0 ... pair_limit (m_limit + 1) is built by ``is_positive``, and each
+    pair reads its two progressions from it as strided slices."""
     if not pdf_check(coeffs).ok:
         raise ValueError("strictness is only defined for nonnegative sequences")
+    pos = coeffs.is_positive(np.arange(max(pair_limit * (m_limit + 1) + 1, 0)))
     failures = []
     for l in range(1, pair_limit + 1):
+        span = m_limit * l + 1  # the indices start + m*l, m = 0 ... m_limit
         for n in range(l):
-            ok = False
-            for m in range(m_limit + 1):
-                if coeffs.is_positive(n + m * l) or coeffs.is_positive((l - n) + m * l):
-                    ok = True
-                    break
-            if not ok:
+            if not (pos[n:n + span:l].any() or pos[l - n:l - n + span:l].any()):
                 failures.append((n, l))
     return failures
 

@@ -49,8 +49,13 @@ class Tail:
         if any(not (0 <= r < self.modulus) for r in self.residues):
             raise ValueError("residues must lie in [0, modulus)")
 
-    def positive(self, n: int) -> bool:
-        return n >= self.n0 and (n % self.modulus) in self.residues
+    def positive(self, n):
+        """Whether index n, or each index of the int array n, is positive by the rule."""
+        r = n % self.modulus
+        hit = False
+        for res in self.residues:
+            hit = hit | (r == res)
+        return (n >= self.n0) & hit
 
 
 # tail kind of a JSON spec -> the keys its object must carry (n0 defaults to 0)
@@ -89,13 +94,19 @@ class CoeffSeq:
             raise ValueError("index must be >= 0")
         return self.head[n] if n < len(self.head) else 0.0
 
-    def is_positive(self, n: int) -> bool:
-        """Sign information: head entry > 0, or the tail rule beyond it."""
-        if n < 0:
+    def is_positive(self, n):
+        """Sign information: head entry > 0, or the tail rule beyond it.
+
+        ``n`` is one index, or an int array of them: then one bool per index,
+        the positivity table the strictness checks scan.  Both take this one rule.
+        """
+        idx = np.asarray(n, dtype=np.int64)
+        if idx.min(initial=0) < 0:
             raise ValueError("index must be >= 0")
-        if n < len(self.head):
-            return self.head[n] > 0.0
-        return self.tail.positive(n)
+        head = np.array(self.head) > 0.0
+        out = np.where(idx < head.size, head[np.minimum(idx, head.size - 1)],
+                       self.tail.positive(idx))
+        return out if idx.ndim else bool(out)
 
     @classmethod
     def from_json(cls, obj) -> "CoeffSeq":

@@ -21,8 +21,8 @@ from .bspline import bspline_values
 from .bspline_fourier import (biorthogonality_matrix, mean_d2_closed,
                               mean_recursion_sides, mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
-from .kernels import (_shell_table, biortho_generating_pair,
-                      biortho_generating_tail, biortho_poly, dirichlet_kernel_batch,
+from .kernels import (_biortho_table, _shell_table, biortho_generating_pair,
+                      biortho_generating_tail, dirichlet_kernel_batch,
                       dirichlet_seed, poisson_divdiff, poisson_kernel, poisson_product,
                       shell_seed, shell_sum_batch)
 from .numerics import (DEFAULT_SEED, MAX_DRAWS, gauss_legendre, rel_err, shell_count,
@@ -96,16 +96,18 @@ def sample_separated_theta(rng: np.random.Generator, d: int, count: int,
     return out
 
 
-def field_integrals(d: int, theta, integrands: list[Callable], nodes_per_segment: int = 32) -> list[float]:
-    """Integrals of integrand(u) * M_{d-1}(u | cos theta) du over the line.
+def field_integrals(d: int, theta, integrand: Callable, nodes_per_segment: int = 32) -> list[float]:
+    """Integrals of each row of integrand(u) times M_{d-1}(u | cos theta) du over the line.
 
+    ``integrand`` maps the 1-D array of quadrature nodes to rows of values at
+    them, shape (rows, nodes); one integral is returned per row.
     Piecewise Gauss-Legendre between consecutive sorted knots; the B-spline
     is polynomial on every segment, so smooth integrands converge fast.
     Each segment [a, b] is split into ceil(4 (b - a)) equal panels of length
     at most 1/4: one rule over a long segment loses accuracy when the
     integrand has a pole just beyond its end, as the Poisson kernel
     (1 - 2ru + r^2)^(-d) does at u = (1 + r^2) / (2r).  The B-spline values
-    at all nodes are computed in one call and shared across the integrands.
+    at all nodes are computed in one call and shared across the rows.
     """
     knots = np.sort(np.cos(theta_vector(theta, d)))
     if knots[0] == knots[-1]:
@@ -117,7 +119,7 @@ def field_integrals(d: int, theta, integrands: list[Callable], nodes_per_segment
     hi = np.concatenate([c[1:] for c in cuts])[:, None]
     x = (0.5 * (hi - lo) * gl.nodes + 0.5 * (lo + hi)).ravel()
     wm = (0.5 * (hi - lo) * gl.weights).ravel() * bspline_values(knots, x)
-    return [float(np.dot(wm, np.asarray(fn(x), dtype=float))) for fn in integrands]
+    return [float(np.dot(wm, row)) for row in np.asarray(integrand(x), dtype=float)]
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,11 @@ def _shell_count(cfg: VerifyConfig):
     errors = []
     for d in dims:
         shell_enumerate(d, nmax)  # the loop below builds no larger shell: fail before any
+        at_one = _biortho_table(d, nmax, 1.0).tolist()
         for n in range(nmax + 1):
             count = shell_count(d, n)
             enum = len(shell_enumerate(d, n))
-            via_poly = round(float(biortho_poly(d, n, 1.0))) / math.factorial(d - 1)
+            via_poly = round(at_one[n]) / math.factorial(d - 1)
             errors += [abs(count - enum), abs(count - via_poly)]
     return {"dims": list(dims), "nmax": nmax}, errors, {}
 
@@ -194,9 +197,9 @@ def _shell_integral(cfg: VerifyConfig):
     errors = []
     for d in dims:
         thetas = sample_separated_theta(rng, d, 30)
-        integrands = [partial(biortho_poly, d, n) for n in range(nmax + 1)]
+        rows = partial(_biortho_table, d, nmax)
         for t, ref in zip(thetas, _shell_table(d, nmax, thetas).tolist()):
-            errors += map(rel_err, field_integrals(d, t, integrands), ref)
+            errors += map(rel_err, field_integrals(d, t, rows), ref)
     return {"dims": list(dims), "n_range": [0, nmax], "points": 30}, errors, {}
 
 
@@ -233,7 +236,9 @@ def _poisson_bspline(cfg: VerifyConfig):
     rng = np.random.default_rng([cfg.seed, 5])
     errors = []
     for d in dims:
-        powers = [(lambda x, r=r: (1.0 - 2.0 * r * x + r * r) ** (-d)) for r in rs]
+        def powers(x, d=d):
+            return [(1.0 - 2.0 * r * x + r * r) ** (-d) for r in rs]
+
         for t in sample_separated_theta(rng, d, 10):
             lhs = field_integrals(d, t, powers, nodes_per_segment=40)
             errors += [rel_err(math.factorial(d - 1) * v,
@@ -320,9 +325,9 @@ def _mean_methods(cfg: VerifyConfig):
     nmax = cfg.nmax if cfg.nmax is not None else 4
     us = np.linspace(-0.99, 0.99, 50)
     errors = []
-    for n in range(nmax + 1):  # nterms None: each point takes its own number of terms
-        errors += map(rel_err, mean_series(2, n, us, nterms=cfg.nterms),
-                      [mean_d2_closed(n, math.acos(u)) for u in us])
+    # every order from one pass; nterms None: each point takes its own number of terms
+    for n, series in enumerate(mean_series(2, range(nmax + 1), us, nterms=cfg.nterms)):
+        errors += map(rel_err, series, [mean_d2_closed(n, math.acos(u)) for u in us])
     return {"nmax": nmax, "nterms": cfg.nterms, "grid": 50}, errors, {}
 
 

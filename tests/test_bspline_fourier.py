@@ -15,9 +15,11 @@ from l1torus.bspline_fourier import (
     mean_series,
     mean_torus_mc,
 )
+from l1torus import bspline_fourier as bf
 from l1torus.bspline import knot_field_batch
 from l1torus.kernels import shell_sum_batch
 from l1torus.numerics import gauss_legendre, shell_count
+from l1torus.polys import geg_norm_c
 
 TOL = 1e-10
 
@@ -124,6 +126,69 @@ def test_series_terms_are_chosen_per_point():
     assert abs(mean_series(3, 1, np.array([0.5, 0.999]))[0] - alone) < 1e-15
     with pytest.raises(ValueError, match="nterms must be >= 1"):
         mean_series(3, 1, 0.5, nterms=0)
+
+
+def _series_one_order(d, n, u, nterms=None):
+    """The single-order pass as it stood before orders were batched: k outer,
+    R stepped up to n + 2k inside; the reference for bit-identity."""
+    u_arr = np.asarray(u, dtype=float)
+    terms = (np.ceil(100.0 / np.arccos(np.abs(u_arr))) if nterms is None
+             else np.full(u_arr.shape, float(nterms)))
+    kmax = int(terms.max(initial=0))
+    lam = d - 1.0
+    expo = -36.0 / terms ** 8
+    prev, cur, total = np.zeros_like(u_arr), np.ones_like(u_arr), np.zeros_like(u_arr)
+    m = 0
+    for k in range(kmax):
+        while m < n + 2 * k:
+            m += 1
+            prev, cur = cur, ((2.0 * (m + lam - 1.0) * u_arr * cur - (m - 1.0) * prev)
+                              / (m + 2.0 * lam - 1.0))
+        a_k = float(math.comb(k + d - 2, k))
+        total += np.where(k < terms, a_k * np.exp(k ** 8 * expo), 0.0) * cur
+    return (1.0 - u_arr * u_arr) ** (d - 1.5) * geg_norm_c(lam) / math.factorial(d - 1) * total
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("orders", [[0, 1, 2, 3, 4], [5, 1, 8, 2], [3], [2, 2, 6]])
+@pytest.mark.parametrize("nterms", [None, 150])
+def test_series_orders_batch_is_one_call_per_order(d, orders, nterms):
+    us = np.linspace(-0.99, 0.99, 23)
+    rows = mean_series(d, orders, us, nterms=nterms)
+    assert rows.shape == (len(orders), us.size)
+    for order, row in zip(orders, rows):
+        alone = mean_series(d, order, us, nterms=nterms)
+        assert np.array_equal(row, alone)
+        assert np.array_equal(alone, _series_one_order(d, order, us, nterms))
+    at_point = mean_series(d, orders, 0.37, nterms=nterms)
+    assert at_point.shape == (len(orders),)
+    assert at_point.tolist() == [mean_series(d, order, 0.37, nterms=nterms) for order in orders]
+    assert at_point.tolist() == [float(_series_one_order(d, order, 0.37, nterms))
+                                 for order in orders]
+
+
+def test_series_orders_batch_checks_its_largest_order(monkeypatch):
+    with pytest.raises(ValueError, match="n = 1000000000000, .* over the limit"):
+        mean_series(3, [0, 10**12], 0.5)
+    with pytest.raises(ValueError, match="index n must be >= 0"):
+        mean_series(3, [1, -1], 0.5)
+    # 96 terms at u = 0.5: the largest order n steps through n + 191 values, and
+    # the second order adds its 96 terms
+    monkeypatch.setattr(bf, "_MAX_SERIES_VALUES", 7 + 191 + 96)
+    mean_series(3, [0, 7], 0.5)
+    with pytest.raises(ValueError, match="n = 8, K = 96"):
+        mean_series(3, [0, 8], 0.5)
+    assert mean_series(3, [], 0.5).shape == (0,)
+    with pytest.raises(ValueError, match="over the limit"):  # refused before it is listed
+        mean_series(3, range(10**12), 0.5)
+
+
+def test_series_refuses_dimensions_beyond_the_factorial_range():
+    with pytest.raises(ValueError, match="171! is over the limit"):
+        mean_series(172, 1, 0.5)
+    with pytest.raises(ValueError, match="199! is over the limit"):
+        mean_order0_closed(200, 0.5)
+    assert math.isfinite(mean_series(171, 1, 0.5))
 
 
 def test_series_memory_does_not_grow_with_terms():

@@ -117,6 +117,10 @@ def test_kernel_cost_is_bounded_before_allocation(capsys, argv):
     ["mnd", "--d", "3", "--n", "1000000000000", "--method", "mc", "--u", "0.5",
      "--budget", "400"],
     ["count", "--d", "3", "--nmax", "1000000000"],
+    # (d - 1)! is beyond the float range from d = 172 on
+    ["mnd", "--d", "172", "--n", "1", "--u", "0.5"],
+    ["mnd", "--d", "200", "--n", "0", "--method", "closed", "--u", "0.5"],
+    ["kernel", "--d", "172", "--n", "0", "--what", "h", "--u", "0.5"],
 ])
 def test_request_cost_is_bounded_before_allocation(capsys, coeff_spec, argv):
     if argv[0] in ("pdf", "partial-sum"):
@@ -557,10 +561,16 @@ def test_count_prints_large_counts_exactly(capsys):
     ["mnd", "--d", "2", "--n", "1", "--method", "mc", "--u", "0.3",
      "--budget", "1000000000000"],
     ["verify", "--suite", "mean-mc", "--budget", "1000000000000"],
+    # the exact node count 5^(10^9) of the grid alone would run for minutes
+    ["partial-sum", "--d", "1000000000", "--n", "1", "--L", "5", "--theta", "0"],
+    ["partial-sum", "--d", "1000000000", "--n", "1", "--L", "5", "--theta", "0",
+     "--route", "convolution"],
 ])
-def test_oversized_requests_exit_two_in_a_fresh_process(argv):
+def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
     # a separate process under a timeout: a request that runs instead of being
     # refused fails the test rather than hanging the suite
+    if argv[0] == "partial-sum":
+        argv = [*argv, "--spec", coeff_spec]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -23,6 +23,7 @@ from l1torus.kernels import (
     shell_sum,
     shell_sum_batch,
     _BLOCK_ENTRIES,
+    _biortho_table,
     _dirichlet_finish,
     _shell_core,
     _shell_finish,
@@ -31,6 +32,7 @@ from l1torus.kernels import (
     _times,
 )
 from l1torus.numerics import rel_err, shell_count, shell_enumerate
+from l1torus.polys import gegenbauer_sequence
 
 TOL = 1e-12
 
@@ -389,6 +391,47 @@ def test_biortho_poly_is_high_derivative_of_shell_seed(d, n, rng):
     got = biortho_poly(d, n, u)
     scale = max(1.0, float(np.max(np.abs(deriv))))
     assert np.max(np.abs(got - deriv)) < 1e-10 * scale
+
+
+def _biortho_row(d, n, u, form):
+    """One row by the definition's own loop over j, as biortho_poly summed it
+    before the table: the reference the table must reproduce bit for bit."""
+    lam, base = (float(d), d) if form == "c" else (float(d - 1), d - 1)
+    u = np.asarray(u, dtype=float)
+    seq = gegenbauer_sequence(lam, n, u)
+    total = np.zeros(u.shape)
+    for j in range(min(base, n // 2) + 1):
+        k = n - 2 * j
+        term = seq[k] if form == "c" else (k + lam) / lam * seq[k]
+        total = total + (-1) ** j * math.comb(base, j) * term
+    return math.factorial(d - 1) * total
+
+
+@pytest.mark.parametrize("form", ["c", "z"])
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+@pytest.mark.parametrize("nmax", [0, 1, 8, 30])
+def test_biortho_table_rows_are_the_scalar_values(form, d, nmax, rng):
+    us = rng.uniform(-1.0, 1.0, 13)
+    table = _biortho_table(d, nmax, us, form)
+    assert table.shape == (nmax + 1, us.size)
+    for n in range(nmax + 1):
+        assert np.array_equal(table[n], _biortho_row(d, n, us, form))
+        assert np.array_equal(table[n], biortho_poly(d, n, us, form=form))
+    for u in us[:3].tolist():
+        column = _biortho_table(d, nmax, u, form)
+        assert column.shape == (nmax + 1,)
+        assert column.tolist() == [float(_biortho_row(d, n, u, form)) for n in range(nmax + 1)]
+        assert column.tolist() == [biortho_poly(d, n, u, form=form) for n in range(nmax + 1)]
+
+
+def test_biortho_table_keeps_the_checks():
+    with pytest.raises(ValueError, match="over the limit"):
+        _biortho_table(3, 10**12, 0.5)
+    with pytest.raises(ValueError, match="n = 2 overflows at u = 1e\\+200"):
+        _biortho_table(3, 4, np.array([0.5, 1e200]))
+    with pytest.raises(ValueError, match="171! is over the limit"):
+        biortho_poly(172, 0, 0.5)
+    assert biortho_poly(171, 0, 0.5) == float(math.factorial(170))
 
 
 def test_biortho_generating_pair_partial_vs_closed(rng):

@@ -46,6 +46,12 @@ def test_gauss_legendre_exact_on_polynomials(npts):
         assert abs(got - exact) < TOL
 
 
+def test_gauss_legendre_rules_are_cached_and_read_only():
+    rule = gauss_legendre(32)
+    assert gauss_legendre(32) is rule
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 3.0])
 def test_gauss_gegenbauer_matches_beta_moments(lam):
     # integral of t^(2j) (1-t^2)^(lam-1/2) dt = B(j+1/2, lam+1/2)

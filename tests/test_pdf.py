@@ -1,4 +1,5 @@
 """Positive definiteness and strictness certificates for shell-coefficient kernels."""
+import functools
 import math
 
 import numpy as np
@@ -106,6 +107,41 @@ def test_certificate_agrees_with_brute_force_window():
         else:
             assert failures, f"certificate failed {s} but window found nothing"
             assert verdict.witness in failures
+
+
+def _pair_search_by_index(coeffs, pair_limit, m_limit):
+    """The brute-force search by one is_positive call per index, as it stood
+    before the positivity table: the reference the table search must match
+    (each index's sign is asked once and remembered, to keep the loop quick)."""
+    sign = functools.cache(coeffs.is_positive)
+    failures = []
+    for l in range(1, pair_limit + 1):
+        for n in range(l):
+            if not any(sign(n + m * l) or sign((l - n) + m * l) for m in range(m_limit + 1)):
+                failures.append((n, l))
+    return failures
+
+
+@pytest.mark.parametrize("window", [(40, 200), (30, 120), (7, 3), (1, 0)])
+def test_pair_search_table_matches_the_per_index_search(window):
+    from l1torus.verify import _SPDF_SPECS
+
+    for head, n0, q, res in _SPDF_SPECS:
+        c = CoeffSeq(head, Tail(n0, q, frozenset(res)))
+        assert spdf_pair_search(c, *window) == _pair_search_by_index(c, *window)
+
+
+def test_positivity_table_is_the_scalar_rule():
+    from l1torus.verify import _SPDF_SPECS
+
+    idx = np.arange(501)
+    for head, n0, q, res in _SPDF_SPECS:
+        c = CoeffSeq(head, Tail(n0, q, frozenset(res)))
+        table = c.is_positive(idx)
+        assert table.dtype == bool
+        assert table.tolist() == [c.is_positive(i) for i in range(501)]
+        assert table.tolist() == [c.head[i] > 0.0 if i < len(c.head) else c.tail.positive(i)
+                                  for i in range(501)]
 
 
 # ------------------------------------------------------------ Gram matrix
