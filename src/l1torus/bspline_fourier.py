@@ -34,6 +34,7 @@ from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 SERIES_EDGE_MARGIN = 1e-3
 _SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
+_MAX_SERIES_TERMS = math.ceil(_SERIES_REACH / math.acos(1.0 - SERIES_EDGE_MARGIN))  # K at the edge
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
 _MC_BATCH_PAIRS = 50_000  # antithetic pairs drawn per Monte-Carlo batch
@@ -76,9 +77,12 @@ def mean_order0_closed(d: int, u: float) -> float:
     u = float(u)
     if abs(u) > 1.0:
         return 0.0
-    const = math.gamma((d + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(d / 2.0)
-                                         * _float_factorial(d - 1))
-    return const * (1.0 - u * u) ** ((d - 2) / 2.0)
+    # Gamma(d/2) (d-1)! overflows from d = 150 on: divide by the factors one at a time.
+    # Both the constant and the power are at least their product, so neither
+    # underflows where the value does not.
+    fact = _float_factorial(d - 1)
+    const = math.gamma((d + 1) / 2.0) / math.sqrt(math.pi) / math.gamma(d / 2.0)
+    return const / fact * (1.0 - u * u) ** ((d - 2) / 2.0)
 
 
 def mean_order0_integral(d: int) -> float:
@@ -97,7 +101,7 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     a_k = (d-1)_k/k!, R_m = C_m^{d-1}(u)/C_m^{d-1}(1).  The filter sigma(eta) =
     exp(-36 eta^8) makes the conditionally convergent series converge spectrally
     away from u = +-1.  K = ceil(100 / arccos|u|) per point (``nterms``, if given,
-    everywhere).  Requires |u| <= 1 - SERIES_EDGE_MARGIN (so K <= 2 236).
+    everywhere).  Requires |u| <= 1 - SERIES_EDGE_MARGIN (so K <= _MAX_SERIES_TERMS = 2 236).
 
     ``n`` is one order, or a sequence of orders: then the result has one row per
     order, shape (len(n),) + shape(u), each row the value one call at that order

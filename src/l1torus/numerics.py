@@ -1,8 +1,9 @@
 """Shared numerical infrastructure.
 
-Quadrature rules (Gauss-Legendre, Gauss-Gegenbauer, tensor trapezoid on the
-torus), enumeration and counting of l1 lattice shells, the mixed error measure,
-and the finiteness and torus-point validators used throughout the package.
+Quadrature rules (Gauss-Legendre, Gauss-Gegenbauer by the Golub-Welsch
+eigenvalue method, tensor trapezoid on the torus), enumeration and counting of
+l1 lattice shells, the mixed error measure, and the finiteness and torus-point
+validators used throughout the package.  The package needs numpy alone.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_gegenbauer
 
 DEFAULT_SEED = 1234567
 MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it gives up
@@ -21,6 +21,7 @@ _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid m
 _MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n one shell_enumerate may cache
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
+_MAX_RULE_NODES = 1 << 10  # nodes of one Gauss-Gegenbauer rule, a dense npts x npts eigenproblem
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -75,13 +76,34 @@ def gauss_gegenbauer(npts: int, lam: float) -> QuadRule:
     """Gauss rule for the weight (1 - x^2)^(lam - 1/2) on [-1, 1].
 
     sum(w_i * f(x_i)) approximates the weighted integral of f; exact when f
-    is a polynomial of degree <= 2*npts - 1.  Requires lam > -1/2.
+    is a polynomial of degree <= 2*npts - 1.  Requires lam > -1/2 and
+    npts <= ``_MAX_RULE_NODES``.
+
+    Built by the Golub-Welsch method (Math. Comp. 23, 1969): the nodes are the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the monic
+    Gegenbauer recurrence, zero diagonal and off-diagonal
+    b_k = sqrt(k (k + 2 lam - 1) / (4 (k + lam) (k + lam - 1))), k = 1 .. npts - 1,
+    and weight i is mu_0 v_0i^2, v_0i the first component of eigenvector i and
+    mu_0 = sqrt(pi) Gamma(lam + 1/2) / Gamma(lam + 1) the total weight.  The
+    rule is made symmetric about 0, as the weight is.
     """
     if npts < 1:
         raise ValueError("npts must be >= 1")
     if lam <= -0.5:
         raise ValueError("lam must exceed -1/2")
-    nodes, weights = roots_gegenbauer(npts, lam)
+    if npts > _MAX_RULE_NODES:
+        raise ValueError(f"a Gauss-Gegenbauer rule of {npts} nodes is over the limit of "
+                         f"{_MAX_RULE_NODES} nodes")
+    off = np.empty(npts - 1)
+    off[:1] = math.sqrt(0.5 / (1.0 + lam))  # b_1: the general form is 0/0 at lam = 0
+    k = np.arange(2.0, npts)
+    off[1:] = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(off, -1))  # eigh reads the lower triangle only
+    mu0 = math.sqrt(math.pi) * math.exp(math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0))
+    weights = mu0 * vecs[0] ** 2
+    # x_i = -x_(n-1-i) and w_i = w_(n-1-i) exactly
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
     return QuadRule(nodes, weights)
 
 

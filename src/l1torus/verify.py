@@ -18,10 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .bspline import bspline_values
-from .bspline_fourier import (biorthogonality_matrix, mean_d2_closed,
+from .bspline_fourier import (_MAX_MC_BUDGET, _MAX_SERIES_TERMS, _MAX_SERIES_VALUES,
+                              biorthogonality_matrix, mean_d2_closed,
                               mean_recursion_sides, mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
-from .kernels import (_biortho_table, _shell_table, biortho_generating_pair,
+from .kernels import (_MAX_COST, _biortho_table, _shell_table, biortho_generating_pair,
                       biortho_generating_tail, dirichlet_kernel_batch,
                       dirichlet_seed, poisson_divdiff, poisson_kernel, poisson_product,
                       shell_seed, shell_sum_batch)
@@ -147,6 +148,16 @@ def _dims(cfg: VerifyConfig, default: tuple[int, ...]) -> tuple[int, ...]:
     return (cfg.d,) if cfg.d is not None else default
 
 
+def _check_loop(what: str, cost: int, limit: int):
+    """Refuse a suite's loop over the orders n <= nmax before it starts.
+
+    ``cost`` counts every order at the top order's cost, in the unit of the
+    route's own per-call ``limit``: the whole loop may cost what one call may.
+    """
+    if cost > limit:
+        raise ValueError(f"{what}: cost {cost:.3g}, over the limit of {limit:.3g}")
+
+
 @_suite("shell-count", 0.0,
         "l1 shell cardinality: generating-function count, direct "
         "enumeration, and biortho_poly(d, n, 1)/(d-1)! agree as integers")
@@ -170,6 +181,8 @@ def _seed_divdiff(cfg: VerifyConfig, stream: int, first_n: int, seed, reference)
     the batched lattice sum ``reference(d, n, thetas)``, for first_n <= n <= nmax."""
     dims = _dims(cfg, (2, 3, 4))
     nmax = cfg.nmax if cfg.nmax is not None else 8
+    _check_loop(f"lattice sums at 30 points, n = {first_n} ... {nmax}",
+                30 * sum(dims) * max(nmax - first_n + 1, 0) * (nmax + 1) ** 2, _MAX_COST)
     rng = np.random.default_rng([cfg.seed, stream])
     errors = []
     for d in dims:
@@ -307,10 +320,15 @@ def _mean_recursion(cfg: VerifyConfig):
     dims = _dims(cfg, (2, 3))
     rng = np.random.default_rng([cfg.seed, 8])
     us = rng.uniform(-0.9, 0.9, 20)
+    nmaxes = [cfg.nmax if cfg.nmax is not None else (5 if d == 2 else 3) for d in dims]
+    # one order's d means step through at most this many series values per point
+    # (the d = 2 closed form sums fewer terms)
+    _check_loop(f"mean recursion at 20 points, n = 0 ... {max(nmaxes)}", sum(
+        us.size * (nmax + 1) * (nmax + 2 * d - 1 + (d + 1) * _MAX_SERIES_TERMS)
+        for d, nmax in zip(dims, nmaxes)), _MAX_SERIES_VALUES)
     errors, details = [], {}
-    for d in dims:
+    for d, nmax in zip(dims, nmaxes):
         tol_d = 1e-10 if d == 2 else 1e-12
-        nmax = cfg.nmax if cfg.nmax is not None else (5 if d == 2 else 3)
         worst = float(np.max([list(map(rel_err, *mean_recursion_sides(d, n, us)))
                               for n in range(nmax + 1)]))
         details[f"d={d}"] = {"max_error": worst, "tolerance": tol_d, "nmax": nmax}
@@ -336,11 +354,15 @@ def _mean_methods(cfg: VerifyConfig):
         "normalized shell sum matches the deterministic mean within 3 sigma")
 def _mean_mc(cfg: VerifyConfig):
     dims = _dims(cfg, (2, 3))
+    plan = [(d, cfg.budget if cfg.budget is not None else (200_000 if d == 2 else 500_000),
+             (-0.6, 0.0, 0.6) if d == 2 else (-0.5, 0.0, 0.5),
+             cfg.nmax if cfg.nmax is not None else (3 if d == 2 else 4)) for d in dims]
+    _check_loop("Monte-Carlo evaluations", sum(len(us) * (nmax + 1) * budget
+                                               for _, budget, us, nmax in plan), _MAX_MC_BUDGET)
+    _check_loop("Monte-Carlo shell sums", sum(len(us) * (nmax + 1) ** 3 * (budget // 2) * d
+                                              for d, budget, us, nmax in plan), _MAX_COST)
     errors, cases = [], []
-    for d in dims:
-        budget = cfg.budget if cfg.budget is not None else (200_000 if d == 2 else 500_000)
-        us = (-0.6, 0.0, 0.6) if d == 2 else (-0.5, 0.0, 0.5)
-        nmax = cfg.nmax if cfg.nmax is not None else (3 if d == 2 else 4)
+    for d, budget, us, nmax in plan:
         for n in range(nmax + 1):
             for u in us:
                 ref = mean_d2_closed(n, math.acos(u)) if d == 2 else mean_series(d, n, u)

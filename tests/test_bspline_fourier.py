@@ -45,6 +45,16 @@ def test_order0_d4_value():
     assert mean_order0_closed(4, 1.5) == 0.0
 
 
+@pytest.mark.parametrize("d", [100, 150, 171])
+def test_order0_closed_form_matches_the_series_at_large_d(d):
+    # Gamma(d/2) (d-1)! formed as one product overflowed, so the value read 0.0
+    # from d = 150 on; the series itself drifts from the closed form beyond
+    # |u| ~ 0.3 at these d
+    for u in (-0.3, 0.0, 0.2):
+        series = mean_series(d, 0, u)
+        assert abs(mean_order0_closed(d, u) - series) <= 1e-7 * series
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_order0_integral_identities(d):
     exact = 1.0 / math.factorial(d - 1)

@@ -555,6 +555,13 @@ def test_count_prints_large_counts_exactly(capsys):
     assert row["count"] == str(shell_count(3, 10**12)) == "4000000000000000000000002"
 
 
+def _fresh_env() -> dict:
+    """The environment of a child interpreter that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--d", "1000000000", "--n", "1000000000"],
     ["verify", "--suite", "shell-count", "--d", "1000000000", "--nmax", "1000000000"],
@@ -565,21 +572,43 @@ def test_count_prints_large_counts_exactly(capsys):
     ["partial-sum", "--d", "1000000000", "--n", "1", "--L", "5", "--theta", "0"],
     ["partial-sum", "--d", "1000000000", "--n", "1", "--L", "5", "--theta", "0",
      "--route", "convolution"],
+    # each order of these loops is within its own bound; the loop as a whole is not
+    ["verify", "--suite", "shell-divdiff", "--nmax", "1000000000000"],
+    ["verify", "--suite", "dirichlet-divdiff", "--nmax", "1000000000000"],
+    ["verify", "--suite", "mean-recursion", "--nmax", "1000000000000"],
+    ["verify", "--suite", "mean-mc", "--nmax", "1000000000000"],
+    ["verify", "--suite", "mean-mc", "--nmax", "20000", "--budget", "4"],
+    ["verify", "--suite", "biortho", "--N", "30000"],
+    ["verify", "--suite", "biortho", "--N", "100000000"],
 ])
 def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
     # a separate process under a timeout: a request that runs instead of being
     # refused fails the test rather than hanging the suite
     if argv[0] == "partial-sum":
         argv = [*argv, "--spec", coeff_spec]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "l1torus.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", *argv], env=_fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
     (line,) = done.stderr.strip().splitlines()
     assert "over the limit" in line
+
+
+def test_no_scipy_module_is_loaded_at_run_time(tmp_path):
+    # numpy alone at run time: scipy is a test oracle only, and its import cost
+    # would come back in every CLI call
+    script = ("import sys\n"
+              "import l1torus, l1torus.cli\n"
+              "code = l1torus.cli.main(['verify', '--budget', '4000', '--out', sys.argv[1]])\n"
+              "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    out = tmp_path / "verify.json"
+    done = subprocess.run([sys.executable, "-c", script, str(out)], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    code, loaded = done.stdout.split(" ", 1)
+    assert code in ("0", "1") and done.stderr == ""
+    assert loaded.strip() == "[]"
+    suites = [s["name"] for s in json.loads(out.read_text())["suites"]]
+    assert "biortho" in suites and len(suites) > 1
 
 
 def test_count_requires_an_index(capsys):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import eval_gegenbauer, gamma, poch
+from scipy.special import eval_gegenbauer, gamma, poch, roots_gegenbauer
 
 from l1torus.numerics import gauss_gegenbauer
 from l1torus.polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 TOL = 1e-11
+RULE_LAMS = [-0.25, 0.0, 0.5, 1.0, 2.0, 5.0, 50.0, 170.0]
+RULE_SIZES = [1, 2, 3, 8, 16, 40, 100]
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 3.0])
@@ -100,3 +102,51 @@ def test_generating_function_partial_vs_closed(lam, r, rng):
     partial = powers[:nterms + 1] @ gegenbauer_sequence(lam, nterms, t)
     closed = (1.0 - 2.0 * r * t + r * r) ** (-lam)
     assert np.all(np.abs(partial - closed) <= tail + 1e-12)
+
+
+# ------------------------------------------- Golub-Welsch Gauss-Gegenbauer rule
+
+
+@pytest.mark.parametrize("lam", RULE_LAMS)
+@pytest.mark.parametrize("npts", RULE_SIZES)
+def test_gegenbauer_rule_matches_scipy(lam, npts):
+    rule = gauss_gegenbauer(npts, lam)
+    nodes, weights = roots_gegenbauer(npts, lam)
+    assert np.max(np.abs(rule.nodes - nodes)) < 1e-14
+    # Below lam = 0 scipy's own weights miss the Beta moments by up to 2.5e-11
+    # (npts = 100); the moment test below holds this rule to 1e-12 there.
+    tol = 1e-12 if lam >= 0 else 1e-10
+    assert np.max(np.abs(rule.weights - weights)) < tol * np.max(weights)
+
+
+@pytest.mark.parametrize("npts", RULE_SIZES)
+def test_gegenbauer_rule_at_lam_zero_is_gauss_chebyshev(npts):
+    rule = gauss_gegenbauer(npts, 0.0)
+    i = np.arange(npts, 0, -1)
+    assert np.max(np.abs(rule.nodes - np.cos((2 * i - 1) * math.pi / (2 * npts)))) < 1e-14
+    assert np.max(np.abs(rule.weights - math.pi / npts)) < 1e-12 * math.pi / npts
+
+
+@pytest.mark.parametrize("lam", RULE_LAMS)
+@pytest.mark.parametrize("npts", RULE_SIZES)
+def test_gegenbauer_rule_is_exact_to_degree_2npts_minus_1(lam, npts):
+    # integral of x^(2k) (1-x^2)^(lam-1/2) = B(k+1/2, lam+1/2), odd powers 0; the
+    # error is measured against mu_0 = B(1/2, lam+1/2), the largest of these moments
+    rule = gauss_gegenbauer(npts, lam)
+    sums = (rule.nodes ** np.arange(2 * npts)[:, None]) @ rule.weights
+    k = np.arange(npts)
+    exact = np.exp([math.lgamma(j + 0.5) + math.lgamma(lam + 0.5) - math.lgamma(j + lam + 1.0)
+                    for j in k])
+    assert np.max(np.abs(sums[2 * k] - exact)) < 1e-12 * exact[0]
+    assert np.max(np.abs(sums[2 * k + 1])) < 1e-12 * exact[0]
+
+
+@pytest.mark.parametrize("npts, lam", [(8, -0.5), (8, -2.0), (0, 1.0), (-3, 0.5)])
+def test_gegenbauer_rule_rejects_bad_input(npts, lam):
+    with pytest.raises(ValueError):
+        gauss_gegenbauer(npts, lam)
+
+
+def test_gegenbauer_rule_size_is_bounded_before_allocation():
+    with pytest.raises(ValueError, match="over the limit"):
+        gauss_gegenbauer(10**8, 1.0)
