@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -22,10 +23,10 @@ import numpy as np
 from .bspline_fourier import MeanEvaluator
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
-from .numerics import DEFAULT_SEED, _check_grid, shell_count, torus_trapezoid
+from .numerics import DEFAULT_SEED, shell_count, torus_trapezoid
 from .pdf import (GramSpec, _check_gram_size, gram_matrix, min_eigenvalue, pdf_check,
                   spdf_check)
-from .summability import CoeffSeq, SampledTorusFn, _check_phases, partial_sum, synth
+from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
 from .verify import SUITES, VerifyConfig, run_suites
 
 _FMT = "%.17g"
@@ -197,11 +198,7 @@ def _cmd_partial_sum(args) -> int:
     d = args.d
     trunc = coeffs.max_head_index
     if args.L <= 2 * max(args.n, trunc):
-        raise ValueError(
-            f"--L must exceed twice the largest frequency ({max(args.n, trunc)})"
-        )
-    if args.route == "coefficients":
-        _check_phases(d, args.n, _check_grid(d, args.L))
+        raise ValueError(f"--L must exceed twice the largest frequency ({max(args.n, trunc)})")
     f = SampledTorusFn.sample(d, args.L, lambda pts: synth(d, coeffs, trunc, pts))
     if not args.theta:
         raise ValueError("provide --theta (repeatable)")
@@ -293,6 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_partial_sum)
 
+    # argparse takes "-" then a digit, "." or inf/nan for a value only in a plain negative
+    # number; take it so always (--u -2.7e-05, --theta -0.5,0.3): no option starts so
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-([\d.]|inf|nan)")
     return parser
 
 

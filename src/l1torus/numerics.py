@@ -18,7 +18,7 @@ from numpy.polynomial.legendre import leggauss
 DEFAULT_SEED = 1234567
 MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it gives up
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
-_MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n one shell_enumerate may cache
+_MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n of one ball_enumerate
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
 _MAX_RULE_NODES = 1 << 10  # nodes of one Gauss-Gegenbauer rule, a dense npts x npts eigenproblem
@@ -122,10 +122,10 @@ def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
     return QuadRule(nodes, weights)
 
 
-def _check_grid(d: int, npts_per_axis: int) -> int:
-    """The node count npts_per_axis^d of a torus grid; ValueError when its nodes x d
-    floats exceed ``_MAX_GRID_FLOATS``.  The bound is compared in log2 first, so a
-    large d is refused without forming the exact power."""
+def _check_grid(d: int, npts_per_axis: int):
+    """ValueError when the npts_per_axis^d nodes x d floats of a torus grid exceed
+    ``_MAX_GRID_FLOATS``.  The bound is compared in log2 first, so a large d is
+    refused without forming the exact power."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if npts_per_axis < 1:
@@ -135,7 +135,6 @@ def _check_grid(d: int, npts_per_axis: int) -> int:
         size = f"{npts_per_axis**d * d:.3g}" if bits < 1000 else f"2^{bits:.4g}"
         raise ValueError(f"a torus grid of {npts_per_axis}^{d} nodes holds "
                          f"{size} floats, over the limit of {_MAX_GRID_FLOATS:.3g}")
-    return npts_per_axis**d
 
 
 def _float_factorial(k: int) -> float:
@@ -147,35 +146,14 @@ def _float_factorial(k: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _shell_tuples(d: int, n: int) -> tuple:
-    if d == 1:
-        return ((n,), (-n,)) if n > 0 else ((0,),)
-    out = []
-    for a in range(-n, n + 1):
-        for rest in _shell_tuples(d - 1, n - abs(a)):
-            out.append((a, *rest))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def shell_enumerate(d: int, n: int) -> np.ndarray:
     """The l1 shell {alpha in Z^d : |alpha|_1 = n} as a read-only (count, d) int64 array.
 
-    Points are listed in lexicographic order; the enumeration is checked
-    against the generating-function count.  Shells are cached, and loops
-    over n (``ball_enumerate``, the shell-count suite) keep every one, so the
-    shells 0..n together may hold at most ``_MAX_SHELL_ENTRIES`` entries,
-    checked before any is built.
+    The last shell of :func:`ball_enumerate`, bounded as that is, and checked
+    against the generating-function count.  Shells are cached.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("shell index must be >= 0")
-    entries = _ball_size(d, n) * d
-    if entries > _MAX_SHELL_ENTRIES:
-        raise ValueError(f"the l1 shells 0..{n} in d = {d} hold {entries:.3g} entries, "
-                         f"over the limit of {_MAX_SHELL_ENTRIES:.3g}")
-    pts = np.array(_shell_tuples(d, n), dtype=np.int64).reshape(-1, d)
+    ball = ball_enumerate(d, n)
+    pts = ball[np.abs(ball).sum(axis=1) == n]
     if pts.shape[0] != shell_count(d, n):
         raise AssertionError("shell enumeration disagrees with shell count")
     return _readonly(pts)
@@ -210,8 +188,29 @@ def _ball_size(d: int, n: int) -> int:
 
 
 def ball_enumerate(d: int, n: int) -> np.ndarray:
-    """All alpha in Z^d with |alpha|_1 <= n, stacked shell by shell."""
-    return np.concatenate([shell_enumerate(d, k) for k in range(n + 1)], axis=0)
+    """All alpha in Z^d with |alpha|_1 <= n, stacked shell by shell.
+
+    Each shell lists its points in lexicographic order, but for the last
+    coordinate, +r before -r.  Built one coordinate at a time, so it costs
+    what the ball holds, at most ``_MAX_SHELL_ENTRIES`` ints (points x d),
+    checked before it is built.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if n < 0:
+        raise ValueError("shell index must be >= 0")
+    entries = _ball_size(d, n) * d
+    if entries > _MAX_SHELL_ENTRIES:
+        raise ValueError(f"the l1 shells 0..{n} in d = {d} hold {entries:.3g} entries, "
+                         f"over the limit of {_MAX_SHELL_ENTRIES:.3g}")
+    pts = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(d):  # append every a with |a| <= what the prefix leaves, ascending
+        left = n - np.abs(pts).sum(axis=1)
+        counts = 2 * left + 1
+        a = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts + left, counts)
+        pts = np.column_stack([np.repeat(pts, counts, axis=0), a])
+    pts[:, -1] *= -1  # the last coordinate descending
+    return pts[np.argsort(np.abs(pts).sum(axis=1), kind="stable")]
 
 
 def finite(values, name: str) -> np.ndarray:

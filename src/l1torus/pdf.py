@@ -14,6 +14,8 @@ provided as an independent cross-check.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,6 +27,7 @@ from .summability import CoeffSeq, synth
 
 MIN_POINT_SEPARATION = 1e-9
 _MAX_GRAM_PAIRS = 1 << 20  # point pairs, npts (npts - 1) / 2, one Gram matrix may hold
+_MAX_TRIAL_DIVISIONS = 1 << 16  # steps, sqrt(modulus), of one divisor search: moduli to ~2^32
 
 
 class CheckResult(NamedTuple):
@@ -51,33 +54,32 @@ def pdf_check(coeffs: CoeffSeq) -> CheckResult:
     return CheckResult(True, None)
 
 
-def _classes(residues, g: int) -> set[int]:
-    """The classes (R union -R) mod g of the residue set R."""
-    return {r % g for r in residues} | {(-r) % g for r in residues}
-
-
 def spdf_check(coeffs: CoeffSeq) -> CheckResult:
-    """Strict positive definiteness certificate.
+    """Strict positive definiteness certificate by the divisor cover (see the module).
 
-    Requires a nonnegative sequence (ValueError otherwise).  The tail is
-    decided by the divisor-cover criterion: an all-positive tail covers
-    every class and is strict, a zero tail covers none and always fails
-    because a finite head cannot settle arbitrarily long pair progressions.
-    On failure the smallest failing pair (lexicographically by l, then n) is
-    returned, found by an exact search whose termination bound comes from
-    the certificate's proof.  The head's positivity table and the classes
-    (R union -R) mod g of each divisor g are built once per check.
+    Requires a nonnegative sequence (ValueError otherwise).  On failure the
+    smallest failing pair (by l, then n) is returned.  Only an l whose gcd
+    with q is an uncovered divisor m can fail, so the search visits the
+    multiples of those m, each up to its first unsettled n.  It ends by
+    l = m p, p a prime > 2 len(head) not dividing q: the head cannot settle
+    all p indices n < l of an uncovered class mod m.  The divisors of q come
+    from at most ``_MAX_TRIAL_DIVISIONS`` trial divisions.
     """
     if not pdf_check(coeffs).ok:
         raise ValueError("strictness is only defined for nonnegative sequences")
     tail = coeffs.tail
     q = tail.modulus
-    classes = {g: _classes(tail.residues, g) for g in range(1, q + 1) if q % g == 0}
-    if all(len(c) == g for g, c in classes.items()):
+    if math.isqrt(q) > _MAX_TRIAL_DIVISIONS:
+        raise ValueError(f"the modulus {q} needs {math.isqrt(q)} trial divisions to factor, "
+                         f"over the limit of {_MAX_TRIAL_DIVISIONS}")
+    small = [g for g in range(1, math.isqrt(q) + 1) if q % g == 0]
+    classes = {g: {r % g for r in tail.residues} | {-r % g for r in tail.residues}
+               for g in small + [q // g for g in small]}  # (R union -R) mod g
+    uncovered = [g for g, c in classes.items() if len(c) < g]
+    if not uncovered:
         return CheckResult(True, None)
     head_pos = coeffs.is_positive(np.arange(len(coeffs.head))).tolist()
-    l_cap = 2 * (coeffs.max_head_index + 1) + 3 * q + 8
-    for l in range(1, l_cap + 1):
+    for l in heapq.merge(*(itertools.count(m, m) for m in uncovered)):
         g = math.gcd(l, q)
         for n in range(l):
             # Settled when a head index n + m*l or (l - n) + m*l is positive, or
@@ -85,7 +87,6 @@ def spdf_check(coeffs: CoeffSeq) -> CheckResult:
             # residue membership suffices.
             if not (any(head_pos[n::l]) or any(head_pos[l - n::l]) or n % g in classes[g]):
                 return CheckResult(False, (n, l))
-    raise RuntimeError("witness search exceeded its theoretical bound")
 
 
 def spdf_pair_search(coeffs: CoeffSeq, pair_limit: int = 40, m_limit: int = 200) -> list[tuple[int, int]]:

@@ -10,6 +10,7 @@ and partial-sum operators for grid-sampled functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,10 +18,8 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from .divdiff import divided_difference_cos
 from .kernels import _shell_table, dirichlet_kernel_batch, shell_seed
-from .numerics import (QuadRule, _ball_size, ball_enumerate, finite, theta_vector,
+from .numerics import (QuadRule, _readonly, ball_enumerate, finite, theta_vector,
                        torus_trapezoid)
-
-_MAX_PHASES = 1 << 22  # complex entries, grid nodes x ball points, of one coefficients-route table
 
 
 class ResolutionError(ValueError):
@@ -200,40 +199,37 @@ class SampledTorusFn:
         vals = np.asarray(fn(rule.nodes), dtype=complex)
         if vals.shape != (rule.nodes.shape[0],):
             raise ValueError("fn must map the (npts, d) grid to npts values")
-        vals.setflags(write=False)
-        return cls(d, npts_per_axis, rule, vals)
+        return cls(d, npts_per_axis, rule, _readonly(vals))
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The grid Fourier coefficients by one fftn, built on first use, read-only.
 
-def _check_phases(d: int, n: int, nodes: int):
-    """ValueError when the coefficients route's (nodes x ball) phase table is over the limit."""
-    cost = nodes * _ball_size(d, n)
-    if cost > _MAX_PHASES:
-        raise ValueError(f"the phase table of {nodes} nodes by the l1 ball of radius {n} "
-                         f"holds {cost:.3g} entries, over the limit of {_MAX_PHASES:.3g}")
+        The nodes start at -pi, so the coefficient of frequency k is
+        ``spectrum[k mod L] * (-1)^|k|_1`` with L = npts_per_axis.
+        """
+        shape = (self.npts_per_axis,) * self.d
+        return _readonly(np.fft.fftn(self.values.reshape(shape)) / self.values.size)
 
 
 def partial_sum(f: SampledTorusFn, n: int, theta, route: str = "coefficients") -> complex:
     """l1 partial sum of order n of a sampled function, evaluated at theta.
 
-    route="coefficients"  extracts grid Fourier coefficients over the l1
-    ball and resums them at theta; route="convolution" averages f against
-    the Dirichlet kernel translated to theta.  Both need the grid to resolve
-    frequencies up to n: npts_per_axis > 2n, else :class:`ResolutionError`.
-    The coefficients route's (nodes x ball) phase table must hold at most
-    ``_MAX_PHASES`` entries, checked before it is built.
+    route="coefficients"  reads the grid Fourier coefficients of the l1 ball
+    from :attr:`SampledTorusFn.spectrum` and resums them at theta;
+    route="convolution" averages f against the Dirichlet kernel translated to
+    theta.  Both need the grid to resolve frequencies up to n:
+    npts_per_axis > 2n, else :class:`ResolutionError`.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
     if f.npts_per_axis <= 2 * n:
-        raise ResolutionError(
-            f"grid of {f.npts_per_axis} points per axis cannot resolve order {n}"
-        )
+        raise ResolutionError(f"grid of {f.npts_per_axis} points per axis cannot resolve "
+                              f"order {n}")
     t = theta_vector(theta, f.d)
     if route == "coefficients":
-        _check_phases(f.d, n, f.rule.nodes.shape[0])
         ball = ball_enumerate(f.d, n)
-        phases = np.exp(-1j * (f.rule.nodes @ ball.T))
-        coeffs = (f.rule.weights * f.values) @ phases
+        coeffs = f.spectrum[tuple((ball % f.npts_per_axis).T)] * (-1.0) ** ball.sum(axis=1)
         return complex(coeffs @ np.exp(1j * (ball @ t)))
     if route == "convolution":
         dvals = dirichlet_kernel_batch(f.d, n, t[None, :] - f.rule.nodes)

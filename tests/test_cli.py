@@ -111,7 +111,7 @@ def test_kernel_cost_is_bounded_before_allocation(capsys, argv):
     ["kernel", "--d", "3", "--n", "2", "--what", "h", "--grid-u", "0:0.5:100000000000"],
     ["pdf", "--points", "200000"],
     ["verify", "--suite", "shell-count", "--d", "4", "--nmax", "300"],
-    ["partial-sum", "--d", "2", "--n", "3", "--L", "2000", "--theta", "0,0"],
+    ["partial-sum", "--d", "2", "--n", "3", "--L", "3000", "--theta", "0,0"],
     ["mnd", "--d", "2", "--n", "1000000000000", "--method", "closed", "--u", "0.5"],
     ["mnd", "--d", "3", "--n", "1000000000000", "--method", "series", "--u", "0.5"],
     ["mnd", "--d", "3", "--n", "1000000000000", "--method", "mc", "--u", "0.5",
@@ -151,6 +151,11 @@ def coeff_spec(tmp_path_factory):
     return str(path)
 
 
+def _option(flag, value, data):
+    """``--flag=value`` or the two tokens ``--flag value``, as drawn."""
+    return [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+
+
 def _point_request(what, data, spec):
     """argv of one kernel (E/D/G/H/h) or partial-sum (route name) request."""
     if what in ("E", "D"):
@@ -160,11 +165,11 @@ def _point_request(what, data, spec):
         n = data.draw(st.one_of(st.integers(0, 40), st.integers(10**5, 10**12)))
         theta = data.draw(st.lists(angles, min_size=d, max_size=d))
         return ["kernel", "--d", str(d), "--n", str(n), "--what", what,
-                "--theta=" + ",".join(map(repr, theta))]
+                *_option("--theta", ",".join(map(repr, theta)), data)]
     if what in ("G", "H"):
         d, n = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 10**12))
         return ["kernel", "--d", str(d), "--n", str(n), "--what", what,
-                f"--theta={data.draw(angles)!r}"]
+                *_option("--theta", repr(data.draw(angles)), data)]
     if what == "h":
         # n in between would pass the cost bound at up to 2^20 recurrence steps,
         # seconds per call
@@ -172,11 +177,12 @@ def _point_request(what, data, spec):
         n = data.draw(st.one_of(st.integers(0, 40), st.integers(10**5, 10**12)))
         u = data.draw(st.one_of(st.floats(-10.0, 10.0), non_finite,
                                 st.floats(allow_nan=False, allow_infinity=False)))
-        return ["kernel", "--d", str(d), "--n", str(n), "--what", "h", f"--u={u!r}"]
+        return ["kernel", "--d", str(d), "--n", str(n), "--what", "h",
+                *_option("--u", repr(u), data)]
     d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
     theta = data.draw(st.lists(angles, min_size=d, max_size=d))
     return ["partial-sum", "--d", str(d), "--n", str(n), "--L", "8", "--spec", spec,
-            "--route", what, "--theta=" + ",".join(map(repr, theta))]
+            "--route", what, *_option("--theta", ",".join(map(repr, theta)), data)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -230,7 +236,8 @@ def _request(command, data, spec_path):
         method = data.draw(st.sampled_from(["closed", "series", "mc"]))
         u = data.draw(st.one_of(st.floats(-1.5, 1.5), non_finite))
         argv = ["mnd", "--d", str(data.draw(small)), "--n", str(data.draw(st.integers(-1, 8))),
-                "--method", method, f"--u={u!r}", "--K", str(data.draw(st.integers(-1, 60)))]
+                "--method", method, *_option("--u", repr(u), data),
+                "--K", str(data.draw(st.integers(-1, 60)))]
         return argv + ["--budget", str(data.draw(st.integers(-4, 400)))] if method == "mc" else argv
     if command == "pdf":
         spec_path.write_text(json.dumps(data.draw(coeff_specs)))
@@ -247,7 +254,7 @@ def _request(command, data, spec_path):
                          ("--K", st.integers(-1, 40)),
                          ("--tol", st.floats(-1.0, 1.0) | non_finite)):
         if data.draw(st.booleans()):
-            argv.append(f"{flag}={data.draw(values)!r}")
+            argv += _option(flag, repr(data.draw(values)), data)
     return argv
 
 
@@ -276,6 +283,31 @@ def test_requests_fail_fast_or_print_finite_values(tmp_path_factory, command, da
             except ValueError:  # the method name and an empty stderr
                 continue
             assert math.isfinite(value), (argv, row)
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["mnd", "--d", "2", "--n", "1"], "--u", "-2.7439940626150516e-05"),
+    (["mnd", "--d", "2", "--n", "1", "--method", "closed"], "--grid-u", "-.9:0.9:5"),
+    (["kernel", "--d", "2", "--n", "1", "--what", "E"], "--theta", "-0.5,0.3"),
+    (["kernel", "--d", "3", "--n", "2", "--what", "G"], "--theta", "-1e-3"),
+    (["kernel", "--d", "3", "--n", "2", "--what", "h"], "--grid-u", "-0.9:0.9:5"),
+    (["kernel", "--d", "3", "--n", "2", "--what", "h"], "--u", "-inf"),
+    (["verify", "--suite", "shell-count", "--nmax", "2"], "--tol", "-1e-3"),
+])
+def test_a_value_may_start_with_a_minus(capsys, argv, flag, value):
+    # argparse reads such a token as an option unless it is a plain negative
+    # number; the two-token spelling must print what --flag=value prints
+    joined = main([*argv, f"{flag}={value}"]), capsys.readouterr()
+    split = main([*argv, flag, value]), capsys.readouterr()
+    assert split == joined
+
+
+@pytest.mark.parametrize("argv", [["--bogus"], ["--bogus", "-1"], ["--u", "0.5", "--bogus"]])
+def test_an_unknown_option_is_still_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["mnd", "--d", "2", "--n", "1", "--u", "-0.5", *argv])
+    assert exc.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -479,6 +511,30 @@ def test_pdf_residue_tail_failure_has_pair_witness(capsys, tmp_path):
     assert n % 2 == 0 and l % 2 == 0
 
 
+@pytest.mark.parametrize("modulus, witness", [
+    (1000000007, [2, 1000000007]),
+    # the largest modulus the trial-division bound admits, and the first it refuses
+    ((2**16 + 1) ** 2 - 1, [2, 4]),
+    ((2**16 + 1) ** 2, None),
+    (10**40 + 1, None),
+])
+def test_pdf_large_modulus_is_searched_or_refused(tmp_path, modulus, witness):
+    # a fresh process under a timeout: a search that walks every g <= q hangs
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"head": [1.0], "tail": {
+        "kind": "residues-positive", "modulus": modulus, "residues": [1]}}))
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", "pdf", "--spec", str(spec)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=60)
+    if witness is None:
+        assert done.returncode == 2 and done.stdout == ""
+        (line,) = done.stderr.strip().splitlines()
+        assert "over the limit" in line
+        return
+    assert done.returncode == 0 and done.stderr == ""
+    payload = json.loads(done.stdout)
+    assert payload["spdf"] is False and payload["witness"] == witness
+
+
 def test_pdf_malformed_spec_is_usage_error(capsys, tmp_path):
     spec = tmp_path / "bad.json"
     spec.write_text("{not json")
@@ -623,16 +679,18 @@ def test_partial_sum_routes_agree(capsys, tmp_path):
     spec = tmp_path / "coeffs.json"
     spec.write_text(json.dumps({"head": [0.7, -0.3, 0.5, 0.1],
                                 "tail": {"kind": "zero"}}))
-    vals = {}
-    for route in ("coefficients", "convolution"):
-        code, out = run_cli(capsys, "partial-sum", "--d", "2", "--n", "3",
-                            "--L", "16", "--spec", str(spec),
-                            "--theta", "0.4,-1.2", "--route", route)
-        assert code == 0
-        (row,) = csv_rows(out)
-        vals[route] = float(row["real"])
-        assert abs(float(row["imag"])) < 1e-12
-    assert abs(vals["coefficients"] - vals["convolution"]) < 1e-12
+    # the second case reads the 833-point ball of radius 8 from a 24^3 grid
+    for d, n, L, theta in ((2, 3, 16, "0.4,-1.2"), (3, 8, 24, "-0.4,1.2,2.5")):
+        vals = {}
+        for route in ("coefficients", "convolution"):
+            code, out = run_cli(capsys, "partial-sum", "--d", str(d), "--n", str(n),
+                                "--L", str(L), "--spec", str(spec),
+                                "--theta", theta, "--route", route)
+            assert code == 0
+            (row,) = csv_rows(out)
+            vals[route] = float(row["real"])
+            assert abs(float(row["imag"])) < 1e-12
+        assert abs(vals["coefficients"] - vals["convolution"]) < 1e-12
 
 
 def test_partial_sum_under_resolved_grid_is_usage_error(capsys, tmp_path):

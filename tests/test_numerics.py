@@ -124,13 +124,26 @@ def test_shell_count_formula_matches_enumeration(d, n):
     assert shell_count(d, n) == expect
 
 
-@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (1, 0), (1, 5), (4, 5), (6, 3)])
 def test_ball_enumerate_is_union_of_shells(d, n):
     ball = ball_enumerate(d, n)
     total = sum(shell_count(d, k) for k in range(n + 1))
     assert ball.shape == (total, d)
     assert np.all(np.abs(ball).sum(axis=1) <= n)
     assert len({tuple(p) for p in ball}) == total
+    # shell by shell, each in lexicographic order but for the last coordinate, +r before -r
+    key = np.column_stack([np.abs(ball).sum(axis=1), ball[:, :-1], -ball[:, -1]])
+    assert np.array_equal(np.lexsort(key.T[::-1]), np.arange(total))
+    assert np.array_equal(ball, np.concatenate([shell_enumerate(d, k) for k in range(n + 1)]))
+
+
+def test_ball_enumerate_caches_no_shell_per_radius():
+    # a million radii at d = 1 must not leave a million cached shells behind
+    before = shell_enumerate.cache_info().currsize
+    assert ball_enumerate(1, 10**6).shape == (2 * 10**6 + 1, 1)
+    assert shell_enumerate.cache_info().currsize == before
+    with pytest.raises(ValueError, match="over the limit"):
+        ball_enumerate(2, 5000)
 
 
 def test_wrap_angles_maps_into_principal_interval(rng):

@@ -109,6 +109,35 @@ def test_certificate_agrees_with_brute_force_window():
             assert verdict.witness in failures
 
 
+def _spdf_by_every_divisor(coeffs):
+    """The certificate by the direct search: every g <= q is tried for the
+    cover, and every l up to 2 len(head) + 3q + 8 for a witness.  The
+    reference the search over multiples of uncovered divisors must match."""
+    tail = coeffs.tail
+    q = tail.modulus
+    classes = {g: {r % g for r in tail.residues} | {(-r) % g for r in tail.residues}
+               for g in range(1, q + 1) if q % g == 0}
+    if all(len(c) == g for g, c in classes.items()):
+        return (True, None)
+    head_pos = coeffs.is_positive(np.arange(len(coeffs.head))).tolist()
+    for l in range(1, 2 * len(coeffs.head) + 3 * q + 9):
+        g = math.gcd(l, q)
+        for n in range(l):
+            if not (any(head_pos[n::l]) or any(head_pos[l - n::l]) or n % g in classes[g]):
+                return (False, (n, l))
+    raise AssertionError("witness search exceeded its theoretical bound")
+
+
+def test_divisor_search_matches_the_search_over_every_divisor():
+    rng = np.random.default_rng(2008)
+    for _ in range(1500):
+        q = int(rng.integers(1, 40))
+        head = rng.choice([0.0, 0.0, 0.5, 1.0], int(rng.integers(1, 12)))
+        res = rng.choice(q, int(rng.integers(0, min(q, 4) + 1)), replace=False)
+        c = seq(head, Tail(int(rng.integers(0, 10)), q, frozenset(res.tolist())))
+        assert tuple(spdf_check(c)) == _spdf_by_every_divisor(c), c
+
+
 def _pair_search_by_index(coeffs, pair_limit, m_limit):
     """The brute-force search by one is_positive call per index, as it stood
     before the positivity table: the reference the table search must match

@@ -172,6 +172,42 @@ def test_partial_sum_routes_agree_and_recover_truncation(d, order, rng):
         assert abs(a.imag) < 1e-12
 
 
+@pytest.mark.parametrize("d, L", [(1, 9), (1, 16), (2, 11), (2, 16), (3, 7), (3, 10)])
+def test_spectrum_route_matches_convolution_and_synthesis(d, L, rng):
+    # odd and even L: the nodes start at -pi, so the FFT bins carry (-1)^|k|_1
+    seq = CoeffSeq(head=HEAD, tail=Tail())
+    f = SampledTorusFn.sample(d, L, lambda th: synth(d, seq, 3, th))
+    for order in range(min(3, (L - 1) // 2) + 1):
+        for t in rng.uniform(-math.pi, math.pi, (3, d)):
+            a = partial_sum(f, order, t, route="coefficients")
+            assert abs(a - partial_sum(f, order, t, route="convolution")) < 1e-12
+            assert abs(a - synth(d, seq, order, t)) < 1e-12
+
+
+def test_spectrum_route_serves_a_large_ball(rng):
+    # 24^3 nodes by the 833 points of the ball of radius 8
+    seq = CoeffSeq(head=HEAD, tail=Tail())
+    f = SampledTorusFn.sample(3, 24, lambda th: synth(3, seq, 3, th))
+    for t in rng.uniform(-math.pi, math.pi, (2, 3)):
+        a = partial_sum(f, 8, t, route="coefficients")
+        assert abs(a - partial_sum(f, 8, t, route="convolution")) < 1e-12
+        assert abs(a - synth(3, seq, 3, t)) < 1e-12
+
+
+def test_spectrum_is_built_once_and_read_only(monkeypatch, rng):
+    shapes = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a: shapes.append(a.shape) or fftn(a))
+    seq = CoeffSeq(head=HEAD, tail=Tail())
+    f = SampledTorusFn.sample(2, 9, lambda th: synth(2, seq, 3, th))
+    for order, t in zip((0, 2, 4, 4), rng.uniform(-math.pi, math.pi, (4, 2))):
+        partial_sum(f, order, t)
+    assert shapes == [(9, 9)]
+    assert f.spectrum is f.spectrum and not f.spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        f.spectrum[0, 0] = 1.0
+
+
 def test_partial_sum_needs_resolving_grid():
     seq = CoeffSeq(head=HEAD, tail=Tail())
     f = SampledTorusFn.sample(2, 8, lambda th: synth(2, seq, 3, th))
