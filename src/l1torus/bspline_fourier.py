@@ -5,8 +5,8 @@ For d >= 2 and n >= 0 define
     mean(d, n, u) = (2 pi)^-d integral over the d-torus of
                     M_{d-1}(u | cos theta) * shell_sum(d, n, theta) / shell_count(d, n)
 
-the average of the n-th normalized shell sum against the B-spline whose
-knots are the cosines of the angles.  Routes implemented here:
+the average of the n-th normalized shell sum against the B-spline whose knots are
+the cosines of the angles.  Routes, each taking u (alpha) as a scalar or an ndarray:
 
 * ``mean_series``      Gegenbauer series under a spectral exponential filter,
                        valid for every d >= 2 away from u = +-1;
@@ -37,52 +37,48 @@ _SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
 _MAX_SERIES_TERMS = math.ceil(_SERIES_REACH / math.acos(1.0 - SERIES_EDGE_MARGIN))  # K at the edge
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
-_MC_BATCH_PAIRS = 50_000  # antithetic pairs drawn per Monte-Carlo batch
-_MAX_MC_BUDGET = 1 << 25  # integrand evaluations, one float kept per pair, of one mean_torus_mc
-_MAX_CLOSED_TERMS = 1 << 22  # sine terms, about n / 2, one mean_d2_closed call may sum
+_MC_BATCH_PAIRS = 50_000  # antithetic pairs per Monte-Carlo batch at one point, 1/P at P points
+_MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points, of one mean_torus_mc; a float per pair
+_MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point, one mean_d2_closed call may sum
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
 
 
-def mean_d2_closed(n: int, alpha: float) -> float:
-    """Closed form of mean(2, n, cos(alpha)) for alpha in (0, pi).
+def mean_d2_closed(n: int, alpha):
+    """Closed form of mean(2, n, cos(alpha)) for alpha in (0, pi), scalar or ndarray:
 
-    1/2                                                       (n = 0)
-    1/2 - alpha/pi - (2/pi) sum_{j=1}^{k} sin(2 j alpha)/(2j)  (n = 2k+1)
-    1/2 - (2/pi) sum_{j=0}^{k-1} sin((2j+1) alpha)/(2j+1)      (n = 2k, k >= 1)
+    1/2 - (n mod 2) alpha/pi - (2/pi) sum sin(m alpha)/m, m = 1 + n mod 2, 3 + n mod 2, ... < n.
+    ValueError before summing when points * (n // 2) terms exceed _MAX_CLOSED_TERMS.
     """
     if n < 0:
         raise ValueError("index n must be >= 0")
-    if not (0.0 < alpha < math.pi):
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 < a) & (a < math.pi)):
         raise ValueError("alpha must lie strictly inside (0, pi)")
-    if n // 2 > _MAX_CLOSED_TERMS:
-        raise ValueError(f"closed form at n = {n} sums {n // 2:.3g} terms, "
-                         f"over the limit of {_MAX_CLOSED_TERMS:.3g}")
-    if n == 0:
-        return 0.5
-    if n % 2 == 0:
-        j = np.arange(0, n // 2)
-        return 0.5 - (2.0 / math.pi) * float(np.sum(np.sin((2 * j + 1) * alpha) / (2 * j + 1)))
-    j = np.arange(1, (n - 1) // 2 + 1)
-    s = float(np.sum(np.sin(2 * j * alpha) / (2 * j))) if j.size else 0.0
-    return 0.5 - alpha / math.pi - (2.0 / math.pi) * s
+    if a.size * (n // 2) > _MAX_CLOSED_TERMS:
+        raise ValueError(f"closed form at n = {n} sums {a.size * (n // 2):.3g} terms at "
+                         f"{a.size} point(s), over the limit of {_MAX_CLOSED_TERMS:.3g}")
+    m = np.arange(1 + n % 2, n, 2)
+    s = np.sum(np.sin(a[..., None] * m) / m, axis=-1)
+    value = 0.5 - (n % 2) * a / math.pi - (2.0 / math.pi) * s
+    return value if np.ndim(alpha) else float(value)
 
 
-def mean_order0_closed(d: int, u: float) -> float:
-    """Closed form of mean(d, 0, u): a normalized power of 1 - u^2.
+def mean_order0_closed(d: int, u):
+    """Closed form of mean(d, 0, u), u scalar or ndarray: a normalized power of 1 - u^2.
 
     Gamma((d+1)/2) / (sqrt(pi) Gamma(d/2) (d-1)!) * (1 - u^2)^((d-2)/2)
     for |u| <= 1 and 0 outside.
     """
     _check_dn(d, 0)
-    u = float(u)
-    if abs(u) > 1.0:
-        return 0.0
+    x = np.asarray(u, dtype=float).squeeze()[()]  # a lone point takes the scalar power
     # Gamma(d/2) (d-1)! overflows from d = 150 on: divide by the factors one at a time.
     # Both the constant and the power are at least their product, so neither
     # underflows where the value does not.
     fact = _float_factorial(d - 1)
     const = math.gamma((d + 1) / 2.0) / math.sqrt(math.pi) / math.gamma(d / 2.0)
-    return const / fact * (1.0 - u * u) ** ((d - 2) / 2.0)
+    power = np.maximum(1.0 - x * x, 0.0) ** ((d - 2) / 2.0)
+    value = np.reshape(np.where(np.abs(x) > 1.0, 0.0, const / fact * power), np.shape(u))
+    return value if np.ndim(u) else float(value)
 
 
 def mean_order0_integral(d: int) -> float:
@@ -134,13 +130,13 @@ def mean_series(d: int, n, u, nterms: int | None = None):
                          f"over the limit of {_MAX_SERIES_VALUES:.3g}")
     fact = _float_factorial(d - 1)
     lam = d - 1.0
-    x, terms = u_arr[()], terms[()]  # a lone point steps as numpy scalars: the same arithmetic
+    x, terms = u_arr.squeeze()[()], terms.squeeze()[()]  # a lone point steps as numpy scalars
     expo = -36.0 / terms ** 8  # sigma(k/K) = exp(k^8 * expo)
     kfull = int(np.min(terms, initial=kmax))  # every point takes the terms k < kfull
-    totals = {order: np.zeros_like(u_arr)[()] for order in orders}
+    totals = {order: np.zeros_like(x)[()] for order in orders}
     parity = ([o for o in sorted(totals) if o % 2 == 0], [o for o in sorted(totals) if o % 2])
     weights = {}  # k -> sigma(k/K) a_k, until the largest order of its parity has taken it
-    prev, cur = np.zeros_like(u_arr)[()], np.ones_like(u_arr)[()]  # R_{m-1}, R_m
+    prev, cur = np.zeros_like(x)[()], np.ones_like(x)[()]  # R_{m-1}, R_m
     for m in range(top + 2 * kmax - 1 if kmax else 0):
         if m:  # (m+2lam-1) R_m = 2 (m+lam-1) u R_{m-1} - (m-1) R_{m-2}
             prev, cur = cur, ((2.0 * (m + lam - 1.0) * x * cur - (m - 1.0) * prev)
@@ -158,7 +154,7 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     outs = [(1.0 - x * x) ** (d - 1.5) * const / fact * totals[order] for order in orders]
     if not one:
         return np.array(outs).reshape((len(orders),) + u_arr.shape)
-    return outs[0] if np.ndim(u) else float(outs[0])
+    return np.reshape(outs[0], u_arr.shape) if np.ndim(u) else float(outs[0])
 
 
 def mean_recursion_sides(d: int, n: int, u):
@@ -175,9 +171,8 @@ def mean_recursion_sides(d: int, n: int, u):
     lam = d - 1
     u_arr = np.asarray(u, dtype=float)
     if d == 2:
-        means = [np.array([mean_d2_closed(n + 2 * j, math.acos(x))
-                           for x in u_arr.ravel().tolist()]).reshape(u_arr.shape)
-                 for j in range(d)]
+        alpha = np.array([math.acos(x) for x in u_arr.ravel().tolist()]).reshape(u_arr.shape)
+        means = [mean_d2_closed(n + 2 * j, alpha) for j in range(d)]
     else:
         means = mean_series(d, [n + 2 * j for j in range(d)], u_arr)
     lhs = 0.0
@@ -194,16 +189,16 @@ def mean_recursion_sides(d: int, n: int, u):
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo estimate with its standard error."""
+    """Monte-Carlo estimate with its standard error, of the shape of u (floats for a scalar)."""
 
-    value: float
-    stderr: float
+    value: float | np.ndarray
+    stderr: float | np.ndarray
     pairs: int
 
 
-def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
+def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
                   seed: int = DEFAULT_SEED) -> McEstimate:
-    """Seeded Monte-Carlo estimate of mean(d, n, u) by torus averaging.
+    """Seeded Monte-Carlo estimate of mean(d, n, u) by torus averaging, u scalar or ndarray.
 
     Draws uniform points on the torus in antithetic pairs (theta, pi - theta);
     the mirror member is folded in analytically through the symmetries
@@ -212,25 +207,27 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
     below 1e-12 are rejected and redrawn (the integrand is integrable but
     unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
     rounds of redraws raises ValueError.  ``budget`` counts integrand
-    evaluations, 4 to ``_MAX_MC_BUDGET``; the default is 2e6 (d = 2), 1e7 (d = 3).
+    evaluations per point, 4 to _MAX_MC_BUDGET / points; default 2e6 (d = 2), 1e7 (d = 3).
 
-    The cosines of each batch are sorted once: the shell product takes those
-    rows as they are, and one field call evaluates +u and -u on them together.
-    At n = 0 the shell sum is 1 exactly and is not computed.
+    All points share the draws, sorted once per batch of _MC_BATCH_PAIRS / points pairs:
+    the shell product takes those rows as they are, and one field call evaluates +-u
+    at every point.  Without redraws each estimate is a lone call's.  At n = 0 the
+    shell sum is 1 exactly and is not computed.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
     if n < 0:
         raise ValueError("index n must be >= 0")
-    u = float(u)
-    if not (-1.0 < u < 1.0):
+    pts = finite(u, "u").reshape(-1)
+    if np.any(np.abs(pts) >= 1.0):
         raise ValueError("Monte-Carlo route requires |u| < 1")
     if budget is None:
         budget = _MC_DEFAULT_BUDGET[d]
     if budget < 4:  # fewer than two antithetic pairs give no spread
         raise ValueError(f"budget must be >= 4, got {budget}")
-    if budget > _MAX_MC_BUDGET:
-        raise ValueError(f"budget {budget:.3g} is over the limit of {_MAX_MC_BUDGET:.3g}")
+    if budget * pts.size > _MAX_MC_BUDGET:
+        raise ValueError(f"budget {budget:.3g} at {pts.size} point(s) is {budget * pts.size:.3g} "
+                         f"evaluations, over the limit of {_MAX_MC_BUDGET:.3g}")
     total_pairs = budget // 2
     rng = np.random.default_rng(seed)
     count = shell_count(d, n)
@@ -238,7 +235,7 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
     chunks = []
     remaining = total_pairs
     while remaining > 0:
-        b = min(_MC_BATCH_PAIRS, remaining)
+        b = min(max(_MC_BATCH_PAIRS // max(pts.size, 1), 1), remaining)
         knots = np.sort(np.cos(rng.uniform(-math.pi, math.pi, size=(b, d))), axis=1)
         bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
         for _ in range(MAX_DRAWS):
@@ -250,13 +247,14 @@ def mean_torus_mc(d: int, n: int, u: float, budget: int | None = None,
         if np.any(bad):
             raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
         ssum = _shell_core(d, n, knots, _shell_finish) if n else 1.0  # E_0 = 1
-        f_plus, f_minus = knot_field_batch(d, (u, -u), knots)
-        chunks.append(0.5 * (f_plus + sgn * f_minus) * ssum / count)
+        field = knot_field_batch(d, np.concatenate([pts, -pts]), knots)
+        chunks.append(0.5 * (field[:pts.size] + sgn * field[pts.size:]) * ssum / count)
         remaining -= b
-    vals = np.concatenate(chunks)
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return McEstimate(value, stderr, int(vals.size))
+    vals = np.concatenate(chunks, axis=1)  # a row of pairs per point
+    value, stderr = vals.mean(axis=1), vals.std(ddof=1, axis=1) / math.sqrt(total_pairs)
+    if np.ndim(u):
+        return McEstimate(value.reshape(np.shape(u)), stderr.reshape(np.shape(u)), total_pairs)
+    return McEstimate(float(value[0]), float(stderr[0]), total_pairs)
 
 
 def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
@@ -316,16 +314,17 @@ class MeanEvaluator:
         if self.method == "mc" and self.d not in (2, 3):
             raise ValueError("Monte-Carlo route supports d in {2, 3}")
 
-    def evaluate(self, u: float) -> tuple[float, float | None]:
-        """Return (value, stderr); stderr is None for deterministic routes."""
-        u = float(finite(u, "u"))
+    def evaluate(self, u):
+        """Return (value, stderr) of the shape of u from one call; stderr None but for mc."""
+        x = finite(u, "u")
         if self.method == "closed":
-            if self.d == 2:
-                if abs(u) >= 1.0:
-                    return 0.0, None
-                return mean_d2_closed(self.n, math.acos(u)), None
-            return mean_order0_closed(self.d, u), None
+            if self.d != 2:
+                return mean_order0_closed(self.d, x), None
+            inside = np.abs(x) < 1.0  # the mean is 0 elsewhere
+            value = np.zeros(x.shape)  # the angles from math.acos, as other callers take them
+            value[inside] = mean_d2_closed(self.n, np.array([math.acos(v) for v in x[inside]]))
+            return (value if x.ndim else float(value)), None
         if self.method == "series":
-            return mean_series(self.d, self.n, u, nterms=self.nterms), None
-        est = mean_torus_mc(self.d, self.n, u, budget=self.budget, seed=self.seed)
+            return mean_series(self.d, self.n, x, nterms=self.nterms), None
+        est = mean_torus_mc(self.d, self.n, x, budget=self.budget, seed=self.seed)
         return est.value, est.stderr

@@ -23,7 +23,7 @@ import numpy as np
 from .bspline_fourier import MeanEvaluator
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
-from .numerics import DEFAULT_SEED, shell_count, torus_trapezoid
+from .numerics import DEFAULT_SEED, finite, shell_count, torus_trapezoid
 from .pdf import (GramSpec, _check_gram_size, gram_matrix, min_eigenvalue, pdf_check,
                   spdf_check)
 from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
@@ -80,21 +80,22 @@ def _parse_theta(raw: str, d: int) -> np.ndarray:
     return vals
 
 
-def _u_points(args) -> list[float]:
+def _u_points(args) -> np.ndarray:
     """The points of --u (repeatable) or of --grid-u start:stop:count."""
     if args.u is not None:
-        return [float(v) for v in args.u]
+        return np.array([float(v) for v in args.u])
     if args.grid_u is None:
         raise ValueError("provide --u (repeatable) or --grid-u")
     parts = args.grid_u.split(":")
     if len(parts) != 3:
         raise ValueError("--grid-u expects start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    finite([start, stop, stop - start], "--grid-u start, stop and stop - start")
     if count < 1:
         raise ValueError("--grid-u count must be >= 1")
     if count > _MAX_GRID_U:
         raise ValueError(f"--grid-u count {count} is over the limit of {_MAX_GRID_U}")
-    return [float(v) for v in np.linspace(start, stop, count)]
+    return np.linspace(start, stop, count)
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
@@ -122,8 +123,9 @@ def _cmd_kernel(args) -> int:
         header = ["d", "n", "theta", "value"]
         rows = [[d, n, float(t), fn(d, n, float(t))] for t in args.theta]
     else:  # "h"; argparse restricts the choices
+        us = _u_points(args)
         header = ["d", "n", "u", "value"]
-        rows = [[d, n, u, float(biortho_poly(d, n, u))] for u in _u_points(args)]
+        rows = [[d, n, u, v] for u, v in zip(us.tolist(), biortho_poly(d, n, us).tolist())]
     _emit_rows(header, rows, args.format, args.out)
     return 0
 
@@ -132,12 +134,11 @@ def _cmd_mnd(args) -> int:
     us = _u_points(args)
     ev = MeanEvaluator(args.d, args.n, args.method, nterms=args.K,
                        budget=args.budget, seed=args.seed)
+    values, stderrs = ev.evaluate(us)
+    stderrs = [""] * us.size if stderrs is None else stderrs.tolist()
     header = ["d", "n", "u", "method", "value", "stderr"]
-    rows = []
-    for u in us:
-        value, stderr = ev.evaluate(u)
-        rows.append([args.d, args.n, u, args.method, value,
-                     "" if stderr is None else stderr])
+    rows = [[args.d, args.n, u, args.method, v, e]
+            for u, v, e in zip(us.tolist(), values.tolist(), stderrs)]
     _emit_rows(header, rows, args.format, args.out)
     return 0
 
@@ -178,6 +179,8 @@ def _cmd_pdf(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.nmax is not None:
+        if args.nmax < 0:
+            raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
         if args.nmax >= _MAX_COUNT_ROWS:
             raise ValueError(f"--nmax {args.nmax} asks for {args.nmax + 1} rows, over the "
                              f"limit of {_MAX_COUNT_ROWS}")

@@ -196,7 +196,7 @@ class SampledTorusFn:
     def sample(cls, d: int, npts_per_axis: int, fn: Callable) -> "SampledTorusFn":
         """Sample ``fn`` on the grid; fn maps an (npts, d) array to npts values."""
         rule = torus_trapezoid(d, npts_per_axis)
-        vals = np.asarray(fn(rule.nodes), dtype=complex)
+        vals = np.array(fn(rule.nodes), dtype=complex)  # a copy: fn's array stays writeable
         if vals.shape != (rule.nodes.shape[0],):
             raise ValueError("fn must map the (npts, d) grid to npts values")
         return cls(d, npts_per_axis, rule, _readonly(vals))

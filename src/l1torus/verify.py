@@ -345,7 +345,7 @@ def _mean_methods(cfg: VerifyConfig):
     errors = []
     # every order from one pass; nterms None: each point takes its own number of terms
     for n, series in enumerate(mean_series(2, range(nmax + 1), us, nterms=cfg.nterms)):
-        errors += map(rel_err, series, [mean_d2_closed(n, math.acos(u)) for u in us])
+        errors += map(rel_err, series, mean_d2_closed(n, np.array([math.acos(u) for u in us])))
     return {"nmax": nmax, "nterms": cfg.nterms, "grid": 50}, errors, {}
 
 
@@ -364,15 +364,15 @@ def _mean_mc(cfg: VerifyConfig):
     errors, cases = [], []
     for d, budget, us, nmax in plan:
         for n in range(nmax + 1):
-            for u in us:
-                ref = mean_d2_closed(n, math.acos(u)) if d == 2 else mean_series(d, n, u)
-                est = mean_torus_mc(d, n, u, budget=budget, seed=cfg.seed)
-                # The paired average is exactly zero with zero spread when the
-                # sign-flipped term cancels the direct one (odd index at u = 0),
-                # so keep the ratio finite there.
-                errors.append(abs(est.value - ref) / max(3.0 * est.stderr, 1e-15))
-                cases.append({"d": d, "n": n, "u": u, "mc": est.value,
-                              "reference": ref, "stderr": est.stderr})
+            ref = (mean_d2_closed(n, np.array([math.acos(u) for u in us])) if d == 2
+                   else mean_series(d, n, np.array(us)))
+            est = mean_torus_mc(d, n, np.array(us), budget=budget, seed=cfg.seed)
+            # The paired average is exactly zero with zero spread when the
+            # sign-flipped term cancels the direct one (odd index at u = 0),
+            # so keep the ratio finite there.
+            errors += (abs(est.value - ref) / np.maximum(3.0 * est.stderr, 1e-15)).tolist()
+            cases += [{"d": d, "n": n, "u": u, "mc": v, "reference": r, "stderr": e} for u, v, r, e
+                      in zip(us, est.value.tolist(), ref.tolist(), est.stderr.tolist())]
     return {"dims": list(dims), "budget": cfg.budget}, errors, {"cases": cases}
 
 

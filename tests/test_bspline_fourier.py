@@ -216,6 +216,90 @@ def test_series_memory_does_not_grow_with_terms():
     assert peaks[0] < 20 * us.nbytes
 
 
+# ------------------------------------------------------------ array routes
+
+
+def test_scalar_calls_return_floats():
+    assert type(mean_d2_closed(0, 1.1)) is float and type(mean_d2_closed(5, 1.1)) is float
+    assert type(mean_order0_closed(3, 0.3)) is float and type(mean_order0_closed(3, 1.5)) is float
+    est = mean_torus_mc(2, 1, 0.3, budget=1000, seed=5)
+    assert type(est.value) is float and type(est.stderr) is float and type(est.pairs) is int
+    for method in ("closed", "series", "mc"):
+        value, stderr = MeanEvaluator(2, 1, method, budget=1000).evaluate(0.3)
+        assert type(value) is float and (stderr is None) == (method != "mc")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 80, 301])
+def test_d2_closed_takes_arrays_bitwise(n):
+    alpha = np.arccos(np.linspace(-0.99, 0.99, 38)).reshape(19, 2)
+    vals = mean_d2_closed(n, alpha)
+    assert vals.shape == alpha.shape
+    assert vals.ravel().tolist() == [mean_d2_closed(n, a) for a in alpha.ravel().tolist()]
+
+
+def test_d2_closed_bound_counts_every_point(monkeypatch):
+    monkeypatch.setattr(bf, "_MAX_CLOSED_TERMS", 30)
+    assert mean_d2_closed(20, np.full(3, 1.0)).shape == (3,)  # 3 points x 10 terms
+    with pytest.raises(ValueError, match="40 terms at 4 point"):
+        mean_d2_closed(20, np.full(4, 1.0))
+    with pytest.raises(ValueError, match="strictly inside"):
+        mean_d2_closed(2, np.array([1.0, math.pi]))
+
+
+def test_order0_closed_takes_arrays():
+    us = np.linspace(-1.2, 1.2, 49)
+    for d in (2, 3, 5):
+        vals = mean_order0_closed(d, us)
+        scalars = np.array([mean_order0_closed(d, u) for u in us.tolist()])
+        assert vals.shape == us.shape and np.all(vals[np.abs(us) > 1.0] == 0.0)
+        # an array's power may differ from the scalar's in the last place
+        assert np.all(np.abs(vals - scalars) <= 4e-16 * scalars)
+        # a lone point, whatever its shape, takes the scalar's arithmetic
+        assert mean_order0_closed(d, np.array([[0.37]])).tolist() == [[mean_order0_closed(d, 0.37)]]
+
+
+def test_series_lone_point_steps_as_the_scalar_call():
+    # at these points an array's final power differs from the scalar's in the last place
+    for d, n, u in ((3, 0, 0.75), (3, 3, -0.75), (5, 1, 0.95)):
+        for shape in ((1,), (1, 1)):
+            lone = mean_series(d, n, np.full(shape, u))
+            assert lone.shape == shape and lone.item() == mean_series(d, n, u)
+
+
+@pytest.mark.parametrize("d,n", [(2, 0), (2, 3), (3, 2)])
+def test_mc_points_share_one_set_of_draws(d, n):
+    # 60 001 pairs: one batch of 50 000 pairs per lone point, 12 500 at four points
+    us = np.array([-0.6, 0.05, 0.6, 0.3])
+    est = mean_torus_mc(d, n, us, budget=120_002, seed=31)
+    assert est.value.shape == est.stderr.shape == us.shape and est.pairs == 60_001
+    for u, value, stderr in zip(us.tolist(), est.value.tolist(), est.stderr.tolist()):
+        one = mean_torus_mc(d, n, u, budget=120_002, seed=31)
+        assert (one.value, one.stderr) == (value, stderr)
+
+
+def test_mc_bound_counts_every_point(monkeypatch):
+    with pytest.raises(ValueError, match="over the limit"):  # 2 x (2^24 + 2) > 2^25
+        mean_torus_mc(2, 1, np.zeros(2), budget=(1 << 24) + 2)
+    with pytest.raises(ValueError, match="1000 point"):  # the default budget 1e7 at each
+        mean_torus_mc(3, 1, np.linspace(-0.5, 0.5, 1000))
+    monkeypatch.setattr(bf, "_MAX_MC_BUDGET", 12)
+    assert mean_torus_mc(2, 1, np.array([0.1, 0.2, 0.3]), budget=4).value.shape == (3,)
+    with pytest.raises(ValueError, match="over the limit of 12"):
+        mean_torus_mc(2, 1, np.array([0.1, 0.2, 0.3, 0.4]), budget=4)
+    with pytest.raises(ValueError, match=r"\|u\| < 1"):
+        mean_torus_mc(2, 1, np.array([0.1, -1.0]), budget=4)
+
+
+def test_evaluator_takes_arrays():
+    us = np.array([-1.5, -0.4, 0.0, 0.7, 1.0])
+    ev = MeanEvaluator(2, 3, "closed")
+    value, stderr = ev.evaluate(us)
+    assert stderr is None and value.shape == us.shape
+    assert value.tolist() == [ev.evaluate(u)[0] for u in us.tolist()]
+    value, stderr = MeanEvaluator(3, 1, "mc", budget=400).evaluate(us[1:4].reshape(3, 1))
+    assert value.shape == stderr.shape == (3, 1)
+
+
 # -------------------------------------------------------------- recursion
 
 

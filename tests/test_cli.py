@@ -388,6 +388,27 @@ def test_mnd_grid_u(capsys):
     assert abs(float(rows[2]["u"])) < 1e-15
 
 
+def test_mnd_mc_points_share_one_set_of_draws(capsys):
+    # 20 000 pairs: one batch for a lone point, two at three points
+    argv = ["mnd", "--d", "3", "--n", "2", "--method", "mc", "--budget", "40000", "--seed", "77"]
+    us = ["-0.6", "0.1", "0.45"]
+    code, out = run_cli(capsys, *argv, *[t for u in us for t in ("--u", u)])
+    assert code == 0
+    singles = [run_cli(capsys, *argv, "--u", u)[1].splitlines() for u in us]
+    assert out.splitlines() == [singles[0][0]] + [lines[1] for lines in singles]
+
+
+@pytest.mark.parametrize("argv", [["kernel", "--d", "3", "--n", "9", "--what", "h"],
+                                  ["mnd", "--d", "2", "--n", "7", "--method", "closed"]])
+def test_grid_u_prints_what_per_point_calls_print(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--grid-u=-1.1:1.1:23")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == 23
+    for row in rows:
+        assert run_cli(capsys, *argv, f"--u={row.split(',')[2]}")[1].splitlines() == [header, row]
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -636,6 +657,10 @@ def _fresh_env() -> dict:
     ["verify", "--suite", "mean-mc", "--nmax", "20000", "--budget", "4"],
     ["verify", "--suite", "biortho", "--N", "30000"],
     ["verify", "--suite", "biortho", "--N", "100000000"],
+    # each point of these requests is within its route's bound; the request is not
+    ["mnd", "--d", "3", "--n", "1", "--method", "mc", "--grid-u", "-0.5:0.5:1000"],
+    ["kernel", "--d", "3", "--n", "1000000", "--what", "h", "--grid-u", "-0.5:0.5:100"],
+    ["mnd", "--d", "3", "--n", "3", "--grid-u", "-0.99:0.99:65536"],
 ])
 def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
     # a separate process under a timeout: a request that runs instead of being
@@ -665,6 +690,25 @@ def test_no_scipy_module_is_loaded_at_run_time(tmp_path):
     assert loaded.strip() == "[]"
     suites = [s["name"] for s in json.loads(out.read_text())["suites"]]
     assert "biortho" in suites and len(suites) > 1
+
+
+@pytest.mark.parametrize("grid", ["0:inf:5", "-1e308:1e308:5", "nan:1:3"])
+def test_non_finite_grid_u_is_one_line_in_a_fresh_process(grid):
+    # a fresh process: in this one RuntimeWarning is an error, so a warning printed
+    # by np.linspace before the error line would not show
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", "mnd", "--d", "2", "--n", "1",
+                           "--grid-u", grid], env=_fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    (line,) = done.stderr.strip().splitlines()
+    assert "must be finite" in line
+
+
+def test_count_refuses_a_negative_nmax(capsys):
+    code = main(["count", "--d", "3", "--nmax", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: --nmax must be >= 0, got -1"]
 
 
 def test_count_requires_an_index(capsys):

@@ -222,3 +222,11 @@ def test_sample_needs_one_value_per_node():
     assert g.values.shape == (36,) and not g.values.flags.writeable
     with pytest.raises(ValueError, match="npts values"):
         SampledTorusFn.sample(2, 6, lambda pts: np.cos(pts))
+
+
+def test_sample_copies_the_callers_array():
+    a = np.zeros(4, dtype=complex)
+    f = SampledTorusFn.sample(1, 4, lambda pts: a)
+    assert a.flags.writeable
+    a[:] = 1.0  # before the spectrum is first built
+    assert np.all(f.values == 0.0) and np.all(f.spectrum == 0.0)
