@@ -54,8 +54,9 @@ def mean_d2_closed(n: int, alpha):
     a = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < a) & (a < math.pi)):
         raise ValueError("alpha must lie strictly inside (0, pi)")
-    if a.size * (n // 2) > _MAX_CLOSED_TERMS:
-        raise ValueError(f"closed form at n = {n} sums {a.size * (n // 2):.3g} terms at "
+    points = max(a.size, 1)  # the frequencies are listed even when there is no point
+    if points * (n // 2) > _MAX_CLOSED_TERMS:
+        raise ValueError(f"closed form at n = {n} sums {points * (n // 2):.3g} terms at "
                          f"{a.size} point(s), over the limit of {_MAX_CLOSED_TERMS:.3g}")
     m = np.arange(1 + n % 2, n, 2)
     s = np.sum(np.sin(a[..., None] * m) / m, axis=-1)
@@ -322,7 +323,8 @@ class MeanEvaluator:
                 return mean_order0_closed(self.d, x), None
             inside = np.abs(x) < 1.0  # the mean is 0 elsewhere
             value = np.zeros(x.shape)  # the angles from math.acos, as other callers take them
-            value[inside] = mean_d2_closed(self.n, np.array([math.acos(v) for v in x[inside]]))
+            if np.any(inside):
+                value[inside] = mean_d2_closed(self.n, np.array([math.acos(v) for v in x[inside]]))
             return (value if x.ndim else float(value)), None
         if self.method == "series":
             return mean_series(self.d, self.n, x, nterms=self.nterms), None

@@ -19,8 +19,8 @@ import numpy as np
 
 from .bspline import bspline_values
 from .bspline_fourier import (_MAX_MC_BUDGET, _MAX_SERIES_TERMS, _MAX_SERIES_VALUES,
-                              biorthogonality_matrix, mean_d2_closed,
-                              mean_recursion_sides, mean_series, mean_torus_mc)
+                              MeanEvaluator, biorthogonality_matrix, mean_recursion_sides,
+                              mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
 from .kernels import (_MAX_COST, _biortho_table, _shell_table, biortho_generating_pair,
                       biortho_generating_tail, dirichlet_kernel_batch,
@@ -345,7 +345,7 @@ def _mean_methods(cfg: VerifyConfig):
     errors = []
     # every order from one pass; nterms None: each point takes its own number of terms
     for n, series in enumerate(mean_series(2, range(nmax + 1), us, nterms=cfg.nterms)):
-        errors += map(rel_err, series, mean_d2_closed(n, np.array([math.acos(u) for u in us])))
+        errors += map(rel_err, series, MeanEvaluator(2, n, "closed").evaluate(us)[0])
     return {"nmax": nmax, "nterms": cfg.nterms, "grid": 50}, errors, {}
 
 
@@ -364,8 +364,7 @@ def _mean_mc(cfg: VerifyConfig):
     errors, cases = [], []
     for d, budget, us, nmax in plan:
         for n in range(nmax + 1):
-            ref = (mean_d2_closed(n, np.array([math.acos(u) for u in us])) if d == 2
-                   else mean_series(d, n, np.array(us)))
+            ref = MeanEvaluator(d, n, "closed" if d == 2 else "series").evaluate(np.array(us))[0]
             est = mean_torus_mc(d, n, np.array(us), budget=budget, seed=cfg.seed)
             # The paired average is exactly zero with zero spread when the
             # sign-flipped term cancels the direct one (odd index at u = 0),

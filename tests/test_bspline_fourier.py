@@ -244,6 +244,12 @@ def test_d2_closed_bound_counts_every_point(monkeypatch):
         mean_d2_closed(20, np.full(4, 1.0))
     with pytest.raises(ValueError, match="strictly inside"):
         mean_d2_closed(2, np.array([1.0, math.pi]))
+    # no point still lists the frequencies: counted as one, refused before np.arange
+    with pytest.raises(ValueError, match="40 terms at 0 point"):
+        mean_d2_closed(80, np.array([]))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="over the limit"):
+        mean_d2_closed(10**12, np.array([]))
 
 
 def test_order0_closed_takes_arrays():

@@ -349,6 +349,12 @@ def test_mnd_closed_contract_values(capsys):
     (row,) = csv_rows(out)
     assert abs(float(row["value"]) - 1.0 / math.pi) < 1e-14
 
+    # no point with |u| < 1 calls no route, so an n past the route's bound still answers
+    code, out = run_cli(capsys, "mnd", "--d", "2", "--n", "1000000000000",
+                        "--method", "closed", "--u", "1.5", "--u", "-2")
+    assert code == 0
+    assert [float(row["value"]) for row in csv_rows(out)] == [0.0, 0.0]
+
 
 def test_mnd_series_matches_closed_route(capsys):
     from l1torus.bspline_fourier import mean_d2_closed
