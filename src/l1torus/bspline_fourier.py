@@ -28,8 +28,8 @@ import numpy as np
 
 from .bspline import knot_field_batch
 from .kernels import _biortho_table, _check_dn, _shell_core, _shell_finish
-from .numerics import (DEFAULT_SEED, MAX_DRAWS, _float_factorial, finite, gauss_gegenbauer,
-                       shell_count)
+from .numerics import (DEFAULT_SEED, MAX_DRAWS, _float_factorial, check_cost, finite,
+                       gauss_gegenbauer, shell_count)
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 SERIES_EDGE_MARGIN = 1e-3
@@ -43,6 +43,11 @@ _MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point, one mean_d2_closed 
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
 
 
+def _acos(u: np.ndarray) -> np.ndarray:
+    """math.acos of each entry, in the shape of u: the angles of every d = 2 closed form."""
+    return np.array([math.acos(x) for x in u.ravel().tolist()]).reshape(u.shape)
+
+
 def mean_d2_closed(n: int, alpha):
     """Closed form of mean(2, n, cos(alpha)) for alpha in (0, pi), scalar or ndarray:
 
@@ -54,10 +59,9 @@ def mean_d2_closed(n: int, alpha):
     a = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < a) & (a < math.pi)):
         raise ValueError("alpha must lie strictly inside (0, pi)")
-    points = max(a.size, 1)  # the frequencies are listed even when there is no point
-    if points * (n // 2) > _MAX_CLOSED_TERMS:
-        raise ValueError(f"closed form at n = {n} sums {points * (n // 2):.3g} terms at "
-                         f"{a.size} point(s), over the limit of {_MAX_CLOSED_TERMS:.3g}")
+    # the frequencies are listed even when there is no point
+    check_cost(f"closed form at n = {n}", max(a.size, 1) * (n // 2),
+               f"terms at {a.size} point(s)", _MAX_CLOSED_TERMS)
     m = np.arange(1 + n % 2, n, 2)
     s = np.sum(np.sin(a[..., None] * m) / m, axis=-1)
     value = 0.5 - (n % 2) * a / math.pi - (2.0 / math.pi) * s
@@ -108,9 +112,8 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     exceed _MAX_SERIES_VALUES, or when (d-1)! is beyond the float range.
     """
     one = isinstance(n, (int, np.integer))
-    if not one and len(n) > _MAX_SERIES_VALUES:  # a long range is refused before it is listed
-        raise ValueError(f"series at {len(n):.3g} orders, "
-                         f"over the limit of {_MAX_SERIES_VALUES:.3g}")
+    if not one:  # a long range is refused before it is listed
+        check_cost("series", len(n), "orders", _MAX_SERIES_VALUES)
     orders = [n] if one else [int(x) for x in n]
     for order in orders:
         _check_dn(d, order)
@@ -120,15 +123,17 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     u_arr = finite(u, "u")
     if np.any(np.abs(u_arr) > 1.0 - SERIES_EDGE_MARGIN):
         raise ValueError(f"series route requires |u| <= 1 - {SERIES_EDGE_MARGIN:g}")
-    terms = (np.ceil(_SERIES_REACH / np.arccos(np.abs(u_arr))) if nterms is None
-             else np.full(u_arr.shape, float(nterms)))
-    kmax = int(terms.max(initial=0))
+    if nterms is None:
+        terms = np.ceil(_SERIES_REACH / np.arccos(np.abs(u_arr)))
+        kmax = int(terms.max(initial=0))
+    else:
+        kmax = nterms if u_arr.size else 0
     # the recurrence's values, plus the terms each further order adds up
     cost = (top + 2 * kmax - 1 + (len(orders) - 1) * kmax) * u_arr.size
-    if cost > _MAX_SERIES_VALUES:
-        raise ValueError(f"series at n = {top}, K = {kmax} for {len(orders)} order(s) at "
-                         f"{u_arr.size} point(s) steps through {cost:.3g} values, "
-                         f"over the limit of {_MAX_SERIES_VALUES:.3g}")
+    check_cost(f"series at n = {top}, K = {kmax} for {len(orders)} order(s) at "
+               f"{u_arr.size} point(s)", cost, "values", _MAX_SERIES_VALUES)
+    if nterms is not None:  # a float once it is known to be small
+        terms = np.full(u_arr.shape, float(kmax))
     fact = _float_factorial(d - 1)
     lam = d - 1.0
     x, terms = u_arr.squeeze()[()], terms.squeeze()[()]  # a lone point steps as numpy scalars
@@ -172,7 +177,7 @@ def mean_recursion_sides(d: int, n: int, u):
     lam = d - 1
     u_arr = np.asarray(u, dtype=float)
     if d == 2:
-        alpha = np.array([math.acos(x) for x in u_arr.ravel().tolist()]).reshape(u_arr.shape)
+        alpha = _acos(u_arr)
         means = [mean_d2_closed(n + 2 * j, alpha) for j in range(d)]
     else:
         means = mean_series(d, [n + 2 * j for j in range(d)], u_arr)
@@ -226,9 +231,8 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
         budget = _MC_DEFAULT_BUDGET[d]
     if budget < 4:  # fewer than two antithetic pairs give no spread
         raise ValueError(f"budget must be >= 4, got {budget}")
-    if budget * pts.size > _MAX_MC_BUDGET:
-        raise ValueError(f"budget {budget:.3g} at {pts.size} point(s) is {budget * pts.size:.3g} "
-                         f"evaluations, over the limit of {_MAX_MC_BUDGET:.3g}")
+    check_cost(f"budget {budget} at {pts.size} point(s)", budget * pts.size, "evaluations",
+               _MAX_MC_BUDGET)
     total_pairs = budget // 2
     rng = np.random.default_rng(seed)
     count = shell_count(d, n)
@@ -272,13 +276,13 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     lam = d - 1
+    fact = _float_factorial(lam)  # checked before c_lam, which overflows from the same d on
     rule = gauss_gegenbauer(max_index + 8, float(lam))
     x, w = rule.nodes, rule.weights
     degmax = max_index + 6
     seq = gegenbauer_sequence(float(lam), degmax, x)
     ones = gegenbauer_at_one(float(lam), degmax)
     a = np.array([math.comb(k + d - 2, k) for k in range(degmax)], dtype=float)  # (d-1)_k/k!
-    fact = _float_factorial(lam)  # checked before c_lam, which overflows from the same d on
     const = geg_norm_c(float(lam)) / fact
     rows = np.empty((max_index + 1, x.size))
     for n in range(max_index + 1):
@@ -322,9 +326,9 @@ class MeanEvaluator:
             if self.d != 2:
                 return mean_order0_closed(self.d, x), None
             inside = np.abs(x) < 1.0  # the mean is 0 elsewhere
-            value = np.zeros(x.shape)  # the angles from math.acos, as other callers take them
+            value = np.zeros(x.shape)
             if np.any(inside):
-                value[inside] = mean_d2_closed(self.n, np.array([math.acos(v) for v in x[inside]]))
+                value[inside] = mean_d2_closed(self.n, _acos(x[inside]))
             return (value if x.ndim else float(value)), None
         if self.method == "series":
             return mean_series(self.d, self.n, x, nterms=self.nterms), None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -23,9 +22,8 @@ import numpy as np
 from .bspline_fourier import MeanEvaluator
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
-from .numerics import DEFAULT_SEED, finite, shell_count, torus_trapezoid
-from .pdf import (GramSpec, _check_gram_size, gram_matrix, min_eigenvalue, pdf_check,
-                  spdf_check)
+from .numerics import DEFAULT_SEED, check_cost, finite, shell_count, torus_trapezoid
+from .pdf import min_eigenvalue, pdf_check, sampled_gram_matrix, spdf_check
 from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
 from .verify import SUITES, VerifyConfig, run_suites
 
@@ -93,8 +91,7 @@ def _u_points(args) -> np.ndarray:
     finite([start, stop, stop - start], "--grid-u start, stop and stop - start")
     if count < 1:
         raise ValueError("--grid-u count must be >= 1")
-    if count > _MAX_GRID_U:
-        raise ValueError(f"--grid-u count {count} is over the limit of {_MAX_GRID_U}")
+    check_cost("--grid-u", count, "points", _MAX_GRID_U)
     return np.linspace(start, stop, count)
 
 
@@ -165,11 +162,8 @@ def _cmd_pdf(args) -> int:
         strict = spdf_check(coeffs)
         result["spdf"] = strict.ok
         result["witness"] = list(strict.witness) if strict.witness is not None else None
-    _check_gram_size(args.points)
-    rng = np.random.default_rng(args.seed)
-    pts = rng.uniform(-math.pi, math.pi, (args.points, args.d))
     trunc = args.trunc if args.trunc is not None else coeffs.max_head_index
-    a = gram_matrix(GramSpec(args.d, pts, coeffs, trunc))
+    a = sampled_gram_matrix(args.d, args.points, coeffs, trunc, args.seed)
     result["min_eig_sample"] = min_eigenvalue(a)
     result["sample"] = {"d": args.d, "points": args.points, "trunc": trunc,
                         "seed": args.seed}
@@ -181,9 +175,7 @@ def _cmd_count(args) -> int:
     if args.nmax is not None:
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
-        if args.nmax >= _MAX_COUNT_ROWS:
-            raise ValueError(f"--nmax {args.nmax} asks for {args.nmax + 1} rows, over the "
-                             f"limit of {_MAX_COUNT_ROWS}")
+        check_cost(f"--nmax {args.nmax}", args.nmax + 1, "rows", _MAX_COUNT_ROWS)
         ns = list(range(args.nmax + 1))
     elif args.n is not None:
         ns = [args.n]

@@ -27,12 +27,13 @@ take as a truncated product in O(d n^2) per point; scalar forms wrap one row.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .numerics import _float_factorial, finite, theta_vector
+from .numerics import _float_factorial, check_cost, finite, theta_vector
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
 # Entries of the (n+1, d, rows) cosine table taken per row block (128 KiB, in cache)
@@ -50,6 +51,9 @@ def _check_dn(d: int, n: int, dmin: int = 2):
         raise ValueError(f"dimension must be >= {dmin}")
     if n < 0:
         raise ValueError("index n must be >= 0")
+    if max(d, n) > sys.float_info.max:  # each route takes d and n into float arithmetic
+        raise ValueError(f"index {max(d, n)} is over the limit of {sys.float_info.max:.3g}, "
+                         f"the largest float")
 
 
 @lru_cache(maxsize=None)
@@ -151,17 +155,13 @@ def _biortho_table(d: int, nmax: int, u, form: str = "c", first: int = 0) -> np.
     """
     _check_dn(d, nmax)
     u_arr = finite(u, "u")
-    if form == "c":
-        lam, base = float(d), d
-    elif form == "z":
-        lam, base = float(d - 1), d - 1
-    else:
+    if form not in ("c", "z"):
         raise ValueError("form must be 'c' or 'z'")
-    cost = (nmax + 1) * u_arr.size
-    if cost > _MAX_GEGENBAUER:
-        raise ValueError(f"biortho_poly at n = {nmax} for {u_arr.size} point(s) needs {cost:.3g} "
-                         f"Gegenbauer values, over the limit of {_MAX_GEGENBAUER:.3g}")
+    check_cost(f"biortho_poly at n = {nmax} for {u_arr.size} point(s)", (nmax + 1) * u_arr.size,
+               "Gegenbauer values", _MAX_GEGENBAUER)
     scale = _float_factorial(d - 1)
+    base = d if form == "c" else d - 1
+    lam = float(base)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = gegenbauer_sequence(lam, nmax, u_arr)
         if form == "z":
@@ -184,21 +184,14 @@ def shell_sum(d: int, n: int, theta) -> float:
     return float(shell_sum_batch(d, n, theta_vector(theta, d)[None, :])[0])
 
 
-def _check_cost(d: int, n: int, rows: int):
-    """Reject a batch of ``rows`` points over ``_MAX_COST`` multiply-adds."""
-    cost = rows * d * (n + 1) ** 2
-    if cost > _MAX_COST:
-        raise ValueError(f"shell sums at d = {d}, n = {n} for {rows} point(s) cost "
-                         f"{cost:.3g} multiply-adds, over the limit of {_MAX_COST:.3g}")
-
-
 def _check_batch(d: int, n: int, thetas) -> np.ndarray:
     """The shared input check of the shell and Dirichlet batches, run before any allocation."""
     _check_dn(d, n, dmin=1)
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 2 or t.shape[1] != d:
         raise ValueError("thetas must have shape (batch, d)")
-    _check_cost(d, n, t.shape[0])
+    check_cost(f"shell sums at d = {d}, n = {n} for {t.shape[0]} point(s)",
+               t.shape[0] * d * (n + 1) ** 2, "multiply-adds", _MAX_COST)
     return finite(t, "theta")
 
 
@@ -216,7 +209,8 @@ def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
     the first d - 1 factors 1, 2 cos(theta_i), ..., 2 cos(n theta_i) (Chebyshev
     recurrence from one cosine per angle), ``last`` the last factor, both of shape
     (n+1, rows)."""
-    _check_cost(d, n, knots.shape[0])
+    check_cost(f"shell sums at d = {d}, n = {n} for {knots.shape[0]} point(s)",
+               knots.shape[0] * d * (n + 1) ** 2, "multiply-adds", _MAX_COST)
     step = max(1, _BLOCK_ENTRIES // (d * (n + 1)))
     # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
     # meets a zero at r = 1 at once, so partial products never grow and cancel.
@@ -286,18 +280,21 @@ def dirichlet_kernel_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
     return _shell_product(d, n, thetas, _dirichlet_finish)
 
 
+def _poisson_denominator(d: int, r: float, theta) -> float:
+    """prod_i (1 - 2 r cos(theta_i) + r^2), once d >= 1 and 0 <= r < 1 are checked."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if not (0 <= r < 1):
+        raise ValueError("r must lie in [0, 1)")
+    return np.prod(1.0 - 2.0 * r * np.cos(theta_vector(theta, d)) + r * r)
+
+
 def poisson_product(d: int, r: float, theta) -> float:
     """Product-form Poisson kernel (1 - r^2)^d / prod_i (1 - 2 r cos(theta_i) + r^2).
 
     Equals sum_n r^n * shell_sum(d, n, theta) for 0 <= r < 1.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
-    t = theta_vector(theta, d)
-    denom = np.prod(1.0 - 2.0 * r * np.cos(t) + r * r)
-    return float((1.0 - r * r) ** d / denom)
+    return float((1.0 - r * r) ** d / _poisson_denominator(d, r, theta))
 
 
 def poisson_kernel(r: float) -> Chebyshev:
@@ -325,50 +322,40 @@ def poisson_divdiff(d: int, r: float, theta) -> float:
     returns that product form (the divided-difference route is exercised by
     the verification suites).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
-    t = theta_vector(theta, d)
-    denom = np.prod(1.0 - 2.0 * r * np.cos(t) + r * r)
-    return float((2.0 * r) ** (d - 1) / denom)
+    return float((2.0 * r) ** (d - 1) / _poisson_denominator(d, r, theta))
 
 
-def biortho_generating_pair(d: int, r: float, u: float, nterms: int) -> tuple[float, float]:
-    """Partial sum and closed form of sum_n biortho_poly(d, n, u) r^n.
+def biortho_generating_pair(d: int, r: float, u, nterms: int):
+    """Partial sum and closed form of sum_n biortho_poly(d, n, u) r^n, u scalar or ndarray.
 
-    Returns (sum over n <= nterms, (d-1)! (1-r^2)^d (1 - 2ru + r^2)^(-d)).
+    Returns (sum over n <= nterms, (d-1)! (1-r^2)^d (1 - 2ru + r^2)^(-d)), each of
+    the shape of u.  The partial sum weights the rows of one :func:`_biortho_table`,
+    with its checks.
     """
-    _check_dn(d, 0)
     if not (0 <= r < 1):
         raise ValueError("r must lie in [0, 1)")
-    seq = gegenbauer_sequence(float(d), nterms, float(u))
-    powers = r ** np.arange(nterms + 1)
-    partial = 0.0
-    for j in range(d + 1):
-        shift = 2 * j
-        if shift > nterms:
-            break
-        # sum_n r^n C_{n-2j}^d(u) over n = 2j..nterms
-        partial += (-1) ** j * math.comb(d, j) * float(
-            np.dot(powers[shift:], seq[: nterms - shift + 1])
-        )
-    fact = _float_factorial(d - 1)
-    partial *= fact
-    closed = fact * (1 - r * r) ** d / (1 - 2 * r * u + r * r) ** d
-    return partial, closed
+    table = _biortho_table(d, nterms, u)
+    partial = r ** np.arange(nterms + 1) @ table
+    closed = _float_factorial(d - 1) * (1 - r * r) ** d / (1 - 2 * r * u + r * r) ** d
+    if np.ndim(u):
+        return partial, closed
+    return float(partial), float(closed)
 
 
 def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
     """Bound for the omitted tail of the biorthogonal generating series, |u| <= 1.
 
     A majorant is summed over the 400 terms after ``nterms``, and the rest is
-    bounded by a geometric series.
+    bounded by a geometric series.  The majorant's nterms + 401 values are
+    bounded as a :func:`_biortho_table` of one point is.
     """
     _check_dn(d, 0)
     if not (0 <= r < 1):
         raise ValueError("r must lie in [0, 1)")
     top = nterms + 400
+    check_cost(f"the biortho tail majorant at n = {top}", top + 1, "Gegenbauer values",
+               _MAX_GEGENBAUER)
+    fact = _float_factorial(d - 1)
     c1 = gegenbauer_at_one(float(d), top)
     # |biortho_poly(d, n, u)| <= (d-1)! sum_j C(d,j) C_{n-2j}^d(1) =: majorant(n)
     maj = np.zeros(top + 1)
@@ -377,7 +364,7 @@ def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
         if shift > top:
             break
         maj[shift:] += math.comb(d, j) * c1[: top - shift + 1]
-    maj *= _float_factorial(d - 1)
+    maj *= fact
     tail = float(np.dot(maj[nterms + 1:], r ** np.arange(nterms + 1, top + 1)))
     ratio = r * ((top + 2.0 * d) / (top + 1.0)) ** (2 * d)
     rest = maj[top] * r**top * ratio / (1 - ratio) if ratio < 1 else math.inf

@@ -2,12 +2,13 @@
 
 Quadrature rules (Gauss-Legendre, Gauss-Gegenbauer by the Golub-Welsch
 eigenvalue method, tensor trapezoid on the torus), enumeration and counting of
-l1 lattice shells, the mixed error measure, and the finiteness and torus-point
-validators used throughout the package.  The package needs numpy alone.
+l1 lattice shells, the mixed error measure, the finiteness and torus-point
+validators and the one cost check used throughout the package.  It needs numpy alone.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -22,6 +23,17 @@ _MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n of one ball
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
 _MAX_RULE_NODES = 1 << 10  # nodes of one Gauss-Gegenbauer rule, a dense npts x npts eigenproblem
+
+
+def check_cost(what: str, cost, unit: str, limit: int):
+    """ValueError "{what}: {cost} {unit}, over the limit of {limit}" when cost > limit.
+
+    An int cost of any size compares exactly and, past the float range, prints
+    as 2^k; a float cost is an estimate and prints as it is, inf included."""
+    if cost > limit:
+        big = sys.float_info.max < cost < math.inf
+        size = f"2^{math.log2(cost):.4g}" if big else f"{cost:.3g}"
+        raise ValueError(f"{what}: {size} {unit}, over the limit of {limit:.3g}")
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -91,9 +103,7 @@ def gauss_gegenbauer(npts: int, lam: float) -> QuadRule:
         raise ValueError("npts must be >= 1")
     if lam <= -0.5:
         raise ValueError("lam must exceed -1/2")
-    if npts > _MAX_RULE_NODES:
-        raise ValueError(f"a Gauss-Gegenbauer rule of {npts} nodes is over the limit of "
-                         f"{_MAX_RULE_NODES} nodes")
+    check_cost("a Gauss-Gegenbauer rule", npts, "nodes", _MAX_RULE_NODES)
     off = np.empty(npts - 1)
     off[:1] = math.sqrt(0.5 / (1.0 + lam))  # b_1: the general form is 0/0 at lam = 0
     k = np.arange(2.0, npts)
@@ -112,29 +122,22 @@ def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
 
     Normalized so that the rule computes (2*pi)^-d times the integral
     over the torus; exponentials exp(i a.theta) with max|a_j| < npts_per_axis
-    integrate exactly (to 1 for a = 0, otherwise 0).
+    integrate exactly (to 1 for a = 0, otherwise 0).  Refused first when its
+    npts^d nodes x d floats exceed ``_MAX_GRID_FLOATS``.
     """
-    _check_grid(d, npts_per_axis)
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if npts_per_axis < 1:
+        raise ValueError("npts_per_axis must be >= 1")
+    # in log2 first: the exact power is formed below 2^65536 floats only, inf past it
+    exact = d < 1 << 64 and d * math.log2(npts_per_axis) + math.log2(d) < 1 << 16
+    check_cost(f"a torus grid of {npts_per_axis}^{d} nodes",
+               npts_per_axis**d * d if exact else math.inf, "floats", _MAX_GRID_FLOATS)
     axis = -np.pi + 2.0 * np.pi * np.arange(npts_per_axis) / npts_per_axis
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     weights = np.full(npts_per_axis**d, float(npts_per_axis) ** (-d))
     return QuadRule(nodes, weights)
-
-
-def _check_grid(d: int, npts_per_axis: int):
-    """ValueError when the npts_per_axis^d nodes x d floats of a torus grid exceed
-    ``_MAX_GRID_FLOATS``.  The bound is compared in log2 first, so a large d is
-    refused without forming the exact power."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if npts_per_axis < 1:
-        raise ValueError("npts_per_axis must be >= 1")
-    bits = d * math.log2(npts_per_axis) + math.log2(d)
-    if bits > math.log2(_MAX_GRID_FLOATS) + 1 or npts_per_axis**d * d > _MAX_GRID_FLOATS:
-        size = f"{npts_per_axis**d * d:.3g}" if bits < 1000 else f"2^{bits:.4g}"
-        raise ValueError(f"a torus grid of {npts_per_axis}^{d} nodes holds "
-                         f"{size} floats, over the limit of {_MAX_GRID_FLOATS:.3g}")
 
 
 def _float_factorial(k: int) -> float:
@@ -173,12 +176,20 @@ def shell_count(d: int, n: int) -> int:
 
 
 def _binomial_sum(d: int, n: int, term) -> int:
-    """Sum of term(j), 0 <= j <= min(d, n); refused first when its big integers cost too much."""
+    """Sum of term(j), 0 <= j <= min(d, n); refused first when its big integers cost too much.
+
+    The cost is estimated in floats: an index past their range counts as inf.
+    """
     terms = min(d, n) + 1  # each of about log2 C(n + d, d) + min(d, n) bits
-    bits = (math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1)) / math.log(2) + terms
-    if terms * bits > _MAX_COUNT_BITS:
-        raise ValueError(f"the l1 count at d = {d}, n = {n} sums {terms:.3g} binomials of "
-                         f"~{bits:.3g} bits, over the limit of {_MAX_COUNT_BITS:.3g}")
+    try:
+        if max(d, n) < 2**53:
+            ln_binomial = math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1)
+        else:  # lgamma would round the larger index away: ln(big^m / m!), m = min(d, n)
+            ln_binomial = (terms - 1) * math.log(float(max(d, n))) - math.lgamma(terms)
+        cost = terms * (ln_binomial / math.log(2) + terms)
+    except OverflowError:
+        cost = math.inf
+    check_cost(f"the l1 count at d = {d}, n = {n}", cost, "terms x bits", _MAX_COUNT_BITS)
     return sum(map(term, range(terms)))
 
 
@@ -199,10 +210,8 @@ def ball_enumerate(d: int, n: int) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     if n < 0:
         raise ValueError("shell index must be >= 0")
-    entries = _ball_size(d, n) * d
-    if entries > _MAX_SHELL_ENTRIES:
-        raise ValueError(f"the l1 shells 0..{n} in d = {d} hold {entries:.3g} entries, "
-                         f"over the limit of {_MAX_SHELL_ENTRIES:.3g}")
+    check_cost(f"the l1 shells 0..{n} in d = {d}", _ball_size(d, n) * d, "ints",
+               _MAX_SHELL_ENTRIES)
     pts = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d):  # append every a with |a| <= what the prefix leaves, ascending
         left = n - np.abs(pts).sum(axis=1)

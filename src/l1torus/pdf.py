@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import wrap_angles
+from .numerics import check_cost, wrap_angles
 from .summability import CoeffSeq, synth
 
 MIN_POINT_SEPARATION = 1e-9
@@ -69,9 +69,8 @@ def spdf_check(coeffs: CoeffSeq) -> CheckResult:
         raise ValueError("strictness is only defined for nonnegative sequences")
     tail = coeffs.tail
     q = tail.modulus
-    if math.isqrt(q) > _MAX_TRIAL_DIVISIONS:
-        raise ValueError(f"the modulus {q} needs {math.isqrt(q)} trial divisions to factor, "
-                         f"over the limit of {_MAX_TRIAL_DIVISIONS}")
+    check_cost(f"factoring the modulus {q}", math.isqrt(q), "trial divisions",
+               _MAX_TRIAL_DIVISIONS)
     small = [g for g in range(1, math.isqrt(q) + 1) if q % g == 0]
     classes = {g: {r % g for r in tail.residues} | {-r % g for r in tail.residues}
                for g in small + [q // g for g in small]}  # (R union -R) mod g
@@ -129,14 +128,6 @@ class GramSpec:
             raise ValueError("trunc must be >= 0")
 
 
-def _check_gram_size(npts: int):
-    """ValueError when npts points make more than ``_MAX_GRAM_PAIRS`` pairs."""
-    pairs = npts * (npts - 1) // 2
-    if pairs > _MAX_GRAM_PAIRS:
-        raise ValueError(f"a Gram matrix of {npts} points holds {pairs:.3g} pairs, "
-                         f"over the limit of {_MAX_GRAM_PAIRS:.3g}")
-
-
 def gram_matrix(spec: GramSpec) -> np.ndarray:
     """Gram matrix A[i, j] = f(theta_i - theta_j) of the synthesized kernel.
 
@@ -147,7 +138,8 @@ def gram_matrix(spec: GramSpec) -> np.ndarray:
     """
     pts = spec.points
     npts = pts.shape[0]
-    _check_gram_size(npts)
+    check_cost(f"a Gram matrix of {npts} points", npts * (npts - 1) // 2, "pairs",
+               _MAX_GRAM_PAIRS)
     i, j = np.triu_indices(npts, k=1)
     delta = wrap_angles(pts[i] - pts[j])
     close = np.max(np.abs(delta), axis=1) < MIN_POINT_SEPARATION
@@ -159,6 +151,14 @@ def gram_matrix(spec: GramSpec) -> np.ndarray:
     np.fill_diagonal(a, vals[0])
     a[i, j] = a[j, i] = vals[1:]
     return a
+
+
+def sampled_gram_matrix(d: int, npts: int, coeffs: CoeffSeq, trunc: int, seed: int):
+    """:func:`gram_matrix` at npts seeded uniform points of [-pi, pi)^d, checked first."""
+    check_cost(f"a Gram matrix of {npts} points", npts * (npts - 1) // 2, "pairs",
+               _MAX_GRAM_PAIRS)
+    pts = np.random.default_rng(seed).uniform(-math.pi, math.pi, (npts, d))
+    return gram_matrix(GramSpec(d, pts, coeffs, trunc))
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

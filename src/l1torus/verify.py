@@ -18,16 +18,16 @@ from typing import Callable
 import numpy as np
 
 from .bspline import bspline_values
-from .bspline_fourier import (_MAX_MC_BUDGET, _MAX_SERIES_TERMS, _MAX_SERIES_VALUES,
-                              MeanEvaluator, biorthogonality_matrix, mean_recursion_sides,
-                              mean_series, mean_torus_mc)
+from .bspline_fourier import (_MAX_CLOSED_TERMS, _MAX_MC_BUDGET, _MAX_SERIES_TERMS,
+                              _MAX_SERIES_VALUES, MeanEvaluator, biorthogonality_matrix,
+                              mean_recursion_sides, mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
 from .kernels import (_MAX_COST, _biortho_table, _shell_table, biortho_generating_pair,
                       biortho_generating_tail, dirichlet_kernel_batch,
                       dirichlet_seed, poisson_divdiff, poisson_kernel, poisson_product,
                       shell_seed, shell_sum_batch)
-from .numerics import (DEFAULT_SEED, MAX_DRAWS, gauss_legendre, rel_err, shell_count,
-                       shell_enumerate, theta_vector)
+from .numerics import (DEFAULT_SEED, MAX_DRAWS, check_cost, gauss_legendre, rel_err,
+                       shell_count, shell_enumerate, theta_vector)
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, spdf_check, spdf_pair_search
 from .summability import CoeffSeq, Tail
 
@@ -82,8 +82,11 @@ def sample_separated_theta(rng: np.random.Generator, d: int, count: int,
     Rejection-samples until all pairwise |cos(theta_i) - cos(theta_j)| are at
     least ``min_cos_gap``, keeping divided-difference tables well
     conditioned.  A point that takes more than ``MAX_DRAWS`` draws raises
-    ValueError.
+    ValueError, at once when d cosines in [-1, 1] cannot be so far apart.
     """
+    failure = f"no {d} angles with cosines {min_cos_gap:g} apart in {MAX_DRAWS} draws"
+    if min_cos_gap > 0 and d - 1 > 2.0 / min_cos_gap:
+        raise ValueError(failure)
     out = np.empty((count, d))
     for i in range(count):
         for _ in range(MAX_DRAWS):
@@ -93,7 +96,7 @@ def sample_separated_theta(rng: np.random.Generator, d: int, count: int,
                 out[i] = t
                 break
         else:
-            raise ValueError(f"no {d} angles with cosines {min_cos_gap:g} apart in {MAX_DRAWS} draws")
+            raise ValueError(failure)
     return out
 
 
@@ -148,14 +151,9 @@ def _dims(cfg: VerifyConfig, default: tuple[int, ...]) -> tuple[int, ...]:
     return (cfg.d,) if cfg.d is not None else default
 
 
-def _check_loop(what: str, cost: int, limit: int):
-    """Refuse a suite's loop over the orders n <= nmax before it starts.
-
-    ``cost`` counts every order at the top order's cost, in the unit of the
-    route's own per-call ``limit``: the whole loop may cost what one call may.
-    """
-    if cost > limit:
-        raise ValueError(f"{what}: cost {cost:.3g}, over the limit of {limit:.3g}")
+# A suite that loops over the orders n <= nmax is refused before the loop starts
+# by check_cost: its cost counts every order at the top order's cost, in the unit
+# of the route's own per-call limit, so the whole loop may cost what one call may.
 
 
 @_suite("shell-count", 0.0,
@@ -181,8 +179,9 @@ def _seed_divdiff(cfg: VerifyConfig, stream: int, first_n: int, seed, reference)
     the batched lattice sum ``reference(d, n, thetas)``, for first_n <= n <= nmax."""
     dims = _dims(cfg, (2, 3, 4))
     nmax = cfg.nmax if cfg.nmax is not None else 8
-    _check_loop(f"lattice sums at 30 points, n = {first_n} ... {nmax}",
-                30 * sum(dims) * max(nmax - first_n + 1, 0) * (nmax + 1) ** 2, _MAX_COST)
+    check_cost(f"lattice sums at 30 points, n = {first_n} ... {nmax}",
+               30 * sum(dims) * max(nmax - first_n + 1, 0) * (nmax + 1) ** 2, "multiply-adds",
+               _MAX_COST)
     rng = np.random.default_rng([cfg.seed, stream])
     errors = []
     for d in dims:
@@ -234,9 +233,8 @@ def _biortho_generating(cfg: VerifyConfig):
     for d in dims:
         for r in (0.2, 0.5):
             bound = biortho_generating_tail(d, r, nterms) + 1e-12
-            for u in rng.uniform(-1.0, 1.0, 20):
-                series, closed = biortho_generating_pair(d, r, float(u), nterms)
-                errors.append(abs(series - closed) / bound)
+            series, closed = biortho_generating_pair(d, r, rng.uniform(-1.0, 1.0, 20), nterms)
+            errors += (np.abs(series - closed) / bound).tolist()
     return {"dims": list(dims), "r": [0.2, 0.5], "nterms": nterms, "points": 20}, errors, {}
 
 
@@ -283,6 +281,9 @@ def _poisson_divdiff(cfg: VerifyConfig):
 def _poisson_series(cfg: VerifyConfig):
     dims = _dims(cfg, (2, 3))
     nterms = cfg.nterms if cfg.nterms is not None else 60
+    # its 10-point tables may cost what one call may, checked before the points are drawn
+    check_cost(f"shell sums at 10 points, n = 0 ... {nterms}",
+               10 * sum(dims) * (nterms + 1) ** 2, "multiply-adds", _MAX_COST)
     rng = np.random.default_rng([cfg.seed, 7])
     errors = []
     for d in dims:
@@ -323,9 +324,9 @@ def _mean_recursion(cfg: VerifyConfig):
     nmaxes = [cfg.nmax if cfg.nmax is not None else (5 if d == 2 else 3) for d in dims]
     # one order's d means step through at most this many series values per point
     # (the d = 2 closed form sums fewer terms)
-    _check_loop(f"mean recursion at 20 points, n = 0 ... {max(nmaxes)}", sum(
+    check_cost(f"mean recursion at 20 points, n = 0 ... {max(nmaxes)}", sum(
         us.size * (nmax + 1) * (nmax + 2 * d - 1 + (d + 1) * _MAX_SERIES_TERMS)
-        for d, nmax in zip(dims, nmaxes)), _MAX_SERIES_VALUES)
+        for d, nmax in zip(dims, nmaxes)), "values", _MAX_SERIES_VALUES)
     errors, details = [], {}
     for d, nmax in zip(dims, nmaxes):
         tol_d = 1e-10 if d == 2 else 1e-12
@@ -342,6 +343,8 @@ def _mean_recursion(cfg: VerifyConfig):
 def _mean_methods(cfg: VerifyConfig):
     nmax = cfg.nmax if cfg.nmax is not None else 4
     us = np.linspace(-0.99, 0.99, 50)
+    check_cost(f"d = 2 closed forms at 50 points, n = 0 ... {nmax}",
+               us.size * (nmax + 1) * (nmax // 2), "terms", _MAX_CLOSED_TERMS)
     errors = []
     # every order from one pass; nterms None: each point takes its own number of terms
     for n, series in enumerate(mean_series(2, range(nmax + 1), us, nterms=cfg.nterms)):
@@ -357,10 +360,12 @@ def _mean_mc(cfg: VerifyConfig):
     plan = [(d, cfg.budget if cfg.budget is not None else (200_000 if d == 2 else 500_000),
              (-0.6, 0.0, 0.6) if d == 2 else (-0.5, 0.0, 0.5),
              cfg.nmax if cfg.nmax is not None else (3 if d == 2 else 4)) for d in dims]
-    _check_loop("Monte-Carlo evaluations", sum(len(us) * (nmax + 1) * budget
-                                               for _, budget, us, nmax in plan), _MAX_MC_BUDGET)
-    _check_loop("Monte-Carlo shell sums", sum(len(us) * (nmax + 1) ** 3 * (budget // 2) * d
-                                              for d, budget, us, nmax in plan), _MAX_COST)
+    check_cost("Monte-Carlo means", sum(len(us) * (nmax + 1) * budget
+                                        for _, budget, us, nmax in plan),
+               "evaluations", _MAX_MC_BUDGET)
+    check_cost("Monte-Carlo shell sums", sum(len(us) * (nmax + 1) ** 3 * (budget // 2) * d
+                                             for d, budget, us, nmax in plan),
+               "multiply-adds", _MAX_COST)
     errors, cases = [], []
     for d, budget, us, nmax in plan:
         for n in range(nmax + 1):

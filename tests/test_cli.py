@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from l1torus import cli
 from l1torus.cli import main
 from l1torus.numerics import shell_count
+from l1torus.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +284,47 @@ def test_requests_fail_fast_or_print_finite_values(tmp_path_factory, command, da
             except ValueError:  # the method name and an empty stderr
                 continue
             assert math.isfinite(value), (argv, row)
+
+
+# an integer option as 10^k: small enough to be served, or far past the float range
+powers_of_ten = st.one_of(st.integers(0, 1), st.integers(30, 400)).map(lambda k: str(10**k))
+
+
+def _integer_request(command, data):
+    """argv of one count, kernel (E, D, h), mnd or verify request whose integer
+    options are all drawn from ``powers_of_ten``."""
+    def big():
+        return data.draw(powers_of_ten)
+
+    if command == "count":
+        return ["count", "--d", big(), data.draw(st.sampled_from(["--n", "--nmax"])), big()]
+    if command in ("E", "D"):
+        return ["kernel", "--d", big(), "--n", big(), "--what", command, "--grid", big()]
+    if command == "h":
+        return ["kernel", "--d", big(), "--n", big(), "--what", "h",
+                "--grid-u", f"-0.5:0.5:{big()}"]
+    if command == "mnd":
+        return ["mnd", "--d", big(), "--n", big(), "--u", "0.5",
+                "--method", data.draw(st.sampled_from(["closed", "series", "mc"])),
+                "--K", big(), "--budget", big(), "--seed", big()]
+    return ["verify", "--suite", data.draw(st.sampled_from(sorted(SUITES))), "--nmax", big(),
+            "--K", big(), "--N", big(), "--budget", big()]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["count", "E", "D", "h", "mnd", "verify"]), data=st.data())
+def test_integer_options_of_any_size_are_served_or_refused_in_one_line(command, data):
+    argv = _integer_request(command, data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().strip().splitlines()) == 1
+    else:  # verify exits 1 when a suite fails at the small overrides, as --K 1 makes it
+        assert code == 0 or (code == 1 and command == "verify")
+        assert err.getvalue() == ""
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -638,6 +680,9 @@ def test_count_prints_large_counts_exactly(capsys):
     assert row["count"] == str(shell_count(3, 10**12)) == "4000000000000000000000002"
 
 
+_N, _M = str(10**200), str(10**400)  # past the float range: 10^400 as a count index
+
+
 def _fresh_env() -> dict:
     """The environment of a child interpreter that imports this source tree."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -667,11 +712,25 @@ def _fresh_env() -> dict:
     ["mnd", "--d", "3", "--n", "1", "--method", "mc", "--grid-u", "-0.5:0.5:1000"],
     ["kernel", "--d", "3", "--n", "1000000", "--what", "h", "--grid-u", "-0.5:0.5:100"],
     ["mnd", "--d", "3", "--n", "3", "--grid-u", "-0.99:0.99:65536"],
+    # integers past the float range: a cost that prints as 2^k, and the estimates
+    # and lengths taken before any bound, are refused rather than overflowing
+    *[["verify", "--suite", suite, "--nmax", _N] for suite in
+      ("shell-divdiff", "dirichlet-divdiff", "mean-recursion", "shell-integral")],
+    ["verify", "--suite", "poisson-series", "--K", _N],
+    ["verify", "--suite", "mean-methods", "--nmax", _N],
+    ["verify", "--suite", "shell-count", "--nmax", _M],
+    ["kernel", "--d", "3", "--n", _N, "--what", "E", "--theta", "0,0,0"],
+    ["kernel", "--d", "3", "--n", _N, "--what", "D", "--theta", "0,0,0"],
+    ["mnd", "--d", "3", "--n", _N, "--method", "mc", "--u", "0.5", "--budget", "400"],
+    ["pdf", "--points", _N],
+    ["count", "--d", "3", "--n", _M],
+    # this suite had no bound at all: it ran instead of being refused
+    ["verify", "--suite", "biortho-generating", "--K", "100000000"],
 ])
 def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
     # a separate process under a timeout: a request that runs instead of being
     # refused fails the test rather than hanging the suite
-    if argv[0] == "partial-sum":
+    if argv[0] in ("partial-sum", "pdf"):
         argv = [*argv, "--spec", coeff_spec]
     done = subprocess.run([sys.executable, "-m", "l1torus.cli", *argv], env=_fresh_env(),
                           capture_output=True, text=True, timeout=60)

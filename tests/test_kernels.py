@@ -497,3 +497,25 @@ def test_poisson_rejects_r_outside_unit_interval():
         poisson_product(2, 1.0, [0.1, 0.2])
     with pytest.raises(ValueError):
         poisson_kernel(-0.1)
+
+
+@pytest.mark.parametrize("d, n", [(3, 10**400), (10**400, 3)], ids=["n1e400", "d1e400"])
+def test_seeds_refuse_indices_past_the_float_range(d, n):
+    for fn in (dirichlet_seed_theta, shell_seed_theta):
+        with pytest.raises(ValueError, match="over the limit of 1.8e\\+308, the largest float"):
+            fn(d, n, 0.3)
+
+
+def test_biortho_generating_pair_takes_arrays(rng):
+    us = rng.uniform(-1.0, 1.0, 7)
+    partial, closed = biortho_generating_pair(3, 0.5, us, 80)
+    assert partial.shape == closed.shape == us.shape
+    for u, p, c in zip(us.tolist(), partial.tolist(), closed.tolist()):
+        alone = biortho_generating_pair(3, 0.5, u, 80)
+        # one product with the table's columns: summed in another order than one row
+        assert math.isclose(p, alone[0], rel_tol=1e-14) and c == alone[1]
+    # the partial sums' table and the tail's majorant are bounded as biortho_poly is
+    with pytest.raises(ValueError, match="over the limit"):
+        biortho_generating_pair(3, 0.5, us, 1 << 20)
+    with pytest.raises(ValueError, match="over the limit"):
+        biortho_generating_tail(3, 0.5, 1 << 20)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from l1torus.numerics import (
     QuadRule,
     ball_enumerate,
+    check_cost,
     gauss_gegenbauer,
     gauss_legendre,
     rel_err,
@@ -152,3 +153,38 @@ def test_wrap_angles_maps_into_principal_interval(rng):
     assert np.all(wrapped >= -math.pi)
     assert np.all(wrapped < math.pi)
     assert np.allclose(np.exp(1j * wrapped), np.exp(1j * raw), atol=1e-12)
+
+
+def test_check_cost_compares_exactly_and_prints_any_size():
+    check_cost("a request", 1 << 20, "values", 1 << 20)  # at the limit: served
+    with pytest.raises(ValueError) as refused:
+        check_cost("a request", (1 << 20) + 1, "values", 1 << 20)
+    assert str(refused.value) == "a request: 1.05e+06 values, over the limit of 1.05e+06"
+    # an int past the float range is compared and printed without converting it
+    check_cost("a request", 10**400, "values", 10**400)
+    with pytest.raises(ValueError) as refused:
+        check_cost("a request", 10**400, "values", 1 << 20)
+    (line,) = str(refused.value).splitlines()
+    assert line == "a request: 2^1329 values, over the limit of 1.05e+06"
+
+
+@pytest.mark.parametrize("d, n", [(3, 10**400), (10**400, 3), (10**200, 10**30)],
+                         ids=["n1e400", "d1e400", "d1e200-n1e30"])
+def test_counts_past_the_float_range_are_refused_not_overflowed(d, n):
+    with pytest.raises(ValueError, match="over the limit"):
+        shell_count(d, n)
+    with pytest.raises(ValueError, match="over the limit"):
+        ball_enumerate(d, n)
+
+
+def test_counts_past_two_to_the_53_are_estimated_without_rounding():
+    # lgamma rounds the larger index away from 2^53 on; these sums are small
+    assert shell_count(10**30, 2) == 2 * 10**60
+    assert shell_count(3, 10**300) == 4 * 10**600 + 2
+
+
+@pytest.mark.parametrize("d, npts", [(1000, 3), (10**6, 3), (10**400, 3), (10**400, 1)],
+                         ids=["d1000", "d1e6", "d1e400", "d1e400-one-node"])
+def test_torus_grids_of_any_size_are_refused_in_log2_first(d, npts):
+    with pytest.raises(ValueError, match="over the limit"):
+        torus_trapezoid(d, npts)

@@ -1,5 +1,6 @@
 """The identity-verification suites: all pass at default settings."""
 import json
+import tracemalloc
 
 import pytest
 
@@ -89,3 +90,31 @@ def test_separated_sampler_gives_up_after_max_draws(rng):
     # three cosines in [-1, 1] cannot be pairwise 1.5 apart
     with pytest.raises(ValueError, match="in 10000 draws"):
         sample_separated_theta(rng, 3, 1, min_cos_gap=1.5)
+
+
+@pytest.mark.parametrize("d", [10**30, 10**400], ids=["1e30", "1e400"])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_a_dimension_past_the_float_range_is_refused_or_ignored(name, d):
+    # a suite that takes --d refuses it with a ValueError, not an overflow;
+    # the others ignore it
+    try:
+        (report,) = run_suites([name], VerifyConfig(d=d, nmax=1, budget=100))
+    except ValueError as refused:
+        assert len(str(refused).splitlines()) == 1
+        return
+    assert name in ("gram-psd", "mean-methods", "spdf-cross") and report.passed
+
+
+@pytest.mark.parametrize("name, d", [("shell-integral", 10**5), ("poisson-bspline", 10**5),
+                                     ("poisson-divdiff", 10**5), ("poisson-series", 10**9)])
+def test_a_large_dimension_is_refused_before_its_points_are_drawn(name, d):
+    # no 10^5 cosines in [-1, 1] are 0.01 apart: the sampler gives up without drawing;
+    # the Poisson series' tables are bounded before 10 x 10^9 angles are drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="in 10000 draws|over the limit"):
+            run_suites([name], VerifyConfig(d=d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
