@@ -95,6 +95,14 @@ def mean_order0_integral(d: int) -> float:
     return const * (math.sqrt(math.pi) * math.gamma(d / 2.0) / math.gamma((d + 1) / 2.0))
 
 
+def _count(orders) -> int:
+    """len(orders) as a Python int: a range's from its start, stop and step, since
+    len() stops at sys.maxsize."""
+    if isinstance(orders, range):
+        return max(0, -((orders.start - orders.stop) // orders.step))
+    return len(orders)
+
+
 def mean_series(d: int, n, u, nterms: int | None = None):
     """Filtered Gegenbauer series route for mean(d, n, u), for u scalar or ndarray.
 
@@ -112,8 +120,8 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     exceed _MAX_SERIES_VALUES, or when (d-1)! is beyond the float range.
     """
     one = isinstance(n, (int, np.integer))
-    if not one:  # a long range is refused before it is listed
-        check_cost("series", len(n), "orders", _MAX_SERIES_VALUES)
+    if not one:  # a long range is refused before it is listed, or counted by len()
+        check_cost("series", _count(n), "orders", _MAX_SERIES_VALUES)
     orders = [n] if one else [int(x) for x in n]
     for order in orders:
         _check_dn(d, order)
@@ -193,6 +201,19 @@ def mean_recursion_sides(d: int, n: int, u):
     return float(lhs), float(rhs)
 
 
+def _sorted_columns(thetas: np.ndarray) -> np.ndarray:
+    """The cosines of the (b, d) angles as d contiguous columns, shape (d, b), sorted
+    along axis 0 as np.sort(axis=0) sorts them: an insertion network of compare-exchanges,
+    each one np.minimum and np.maximum over whole columns, so no loop runs per row."""
+    x = np.cos(thetas).T.copy()
+    for i in range(1, len(x)):
+        for j in range(i, 0, -1):
+            low = np.minimum(x[j - 1], x[j])
+            np.maximum(x[j - 1], x[j], out=x[j])
+            x[j - 1] = low
+    return x
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Monte-Carlo estimate with its standard error, of the shape of u (floats for a scalar)."""
@@ -215,10 +236,10 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
     rounds of redraws raises ValueError.  ``budget`` counts integrand
     evaluations per point, 4 to _MAX_MC_BUDGET / points; default 2e6 (d = 2), 1e7 (d = 3).
 
-    All points share the draws, sorted once per batch of _MC_BATCH_PAIRS / points pairs:
-    the shell product takes those rows as they are, and one field call evaluates +-u
-    at every point.  Without redraws each estimate is a lone call's.  At n = 0 the
-    shell sum is 1 exactly and is not computed.
+    All points share the draws, sorted once per batch of _MC_BATCH_PAIRS / points pairs
+    and held as d contiguous columns of cosines: the shell product takes them as they
+    are, and one field call evaluates +-u at every point.  Without redraws each
+    estimate is a lone call's.  At n = 0 the shell sum is 1 exactly and is not computed.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
@@ -241,18 +262,18 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
     remaining = total_pairs
     while remaining > 0:
         b = min(max(_MC_BATCH_PAIRS // max(pts.size, 1), 1), remaining)
-        knots = np.sort(np.cos(rng.uniform(-math.pi, math.pi, size=(b, d))), axis=1)
-        bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
+        cols = _sorted_columns(rng.uniform(-math.pi, math.pi, size=(b, d)))
+        bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
         for _ in range(MAX_DRAWS):
             if not np.any(bad):
                 break
-            redraw = rng.uniform(-math.pi, math.pi, size=(int(bad.sum()), d))
-            knots[bad] = np.sort(np.cos(redraw), axis=1)
-            bad = np.min(np.diff(knots, axis=1), axis=1) < _MC_GAP
+            cols[:, bad] = _sorted_columns(rng.uniform(-math.pi, math.pi,
+                                                       size=(int(bad.sum()), d)))
+            bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
         if np.any(bad):
             raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
-        ssum = _shell_core(d, n, knots, _shell_finish) if n else 1.0  # E_0 = 1
-        field = knot_field_batch(d, np.concatenate([pts, -pts]), knots)
+        ssum = _shell_core(d, n, cols.T, _shell_finish) if n else 1.0  # E_0 = 1
+        field = knot_field_batch(d, np.concatenate([pts, -pts]), cols.T)
         chunks.append(0.5 * (field[:pts.size] + sgn * field[pts.size:]) * ssum / count)
         remaining -= b
     vals = np.concatenate(chunks, axis=1)  # a row of pairs per point

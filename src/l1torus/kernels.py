@@ -36,7 +36,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 from .numerics import _float_factorial, check_cost, finite, theta_vector
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
-# Entries of the (n+1, d, rows) cosine table taken per row block (128 KiB, in cache)
+# Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
 _BLOCK_ENTRIES = 1 << 14
 _MAX_COST = 1 << 31  # multiply-adds, rows * d * (n+1)^2, one shell or Dirichlet batch may cost
 _MAX_GEGENBAUER = 1 << 20  # values, (n+1) * points, of the table one biortho_poly call may build
@@ -203,32 +203,42 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _factor(x2: np.ndarray, n: int) -> np.ndarray:
+    """The (n+1,) + x2.shape table 1, 2 cos(theta), ..., 2 cos(n theta) of each angle,
+    by the Chebyshev recurrence from x2 = 2 cos(theta)."""
+    c = np.empty((n + 1,) + x2.shape)
+    c[0] = 2.0  # 2 cos(0 theta) for the recurrence; the zero frequency counts once
+    c[1:2] = x2  # nothing when n = 0
+    for k in range(2, n + 1):
+        np.multiply(x2, c[k - 1], out=c[k])
+        c[k] -= c[k - 2]
+    c[0] = 1.0
+    return c
+
+
 def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
     """``finish(head, last)`` per block of rows of ``knots``, shape (rows, d), the cosines
     cos(theta_i) of each point in ascending order: ``head`` is the truncated product of
-    the first d - 1 factors 1, 2 cos(theta_i), ..., 2 cos(n theta_i) (Chebyshev
-    recurrence from one cosine per angle), ``last`` the last factor, both of shape
-    (n+1, rows)."""
+    the first d - 1 factor tables (:func:`_factor`), ``last`` the last factor, both of
+    shape (n+1, rows).  A block holds _BLOCK_ENTRIES / (n+1) rows whatever d is, and one
+    recurrence builds the tables of as many factors as fit in _BLOCK_ENTRIES: one at a
+    time for a full block, all d for one row."""
     check_cost(f"shell sums at d = {d}, n = {n} for {knots.shape[0]} point(s)",
                knots.shape[0] * d * (n + 1) ** 2, "multiply-adds", _MAX_COST)
-    step = max(1, _BLOCK_ENTRIES // (d * (n + 1)))
+    step = max(1, _BLOCK_ENTRIES // (n + 1))
     # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
     # meets a zero at r = 1 at once, so partial products never grow and cancel.
     ends = [d - 1 - i // 2 if i % 2 == 0 else i // 2 for i in range(d)]
     parts = []
     for i in range(0, max(knots.shape[0], 1), step):  # an empty batch takes one empty block
-        x2 = 2.0 * knots[i:i + step].T[ends]
-        c = np.empty((n + 1,) + x2.shape)
-        c[0] = 2.0  # 2 cos(0 theta) for the recurrence; the zero frequency counts once
-        c[1:2] = x2  # nothing when n = 0
-        for k in range(2, n + 1):
-            np.multiply(x2, c[k - 1], out=c[k])
-            c[k] -= c[k - 2]
-        c[0] = 1.0
-        head = c[:, 0] if d > 1 else np.eye(n + 1, 1)
-        for j in range(1, d - 1):
-            head = _times(head, c[:, j])
-        parts.append(finish(head, c[:, d - 1]))
+        block = knots[i:i + step].T
+        group = max(1, step // max(block.shape[1], 1))
+        tables = (c for j in range(0, d, group)
+                  for c in _factor(2.0 * block[ends[j:j + group]], n).swapaxes(0, 1))
+        head = next(tables) if d > 1 else np.eye(n + 1, 1)
+        for _ in range(d - 2):
+            head = _times(head, next(tables))
+        parts.append(finish(head, next(tables)))
     return np.concatenate(parts)
 
 

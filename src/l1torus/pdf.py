@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import check_cost, wrap_angles
+from .numerics import _MAX_GRID_FLOATS, check_cost, wrap_angles
 from .summability import CoeffSeq, synth
 
 MIN_POINT_SEPARATION = 1e-9
@@ -154,9 +154,12 @@ def gram_matrix(spec: GramSpec) -> np.ndarray:
 
 
 def sampled_gram_matrix(d: int, npts: int, coeffs: CoeffSeq, trunc: int, seed: int):
-    """:func:`gram_matrix` at npts seeded uniform points of [-pi, pi)^d, checked first."""
+    """:func:`gram_matrix` at npts seeded uniform points of [-pi, pi)^d, checked first:
+    the pairs against _MAX_GRAM_PAIRS, the npts x d drawn floats against
+    numerics._MAX_GRID_FLOATS."""
     check_cost(f"a Gram matrix of {npts} points", npts * (npts - 1) // 2, "pairs",
                _MAX_GRAM_PAIRS)
+    check_cost(f"{npts} sample point(s) at d = {d}", npts * d, "floats", _MAX_GRID_FLOATS)
     pts = np.random.default_rng(seed).uniform(-math.pi, math.pi, (npts, d))
     return gram_matrix(GramSpec(d, pts, coeffs, trunc))
 

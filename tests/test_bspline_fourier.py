@@ -1,4 +1,5 @@
 """Fourier means of the B-spline knot field and their biorthogonal partners."""
+import itertools
 import math
 import tracemalloc
 
@@ -191,6 +192,18 @@ def test_series_orders_batch_checks_its_largest_order(monkeypatch):
     assert mean_series(3, [], 0.5).shape == (0,)
     with pytest.raises(ValueError, match="over the limit"):  # refused before it is listed
         mean_series(3, range(10**12), 0.5)
+
+
+def test_series_counts_a_range_past_ssize_t():
+    # len() of this range raises OverflowError; its count comes from start, stop and step
+    with pytest.raises(ValueError, match="1e\\+200 orders, over the limit"):
+        mean_series(3, range(10**200), 0.5)
+    with pytest.raises(ValueError, match="over the limit"):
+        mean_series(3, range(10**200, 0, -3), 0.5)
+    for r in (range(0), range(5, 5), range(3, 10, 2), range(3, 10, 3), range(10, 3, -3),
+              range(3, 10, -1), range(-5, 7, 4)):
+        assert bf._count(r) == len(r)
+    assert mean_series(3, range(2, 9, 3), 0.5).tolist() == mean_series(3, [2, 5, 8], 0.5).tolist()
 
 
 def test_series_refuses_dimensions_beyond_the_factorial_range():
@@ -391,6 +404,62 @@ def test_mc_redraws_are_bounded(monkeypatch):
     monkeypatch.setattr(bf, "_MC_GAP", 3.0)
     with pytest.raises(ValueError, match="after 10000 redraws"):
         mean_torus_mc(2, 1, 0.3, budget=4)
+
+
+def _row_major_mc(d, n, pts, budget, seed):
+    """The Monte-Carlo batch loop as it was with each batch's knots held as (b, d) rows:
+    np.sort per row, the gap test per row, the shell sums from the drawn angles.
+    Returns (value, stderr, rows redrawn)."""
+    rng = np.random.default_rng(seed)
+    sgn = -1.0 if n % 2 else 1.0
+    chunks, redrawn = [], 0
+    remaining = budget // 2
+    while remaining > 0:
+        b = min(max(bf._MC_BATCH_PAIRS // pts.size, 1), remaining)
+        theta = rng.uniform(-math.pi, math.pi, size=(b, d))
+        knots = np.sort(np.cos(theta), axis=1)
+        bad = np.min(np.diff(knots, axis=1), axis=1) < bf._MC_GAP
+        while np.any(bad):
+            redrawn += int(bad.sum())
+            theta[bad] = rng.uniform(-math.pi, math.pi, size=(int(bad.sum()), d))
+            knots[bad] = np.sort(np.cos(theta[bad]), axis=1)
+            bad = np.min(np.diff(knots, axis=1), axis=1) < bf._MC_GAP
+        ssum = shell_sum_batch(d, n, theta) if n else 1.0
+        field = knot_field_batch(d, np.concatenate([pts, -pts]), knots)
+        chunks.append(0.5 * (field[:pts.size] + sgn * field[pts.size:]) * ssum
+                      / shell_count(d, n))
+        remaining -= b
+    vals = np.concatenate(chunks, axis=1)
+    return vals.mean(axis=1), vals.std(ddof=1, axis=1) / math.sqrt(budget // 2), redrawn
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 8])
+@pytest.mark.parametrize("us", [[0.37], [-0.6, 0.05, 0.81]])
+def test_mc_column_batches_are_bitwise_the_row_batches(monkeypatch, d, n, us):
+    # a gap of 0.02 redraws a few percent of the rows; batches of 6 000 pairs split
+    # the 10 001 pairs into 2 batches at one point and 6 at three
+    monkeypatch.setattr(bf, "_MC_GAP", 0.02)
+    monkeypatch.setattr(bf, "_MC_BATCH_PAIRS", 6_000)
+    pts = np.array(us)
+    value, stderr, redrawn = _row_major_mc(d, n, pts, 20_002, seed=17)
+    assert redrawn > 0
+    est = mean_torus_mc(d, n, pts, budget=20_002, seed=17)
+    assert est.value.tobytes() == value.tobytes()
+    assert est.stderr.tobytes() == stderr.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_mc_column_sort_is_np_sort(d, rng):
+    # every order of d distinct cosines (a compare-exchange network that sorts them
+    # sorts everything), then ties, +-theta and the ends +-1, among random angles
+    perms = np.array(list(itertools.permutations(np.linspace(0.1, 3.0, d))))
+    ties = rng.choice([0.0, math.pi, -math.pi, 0.5, -0.5, 2.0, -2.0], size=(500, d))
+    mixed = np.where(rng.random((500, d)) < 0.3, ties, rng.uniform(-4.0, 4.0, (500, d)))
+    for thetas in (perms, ties, mixed):
+        cols = bf._sorted_columns(thetas)
+        assert cols.flags.c_contiguous and cols.shape == (d, len(thetas))
+        assert cols.tobytes() == np.sort(np.cos(thetas), axis=1).T.copy().tobytes()
 
 
 # -------------------------------------------------------- biorthogonality

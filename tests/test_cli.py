@@ -726,6 +726,8 @@ def _fresh_env() -> dict:
     ["count", "--d", "3", "--n", _M],
     # this suite had no bound at all: it ran instead of being refused
     ["verify", "--suite", "biortho-generating", "--K", "100000000"],
+    # the npts x d sample points were drawn before any bound
+    ["pdf", "--d", "1000000000", "--points", "1"],
 ])
 def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
     # a separate process under a timeout: a request that runs instead of being

@@ -146,7 +146,7 @@ def test_shell_sum_batch_matches_scalar(rng):
         assert abs(got - shell_sum(3, 4, row)) < 1e-10
     # a batch walked in several row blocks agrees with one lattice sum
     d, n = 3, 20
-    step = _BLOCK_ENTRIES // (d * (n + 1))  # rows per block
+    step = _BLOCK_ENTRIES // (n + 1)  # rows per block
     thetas = rng.uniform(-math.pi, math.pi, (2 * step + 7, d))
     pts = shell_enumerate(d, n)
     direct = np.cos(thetas @ pts.T).sum(axis=1)
@@ -254,7 +254,7 @@ def _argsort_product(d, n, thetas, finish):
 
 @pytest.mark.parametrize("d,n", [(1, 3), (2, 0), (2, 1), (3, 0), (3, 1), (3, 8), (5, 12)])
 def test_sorted_cosine_core_is_bitwise_the_batch_kernels(d, n, rng):
-    rows = _BLOCK_ENTRIES // (d * (n + 1)) + 37  # longer than one block
+    rows = _BLOCK_ENTRIES // (n + 1) + 37  # longer than one block
     thetas = rng.uniform(-4.0, 4.0, (rows, d))
     thetas[:20, -1] = -thetas[:20, 0]  # tied cosines: theta and -theta in one row
     thetas[20:40, 0] = 0.0
@@ -268,6 +268,23 @@ def test_sorted_cosine_core_is_bitwise_the_batch_kernels(d, n, rng):
             assert np.array_equal(got, _shell_core(d, n, np.sort(np.cos(t), axis=1), finish))
             assert np.array_equal(got, _argsort_product(d, n, t, finish)), fn.__name__
         assert fn(d, n, thetas[:0]).shape == ((0, n + 1) if fn is _shell_table else (0,))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 2000])
+def test_sorted_cosine_core_blocks_do_not_grow_with_d(d):
+    # a block holds _BLOCK_ENTRIES / (n + 1) rows at any d; at d = 2 000 its 46 rows
+    # take the factor tables 118 at a time, the last recurrence building 112
+    n, rows = 2, []
+
+    def finish(head, last):
+        rows.append(last.shape[1])
+        return _shell_finish(head, last)
+
+    step = _BLOCK_ENTRIES // (n + 1)
+    thetas = np.random.default_rng(5).uniform(-4.0, 4.0, (step + 1 if d < 10 else 46, d))
+    got = _shell_core(d, n, np.sort(np.cos(thetas), axis=1), finish)
+    assert rows == ([step, 1] if d < 10 else [46])  # 46 blocks of one row before
+    assert np.array_equal(got, _argsort_product(d, n, thetas, _shell_finish))
 
 
 def test_sorted_cosine_core_checks_its_cost():

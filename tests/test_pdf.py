@@ -10,9 +10,11 @@ from l1torus.pdf import (
     gram_matrix,
     min_eigenvalue,
     pdf_check,
+    sampled_gram_matrix,
     spdf_check,
     spdf_pair_search,
 )
+from l1torus.numerics import _MAX_GRID_FLOATS
 from l1torus.summability import CoeffSeq, Tail
 
 
@@ -219,6 +221,19 @@ def test_gram_spec_validates_shape():
         GramSpec(2, np.zeros((0, 2)), s, 0)
     with pytest.raises(ValueError):
         GramSpec(2, np.zeros((3, 2)), s, -1)
+
+
+def test_sampled_gram_matrix_bounds_its_draws_first():
+    # npts x d floats are drawn: refused before the draw, at any d
+    s = seq([1.0, 0.5], Tail())
+    with pytest.raises(ValueError, match="1 sample point.* at d = 1000000000: 1e\\+09 floats, "
+                                         "over the limit"):
+        sampled_gram_matrix(10**9, 1, s, 1, seed=3)
+    with pytest.raises(ValueError, match="over the limit"):
+        sampled_gram_matrix(_MAX_GRID_FLOATS // 2 + 1, 2, s, 1, seed=3)
+    a = sampled_gram_matrix(3, 4, s, 1, seed=3)
+    pts = np.random.default_rng(3).uniform(-math.pi, math.pi, (4, 3))
+    assert np.array_equal(a, gram_matrix(GramSpec(3, pts, s, 1)))
 
 
 def test_min_eigenvalue_validates_input():
