@@ -10,9 +10,9 @@ the cosines of the angles.  Routes, each taking u (alpha) as a scalar or an ndar
 
 * ``mean_series``      Gegenbauer series under a spectral exponential filter,
                        valid for every d >= 2 away from u = +-1;
-* ``mean_d2_closed``   elementary closed form for d = 2 in the angle
-                       variable u = cos(alpha);
-* ``mean_order0_closed``  closed form for n = 0 and every d;
+* ``mean_closed``      the closed forms, wherever one is known: d = 2 (``mean_d2_closed``,
+                       in the angle variable u = cos(alpha)) and n = 0
+                       (``mean_order0_closed``, every d);
 * ``mean_torus_mc``    seeded antithetic Monte-Carlo average over the torus
                        (d in {2, 3});
 * ``biorthogonality_matrix``  the pairing with the biorthogonal polynomial
@@ -39,6 +39,9 @@ _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
 _MC_BATCH_PAIRS = 50_000  # antithetic pairs per Monte-Carlo batch at one point, 1/P at P points
 _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points, of one mean_torus_mc; a float per pair
+# multiply-adds, pairs * d * (n+1)^2, of one mean_torus_mc's shell sums: ~20 s at the ~3e9
+# per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
+_MAX_MC_COST = 1 << 36
 _MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point, one mean_d2_closed call may sum
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
 
@@ -72,7 +75,8 @@ def mean_order0_closed(d: int, u):
     """Closed form of mean(d, 0, u), u scalar or ndarray: a normalized power of 1 - u^2.
 
     Gamma((d+1)/2) / (sqrt(pi) Gamma(d/2) (d-1)!) * (1 - u^2)^((d-2)/2)
-    for |u| <= 1 and 0 outside.
+    for |u| < 1 and 0 outside, as the field and the other routes are: the d = 2
+    value at u = +-1 is 0, not the 1/2 of the power's limit.
     """
     _check_dn(d, 0)
     x = np.asarray(u, dtype=float).squeeze()[()]  # a lone point takes the scalar power
@@ -82,17 +86,25 @@ def mean_order0_closed(d: int, u):
     fact = _float_factorial(d - 1)
     const = math.gamma((d + 1) / 2.0) / math.sqrt(math.pi) / math.gamma(d / 2.0)
     power = np.maximum(1.0 - x * x, 0.0) ** ((d - 2) / 2.0)
-    value = np.reshape(np.where(np.abs(x) > 1.0, 0.0, const / fact * power), np.shape(u))
+    value = np.reshape(np.where(np.abs(x) >= 1.0, 0.0, const / fact * power), np.shape(u))
     return value if np.ndim(u) else float(value)
 
 
-def mean_order0_integral(d: int) -> float:
-    """Integral over [-1, 1] of mean_order0_closed via the Beta function.
-
-    Evaluates to 1/(d-1)! in exact arithmetic.
-    """
-    const = mean_order0_closed(d, 0.0)  # checks d; the constant factor, at u = 0
-    return const * (math.sqrt(math.pi) * math.gamma(d / 2.0) / math.gamma((d + 1) / 2.0))
+def mean_closed(d: int, n: int, u):
+    """Closed form of mean(d, n, u), u scalar or ndarray: for d = 2 :func:`mean_d2_closed`
+    in alpha = arccos u, 0 wherever |u| >= 1; for n = 0 :func:`mean_order0_closed`.
+    ValueError for any other (d, n)."""
+    _check_dn(d, n)
+    if d != 2 and n != 0:
+        raise ValueError("closed form requires d = 2 or n = 0")
+    x = finite(u, "u")
+    if d != 2:
+        return mean_order0_closed(d, x)
+    inside = np.abs(x) < 1.0  # the mean is 0 elsewhere
+    value = np.zeros(x.shape)
+    if np.any(inside):
+        value[inside] = mean_d2_closed(n, _acos(x[inside]))
+    return value if x.ndim else float(value)
 
 
 def _count(orders) -> int:
@@ -126,9 +138,9 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     for order in orders:
         _check_dn(d, order)
     top = max(orders, default=0)
+    u_arr = finite(u, "u")
     if nterms is not None and nterms < 1:
         raise ValueError("nterms must be >= 1")
-    u_arr = finite(u, "u")
     if np.any(np.abs(u_arr) > 1.0 - SERIES_EDGE_MARGIN):
         raise ValueError(f"series route requires |u| <= 1 - {SERIES_EDGE_MARGIN:g}")
     if nterms is None:
@@ -235,6 +247,8 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
     unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
     rounds of redraws raises ValueError.  ``budget`` counts integrand
     evaluations per point, 4 to _MAX_MC_BUDGET / points; default 2e6 (d = 2), 1e7 (d = 3).
+    ValueError before the first draw when the shell sums of all budget / 2 pairs would
+    take more than _MAX_MC_COST multiply-adds.
 
     All points share the draws, sorted once per batch of _MC_BATCH_PAIRS / points pairs
     and held as d contiguous columns of cosines: the shell product takes them as they
@@ -255,6 +269,9 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
     check_cost(f"budget {budget} at {pts.size} point(s)", budget * pts.size, "evaluations",
                _MAX_MC_BUDGET)
     total_pairs = budget // 2
+    # the whole call's shell product, whatever the batches: one per pair, shared by the points
+    check_cost(f"Monte-Carlo shell sums at d = {d}, n = {n} for {total_pairs} pair(s)",
+               total_pairs * d * (n + 1) ** 2, "multiply-adds", _MAX_MC_COST)
     rng = np.random.default_rng(seed)
     count = shell_count(d, n)
     sgn = -1.0 if n % 2 else 1.0
@@ -313,45 +330,3 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
         rows[n] = const * np.tensordot(a[: degs.size] / ones[degs], seq[degs], axes=(0, 0))
     hmat = _biortho_table(d, max_index, x)
     return rows @ (w * hmat).T
-
-
-@dataclass(frozen=True)
-class MeanEvaluator:
-    """Dispatch for evaluating mean(d, n, u) by a named method.
-
-    ``method`` is one of "closed" (d = 2 or n = 0), "series" (filtered
-    Gegenbauer series; ``nterms`` None takes the per-point K), or "mc"
-    (seeded Monte-Carlo; returns a standard error).
-    """
-
-    d: int
-    n: int
-    method: str
-    nterms: int | None = None
-    budget: int | None = None
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        _check_dn(self.d, self.n)
-        if self.method not in ("closed", "series", "mc"):
-            raise ValueError("method must be one of closed, series, mc")
-        if self.method == "closed" and self.d != 2 and self.n != 0:
-            raise ValueError("closed form requires d = 2 or n = 0")
-        if self.method == "mc" and self.d not in (2, 3):
-            raise ValueError("Monte-Carlo route supports d in {2, 3}")
-
-    def evaluate(self, u):
-        """Return (value, stderr) of the shape of u from one call; stderr None but for mc."""
-        x = finite(u, "u")
-        if self.method == "closed":
-            if self.d != 2:
-                return mean_order0_closed(self.d, x), None
-            inside = np.abs(x) < 1.0  # the mean is 0 elsewhere
-            value = np.zeros(x.shape)
-            if np.any(inside):
-                value[inside] = mean_d2_closed(self.n, _acos(x[inside]))
-            return (value if x.ndim else float(value)), None
-        if self.method == "series":
-            return mean_series(self.d, self.n, x, nterms=self.nterms), None
-        est = mean_torus_mc(self.d, self.n, x, budget=self.budget, seed=self.seed)
-        return est.value, est.stderr

@@ -19,10 +19,11 @@ import sys
 
 import numpy as np
 
-from .bspline_fourier import MeanEvaluator
+from .bspline_fourier import mean_closed, mean_series, mean_torus_mc
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
-from .numerics import DEFAULT_SEED, check_cost, finite, shell_count, torus_trapezoid
+from .numerics import (DEFAULT_SEED, check_cost, check_grid, finite, shell_count,
+                       torus_trapezoid)
 from .pdf import min_eigenvalue, pdf_check, sampled_gram_matrix, spdf_check
 from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
 from .verify import SUITES, VerifyConfig, run_suites
@@ -129,10 +130,14 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_mnd(args) -> int:
     us = _u_points(args)
-    ev = MeanEvaluator(args.d, args.n, args.method, nterms=args.K,
-                       budget=args.budget, seed=args.seed)
-    values, stderrs = ev.evaluate(us)
-    stderrs = [""] * us.size if stderrs is None else stderrs.tolist()
+    stderrs = [""] * us.size
+    if args.method == "closed":
+        values = mean_closed(args.d, args.n, us)
+    elif args.method == "series":
+        values = mean_series(args.d, args.n, us, nterms=args.K)
+    else:  # "mc"; argparse restricts the choices
+        est = mean_torus_mc(args.d, args.n, us, budget=args.budget, seed=args.seed)
+        values, stderrs = est.value, est.stderr.tolist()
     header = ["d", "n", "u", "method", "value", "stderr"]
     rows = [[args.d, args.n, u, args.method, v, e]
             for u, v, e in zip(us.tolist(), values.tolist(), stderrs)]
@@ -194,14 +199,16 @@ def _cmd_partial_sum(args) -> int:
     trunc = coeffs.max_head_index
     if args.L <= 2 * max(args.n, trunc):
         raise ValueError(f"--L must exceed twice the largest frequency ({max(args.n, trunc)})")
-    f = SampledTorusFn.sample(d, args.L, lambda pts: synth(d, coeffs, trunc, pts))
+    check_grid(d, args.L)
     if not args.theta:
         raise ValueError("provide --theta (repeatable)")
+    # every point is checked before the L^d grid is sampled
+    thetas = [finite(_parse_theta(raw, d), "theta") for raw in args.theta]
+    f = SampledTorusFn.sample(d, args.L, lambda pts: synth(d, coeffs, trunc, pts))
     header = (["d", "n", "L", "route"] + [f"theta_{i+1}" for i in range(d)]
               + ["real", "imag"])
     rows = []
-    for raw in args.theta:
-        t = _parse_theta(raw, d)
+    for t in thetas:
         val = partial_sum(f, args.n, t, route=args.route)
         rows.append([d, args.n, args.L, args.route, *map(float, t), val.real, val.imag])
     _emit_rows(header, rows, args.format, args.out)

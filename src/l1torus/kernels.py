@@ -222,9 +222,8 @@ def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
     the first d - 1 factor tables (:func:`_factor`), ``last`` the last factor, both of
     shape (n+1, rows).  A block holds _BLOCK_ENTRIES / (n+1) rows whatever d is, and one
     recurrence builds the tables of as many factors as fit in _BLOCK_ENTRIES: one at a
-    time for a full block, all d for one row."""
-    check_cost(f"shell sums at d = {d}, n = {n} for {knots.shape[0]} point(s)",
-               knots.shape[0] * d * (n + 1) ** 2, "multiply-adds", _MAX_COST)
+    time for a full block, all d for one row.  Its callers bound the cost: the batches by
+    :func:`_check_batch`, the Monte-Carlo mean for its whole call."""
     step = max(1, _BLOCK_ENTRIES // (n + 1))
     # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
     # meets a zero at r = 1 at once, so partial products never grow and cancel.

@@ -117,14 +117,9 @@ def gauss_gegenbauer(npts: int, lam: float) -> QuadRule:
     return QuadRule(nodes, weights)
 
 
-def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
-    """Uniform tensor grid on [-pi, pi)^d with equal weights 1/npts^d.
-
-    Normalized so that the rule computes (2*pi)^-d times the integral
-    over the torus; exponentials exp(i a.theta) with max|a_j| < npts_per_axis
-    integrate exactly (to 1 for a = 0, otherwise 0).  Refused first when its
-    npts^d nodes x d floats exceed ``_MAX_GRID_FLOATS``.
-    """
+def check_grid(d: int, npts_per_axis: int):
+    """ValueError unless d >= 1, npts_per_axis >= 1 and the torus grid's npts^d nodes x d
+    floats are within ``_MAX_GRID_FLOATS``; nothing is allocated."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if npts_per_axis < 1:
@@ -133,6 +128,17 @@ def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
     exact = d < 1 << 64 and d * math.log2(npts_per_axis) + math.log2(d) < 1 << 16
     check_cost(f"a torus grid of {npts_per_axis}^{d} nodes",
                npts_per_axis**d * d if exact else math.inf, "floats", _MAX_GRID_FLOATS)
+
+
+def torus_trapezoid(d: int, npts_per_axis: int) -> QuadRule:
+    """Uniform tensor grid on [-pi, pi)^d with equal weights 1/npts^d.
+
+    Normalized so that the rule computes (2*pi)^-d times the integral
+    over the torus; exponentials exp(i a.theta) with max|a_j| < npts_per_axis
+    integrate exactly (to 1 for a = 0, otherwise 0).  Refused first by
+    :func:`check_grid`.
+    """
+    check_grid(d, npts_per_axis)
     axis = -np.pi + 2.0 * np.pi * np.arange(npts_per_axis) / npts_per_axis
     grids = np.meshgrid(*([axis] * d), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)

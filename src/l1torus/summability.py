@@ -3,9 +3,8 @@
 A function on the d-torus whose Fourier coefficients depend only on the l1
 norm of the frequency is determined by one scalar per shell.  This module
 holds the coefficient-sequence type (explicit head values plus one
-residue-class sign rule for the tail), synthesis from batched shell sums, the
-equivalent divided-difference route through a single univariate polynomial,
-and partial-sum operators for grid-sampled functions.
+residue-class sign rule for the tail), synthesis from batched shell sums, and
+partial-sum operators for grid-sampled functions.
 """
 from __future__ import annotations
 
@@ -14,10 +13,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 
-from .divdiff import divided_difference_cos
-from .kernels import _shell_table, dirichlet_kernel_batch, shell_seed
+from .kernels import _shell_table, dirichlet_kernel_batch
 from .numerics import (QuadRule, _readonly, ball_enumerate, finite, theta_vector,
                        torus_trapezoid)
 
@@ -153,34 +150,6 @@ def synth(d: int, coeffs: CoeffSeq, trunc: int, theta):
     rows = np.asarray(theta, dtype=float) if batch else theta_vector(theta, d)[None, :]
     vals = _shell_table(d, top, rows) @ np.array(coeffs.head[:top + 1])
     return vals if batch else float(vals[0])
-
-
-def build_fd(d: int, coeffs: CoeffSeq, trunc: int) -> Chebyshev:
-    """The univariate polynomial sum_{1 <= n <= trunc} c_n * shell_seed(d, n).
-
-    Its divided difference over the knots cos(theta_i) reproduces the
-    synthesis of shells 1..trunc; the 0-th shell contributes the constant
-    c_0 separately (see :func:`synth_divdiff`).
-    """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
-    total = Chebyshev([0.0])
-    for n in range(1, min(trunc, coeffs.max_head_index) + 1):
-        c = coeffs.value(n)
-        if c != 0.0:
-            total = total + c * shell_seed(d, n)
-    return total
-
-
-def synth_divdiff(d: int, coeffs: CoeffSeq, trunc: int, theta) -> float:
-    """Synthesis through the divided-difference route.
-
-    Equals c_0 plus the divided difference of :func:`build_fd` over the
-    knots cos(theta_1), ..., cos(theta_d).
-    """
-    return coeffs.value(0) + divided_difference_cos(build_fd(d, coeffs, trunc), theta)
 
 
 @dataclass(frozen=True)

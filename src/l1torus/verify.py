@@ -19,7 +19,7 @@ import numpy as np
 
 from .bspline import bspline_values
 from .bspline_fourier import (_MAX_CLOSED_TERMS, _MAX_MC_BUDGET, _MAX_SERIES_TERMS,
-                              _MAX_SERIES_VALUES, MeanEvaluator, biorthogonality_matrix,
+                              _MAX_SERIES_VALUES, biorthogonality_matrix, mean_closed,
                               mean_recursion_sides, mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
 from .kernels import (_MAX_COST, _biortho_table, _shell_table, biortho_generating_pair,
@@ -348,7 +348,7 @@ def _mean_methods(cfg: VerifyConfig):
     errors = []
     # every order from one pass; nterms None: each point takes its own number of terms
     for n, series in enumerate(mean_series(2, range(nmax + 1), us, nterms=cfg.nterms)):
-        errors += map(rel_err, series, MeanEvaluator(2, n, "closed").evaluate(us)[0])
+        errors += map(rel_err, series, mean_closed(2, n, us))
     return {"nmax": nmax, "nterms": cfg.nterms, "grid": 50}, errors, {}
 
 
@@ -369,7 +369,7 @@ def _mean_mc(cfg: VerifyConfig):
     errors, cases = [], []
     for d, budget, us, nmax in plan:
         for n in range(nmax + 1):
-            ref = MeanEvaluator(d, n, "closed" if d == 2 else "series").evaluate(np.array(us))[0]
+            ref = (mean_closed if d == 2 else mean_series)(d, n, np.array(us))
             est = mean_torus_mc(d, n, np.array(us), budget=budget, seed=cfg.seed)
             # The paired average is exactly zero with zero spread when the
             # sign-flipped term cancels the direct one (odd index at u = 0),

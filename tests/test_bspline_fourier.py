@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from l1torus.bspline_fourier import (
-    MeanEvaluator,
     biorthogonality_matrix,
+    mean_closed,
     mean_d2_closed,
     mean_order0_closed,
-    mean_order0_integral,
     mean_recursion_sides,
     mean_series,
     mean_torus_mc,
@@ -59,8 +58,7 @@ def test_order0_closed_form_matches_the_series_at_large_d(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_order0_integral_identities(d):
     exact = 1.0 / math.factorial(d - 1)
-    assert abs(mean_order0_integral(d) - exact) < 1e-14
-    # independent quadrature with u = cos(phi) to tame the edge behavior
+    # quadrature with u = cos(phi) to tame the edge behavior
     rule = gauss_legendre(200)
     phi = 0.5 * math.pi * (rule.nodes + 1.0)
     w = 0.5 * math.pi * rule.weights
@@ -237,9 +235,8 @@ def test_scalar_calls_return_floats():
     assert type(mean_order0_closed(3, 0.3)) is float and type(mean_order0_closed(3, 1.5)) is float
     est = mean_torus_mc(2, 1, 0.3, budget=1000, seed=5)
     assert type(est.value) is float and type(est.stderr) is float and type(est.pairs) is int
-    for method in ("closed", "series", "mc"):
-        value, stderr = MeanEvaluator(2, 1, method, budget=1000).evaluate(0.3)
-        assert type(value) is float and (stderr is None) == (method != "mc")
+    assert type(mean_closed(2, 1, 0.3)) is float and type(mean_closed(3, 0, 0.3)) is float
+    assert type(mean_series(2, 1, 0.3)) is float
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 80, 301])
@@ -309,14 +306,35 @@ def test_mc_bound_counts_every_point(monkeypatch):
         mean_torus_mc(2, 1, np.array([0.1, -1.0]), budget=4)
 
 
+def test_mc_bound_counts_the_whole_call(monkeypatch):
+    # refused before the first draw: each batch of 50 000 / P pairs was within the
+    # shell-sum bound of one batch, and the number of batches counted nowhere
+    def no_draw(thetas):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(bf, "_sorted_columns", no_draw)
+    with pytest.raises(ValueError, match=r"for 16777216 pair\(s\): 7.13e\+11 multiply-adds, over"):
+        mean_torus_mc(3, 118, 0.3, budget=33_554_432)
+    with pytest.raises(ValueError, match="over the limit"):
+        mean_torus_mc(3, 300, np.linspace(-0.5, 0.5, 8), budget=4_194_304)
+    # the default budget still serves n = 11 (2.2e9 multiply-adds, past one batch's 2^31)
+    with pytest.raises(AssertionError, match="drew"):
+        mean_torus_mc(3, 11, 0.3)
+
+
 def test_evaluator_takes_arrays():
-    us = np.array([-1.5, -0.4, 0.0, 0.7, 1.0])
-    ev = MeanEvaluator(2, 3, "closed")
-    value, stderr = ev.evaluate(us)
-    assert stderr is None and value.shape == us.shape
-    assert value.tolist() == [ev.evaluate(u)[0] for u in us.tolist()]
-    value, stderr = MeanEvaluator(3, 1, "mc", budget=400).evaluate(us[1:4].reshape(3, 1))
-    assert value.shape == stderr.shape == (3, 1)
+    # the closed entry on an array is its per-point calls, bitwise at d = 2 (an n = 0
+    # array's power may differ from the scalar's in the last place); 0 outside (-1, 1)
+    us = np.array([-1.5, -1.0, -0.4, 0.0, 0.7, 1.0, 2.0])
+    for d, n in ((2, 0), (2, 3), (2, 8), (3, 0), (5, 0)):
+        value = mean_closed(d, n, us)
+        scalars = np.array([mean_closed(d, n, u) for u in us.tolist()])
+        assert value.shape == us.shape
+        assert np.all(np.abs(value - scalars) <= (0.0 if d == 2 else 4e-16) * scalars)
+        assert np.all(value[np.abs(us) >= 1.0] == 0.0)
+        assert mean_closed(d, n, us.reshape(7, 1)).tolist() == value.reshape(7, 1).tolist()
+    est = mean_torus_mc(3, 1, us[2:5].reshape(3, 1), budget=400)
+    assert est.value.shape == est.stderr.shape == (3, 1)
 
 
 # -------------------------------------------------------------- recursion
@@ -474,27 +492,42 @@ def test_pairing_matrix_is_identity(d, top):
     assert np.max(np.abs(np.diag(b) - 1.0)) < 1e-6
 
 
-# ------------------------------------------------------------- evaluator
+# ------------------------------------------------------------- closed entry
 
 
 def test_evaluator_routes_and_validation():
-    assert MeanEvaluator(2, 3, "closed").evaluate(0.3)[1] is None
-    assert MeanEvaluator(3, 0, "closed").evaluate(0.3)[1] is None
-    with pytest.raises(ValueError):
-        MeanEvaluator(3, 1, "closed")
-    with pytest.raises(ValueError):
-        MeanEvaluator(2, 0, "quadrature")
-    val, err = MeanEvaluator(2, 1, "mc", budget=20_000, seed=11).evaluate(0.3)
-    assert err is not None and err > 0.0
-    # series evaluator agrees with the direct series call
-    ev = MeanEvaluator(3, 2, "series")
-    assert abs(ev.evaluate(0.25)[0] - mean_series(3, 2, 0.25)) < 1e-15
+    # mean_closed is the d = 2 form in alpha = arccos u, and mean_order0_closed at n = 0
+    for u in (-0.7, 0.0, 0.3):
+        assert mean_closed(2, 3, u) == mean_d2_closed(3, math.acos(u))
+        assert mean_closed(3, 0, u) == mean_order0_closed(3, u)
+        assert mean_closed(4, 0, u) == mean_order0_closed(4, u)
+    for d, n in ((3, 1), (4, 2)):
+        with pytest.raises(ValueError, match="closed form requires d = 2 or n = 0"):
+            mean_closed(d, n, 0.3)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        mean_closed(1, 0, 0.3)
+    with pytest.raises(ValueError, match="index n must be >= 0"):
+        mean_closed(2, -1, 0.3)
+    with pytest.raises(ValueError, match="u must be finite"):
+        mean_closed(2, 1, np.array([0.1, math.nan]))
+    est = mean_torus_mc(2, 1, 0.3, budget=20_000, seed=11)
+    assert est.stderr > 0.0
 
 
 def test_evaluator_closed_agrees_with_series():
-    ev_closed = MeanEvaluator(2, 2, "closed")
-    ev_series = MeanEvaluator(2, 2, "series")
-    for u in (-0.5, 0.1, 0.7):
-        a = ev_closed.evaluate(u)[0]
-        b = ev_series.evaluate(u)[0]
-        assert abs(a - b) < 1e-12
+    us = np.array([-0.5, 0.1, 0.7])
+    for n in (0, 1, 2, 5):
+        assert np.all(np.abs(mean_closed(2, n, us) - mean_series(2, n, us)) < 1e-12)
+    assert np.all(np.abs(mean_closed(3, 0, us) - mean_series(3, 0, us)) < 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_mean_closed_is_zero_on_the_boundary(d):
+    # the field is 0 wherever |u| >= 1, and so is every closed form of its mean; at
+    # d = 2, n = 0 the power (1 - u^2)^0 alone would read 1/2 at u = +-1
+    for n in ((0, 1, 4) if d == 2 else (0,)):
+        assert mean_closed(d, n, np.array([-1.0, 1.0, 1.5])).tolist() == [0.0, 0.0, 0.0]
+    assert mean_order0_closed(d, -1.0) == mean_order0_closed(d, 1.0) == 0.0
+    assert mean_order0_closed(d, np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
+    knots = np.linspace(-0.5, 0.5, d)[None, :]
+    assert knot_field_batch(d, np.array([-1.0, 1.0]), knots).tolist() == [[0.0], [0.0]]

@@ -728,6 +728,10 @@ def _fresh_env() -> dict:
     ["verify", "--suite", "biortho-generating", "--K", "100000000"],
     # the npts x d sample points were drawn before any bound
     ["pdf", "--d", "1000000000", "--points", "1"],
+    # each Monte-Carlo batch was within the shell-sum bound; the whole call was not
+    ["mnd", "--d", "3", "--n", "118", "--method", "mc", "--budget", "33554432", "--u", "0.3"],
+    ["mnd", "--d", "3", "--n", "300", "--method", "mc", "--grid-u", "-0.5:0.5:8",
+     "--budget", "4194304"],
 ])
 def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
     # a separate process under a timeout: a request that runs instead of being
@@ -810,6 +814,23 @@ def test_partial_sum_under_resolved_grid_is_usage_error(capsys, tmp_path):
     code, _ = run_cli(capsys, "partial-sum", "--d", "2", "--n", "8",
                       "--L", "16", "--spec", str(spec), "--theta", "0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("thetas", [[], ["0.1"], ["0.1,x"], ["nan,0"], ["0.1,0.2", "0.3"]])
+def test_partial_sum_checks_every_theta_before_sampling(capsys, monkeypatch, coeff_spec,
+                                                        thetas):
+    # the L^d grid is sampled only for a request that will be served
+    calls = []
+    sample = cli.SampledTorusFn.sample
+    monkeypatch.setattr(cli.SampledTorusFn, "sample",
+                        lambda *args: calls.append(args) or sample(*args))
+    flags = [f for t in thetas for f in ("--theta", t)]
+    code, _ = run_cli(capsys, "partial-sum", "--d", "2", "--n", "1", "--L", "2048",
+                      "--spec", coeff_spec, *flags)
+    assert code == 2 and calls == []
+    code, _ = run_cli(capsys, "partial-sum", "--d", "2", "--n", "1", "--L", "8",
+                      "--spec", coeff_spec, "--theta", "0.1,0.2")
+    assert code == 0 and len(calls) == 1
 
 
 # ----------------------------------------------------- seeds & determinism

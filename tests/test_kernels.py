@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from l1torus.bspline_fourier import mean_torus_mc
 from l1torus.divdiff import divided_difference_cos
 from l1torus.kernels import (
     biortho_generating_pair,
@@ -288,8 +289,12 @@ def test_sorted_cosine_core_blocks_do_not_grow_with_d(d):
 
 
 def test_sorted_cosine_core_checks_its_cost():
+    # _shell_core checks nothing itself: each of its callers bounds the cost first
+    for fn in (shell_sum_batch, dirichlet_kernel_batch, _shell_table):
+        with pytest.raises(ValueError, match="over the limit"):
+            fn(3, 10**9, np.zeros((1, 3)))
     with pytest.raises(ValueError, match="over the limit"):
-        _shell_core(3, 10**9, np.zeros((1, 3)), _shell_finish)
+        mean_torus_mc(3, 10**9, 0.3, budget=4)
 
 
 def test_dirichlet_kernel_is_cumulative_shell_sum(rng):

@@ -1,5 +1,8 @@
 """The package's public names: each listed once, each resolvable, none unlisted."""
+import ast
+import re
 import types
+from pathlib import Path
 
 import l1torus
 
@@ -12,3 +15,34 @@ def test_all_lists_every_public_name_once():
     bound = {name for name, value in vars(l1torus).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(bound - set(listed)) == [], "bound but not listed"
+
+
+# Reached only from the benchmark's jobs and the tests; they go when perfbench/ stops
+# binding them, which is a change to the benchmark of its own.
+BENCHMARK_BOUND = {"bspline_eval", "dirichlet_kernel", "dirichlet_seed_poly", "shell_sum"}
+
+
+def _references(tree: ast.AST, skip: str | None = None):
+    """Names loaded and attributes read in ``tree``, outside any def or class named ``skip``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        yield from _references(node, skip)
+
+
+def test_every_public_name_is_reached_from_the_package():
+    # a public name the CLI, a suite or another route calls; docstrings do not count
+    trees = [ast.parse(path.read_text()) for path in Path(l1torus.__file__).parent.glob("*.py")
+             if path.name != "__init__.py"]
+    unreached = sorted(name for name in l1torus.__all__
+                       if not any(name in set(_references(tree, name)) for tree in trees))
+    assert unreached == sorted(BENCHMARK_BOUND)
+    # each exception holds only while perfbench binds it, by attribute or by traced name
+    bench = " ".join(path.read_text() for path in
+                     (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert [name for name in sorted(BENCHMARK_BOUND)
+            if not re.search(rf"\b{name}\b", bench)] == []

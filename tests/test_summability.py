@@ -1,4 +1,4 @@
-"""Coefficient sequences, synthesis routes, and l1 partial sums."""
+"""Coefficient sequences, synthesis, and l1 partial sums."""
 import math
 
 import numpy as np
@@ -9,10 +9,8 @@ from l1torus.summability import (
     ResolutionError,
     SampledTorusFn,
     Tail,
-    build_fd,
     partial_sum,
     synth,
-    synth_divdiff,
 )
 
 HEAD = (0.7, -0.3, 0.5, 0.1)
@@ -91,15 +89,6 @@ def test_from_json_rejects_unknown_tail():
 # ------------------------------------------------------------- synthesis
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_synthesis_routes_agree(d, rng):
-    seq = CoeffSeq(head=HEAD, tail=Tail())
-    for t in rng.uniform(-math.pi, math.pi, (8, d)):
-        a = synth(d, seq, 3, t)
-        b = synth_divdiff(d, seq, 3, t)
-        assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_batched_synthesis_matches_per_point(d, rng):
     seq = CoeffSeq(head=HEAD, tail=Tail())
@@ -119,18 +108,6 @@ def test_synthesis_at_origin_sums_counts():
     seq = CoeffSeq(head=HEAD, tail=Tail())
     expect = sum(HEAD[n] * shell_count(d, n) for n in range(4))
     assert abs(synth(d, seq, 3, [0.0, 0.0]) - expect) < 1e-12
-
-
-def test_build_fd_skips_constant_term(rng):
-    # the polynomial route carries indices >= 1; index 0 enters additively
-    d = 2
-    seq = CoeffSeq(head=(123.0, 0.5), tail=Tail())
-    fn = build_fd(d, seq, 1)
-    from l1torus.kernels import shell_seed
-
-    poly = shell_seed(d, 1)
-    for u in rng.uniform(-1, 1, 5):
-        assert abs(fn(float(u)) - 0.5 * poly(float(u))) < 1e-12
 
 
 def test_truncation_clips_to_head(rng):
