@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _float_factorial
+from .numerics import _float_factorial, finite
 
 
 def bspline_values(knots, u) -> np.ndarray:
@@ -64,7 +64,7 @@ def knot_field_batch(d: int, u, cos_knots: np.ndarray) -> np.ndarray:
     ``cos_knots`` has shape (batch, d) with rows sorted ascending.  ``u`` is
     one point, giving shape (batch,), or a 1-D array of points, giving shape
     (len(u), batch) from one pass of the recurrence (the Monte-Carlo mean takes
-    +u and -u together).  The field is zero at every point with |u| >= 1.
+    +u and -u together).  The field is zero at every point with |u| >= 1; u must be finite.
     Rows on which the field has a pole or degenerates must be filtered by the
     caller; zero spans simply contribute zero terms here.
     """
@@ -73,7 +73,7 @@ def knot_field_batch(d: int, u, cos_knots: np.ndarray) -> np.ndarray:
     x = np.asarray(cos_knots, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError("cos_knots must have shape (batch, d)")
-    u = np.asarray(u, dtype=float)
+    u = finite(u, "u")  # u only: checking the knots would add a pass over each MC batch
     if u.ndim > 1:
         raise ValueError("u must be a scalar or a 1-D array of points")
     pts = u.reshape(-1)

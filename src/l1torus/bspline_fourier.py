@@ -6,7 +6,8 @@ For d >= 2 and n >= 0 define
                     M_{d-1}(u | cos theta) * shell_sum(d, n, theta) / shell_count(d, n)
 
 the average of the n-th normalized shell sum against the B-spline whose knots are
-the cosines of the angles.  Routes, each taking u (alpha) as a scalar or an ndarray:
+the cosines of the angles.  Routes, each taking u (alpha) as a scalar or an ndarray,
+and the mean routes n as one order or a sequence of orders, one row of values each:
 
 * ``mean_series``      Gegenbauer series under a spectral exponential filter,
                        valid for every d >= 2 away from u = +-1;
@@ -14,7 +15,7 @@ the cosines of the angles.  Routes, each taking u (alpha) as a scalar or an ndar
                        in the angle variable u = cos(alpha)) and n = 0
                        (``mean_order0_closed``, every d);
 * ``mean_torus_mc``    seeded antithetic Monte-Carlo average over the torus
-                       (d in {2, 3});
+                       (d in {2, 3}); every order and point shares its draws;
 * ``biorthogonality_matrix``  the pairing with the biorthogonal polynomial
                        family, an identity matrix in exact arithmetic.
 """
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import knot_field_batch
-from .kernels import _biortho_table, _check_dn, _shell_core, _shell_finish
+from .kernels import (_MAX_GEGENBAUER, _biortho_table, _check_dn, _shell_core,
+                      _shell_finish, _table_finish)
 from .numerics import (DEFAULT_SEED, MAX_DRAWS, _float_factorial, check_cost, finite,
                        gauss_gegenbauer, shell_count)
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
@@ -38,17 +40,13 @@ _MAX_SERIES_TERMS = math.ceil(_SERIES_REACH / math.acos(1.0 - SERIES_EDGE_MARGIN
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
 _MC_BATCH_PAIRS = 50_000  # antithetic pairs per Monte-Carlo batch at one point, 1/P at P points
-_MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points, of one mean_torus_mc; a float per pair
+_MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_torus_mc
 # multiply-adds, pairs * d * (n+1)^2, of one mean_torus_mc's shell sums: ~20 s at the ~3e9
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
 _MAX_MC_COST = 1 << 36
 _MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point, one mean_d2_closed call may sum
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
-
-
-def _acos(u: np.ndarray) -> np.ndarray:
-    """math.acos of each entry, in the shape of u: the angles of every d = 2 closed form."""
-    return np.array([math.acos(x) for x in u.ravel().tolist()]).reshape(u.shape)
+_MAX_ORDERS = 1 << 20  # orders (the recursion: means) one mean call may list, 36 MB of ints
 
 
 def mean_d2_closed(n: int, alpha):
@@ -79,7 +77,7 @@ def mean_order0_closed(d: int, u):
     value at u = +-1 is 0, not the 1/2 of the power's limit.
     """
     _check_dn(d, 0)
-    x = np.asarray(u, dtype=float).squeeze()[()]  # a lone point takes the scalar power
+    x = finite(u, "u").squeeze()[()]  # a lone point takes the scalar power
     # Gamma(d/2) (d-1)! overflows from d = 150 on: divide by the factors one at a time.
     # Both the constant and the power are at least their product, so neither
     # underflows where the value does not.
@@ -90,29 +88,44 @@ def mean_order0_closed(d: int, u):
     return value if np.ndim(u) else float(value)
 
 
-def mean_closed(d: int, n: int, u):
-    """Closed form of mean(d, n, u), u scalar or ndarray: for d = 2 :func:`mean_d2_closed`
-    in alpha = arccos u, 0 wherever |u| >= 1; for n = 0 :func:`mean_order0_closed`.
-    ValueError for any other (d, n)."""
-    _check_dn(d, n)
-    if d != 2 and n != 0:
-        raise ValueError("closed form requires d = 2 or n = 0")
-    x = finite(u, "u")
-    if d != 2:
-        return mean_order0_closed(d, x)
-    inside = np.abs(x) < 1.0  # the mean is 0 elsewhere
-    value = np.zeros(x.shape)
-    if np.any(inside):
-        value[inside] = mean_d2_closed(n, _acos(x[inside]))
-    return value if x.ndim else float(value)
-
-
 def _count(orders) -> int:
     """len(orders) as a Python int: a range's from its start, stop and step, since
     len() stops at sys.maxsize."""
     if isinstance(orders, range):
         return max(0, -((orders.start - orders.stop) // orders.step))
     return len(orders)
+
+
+def _orders(d: int, n, what: str) -> tuple[bool, list[int], int]:
+    """Whether ``n`` is one order, its orders listed and checked against d, and the largest:
+    a sequence of more than _MAX_ORDERS is refused before it is listed or len() counts it."""
+    one = isinstance(n, (int, np.integer))
+    if not one:
+        check_cost(what, _count(n), "orders", _MAX_ORDERS)
+    orders = [n] if one else [int(x) for x in n]
+    for order in orders:
+        _check_dn(d, order)
+    return one, orders, max(orders, default=0)
+
+
+def mean_closed(d: int, n, u):
+    """Closed form of mean(d, n, u), u scalar or ndarray, n one order or a sequence of orders
+    as for :func:`mean_series`: for d = 2 :func:`mean_d2_closed` in alpha = arccos u, 0
+    wherever |u| >= 1; for n = 0 :func:`mean_order0_closed`.  ValueError for any other
+    (d, n), and before summing when the orders take over _MAX_CLOSED_TERMS sine terms."""
+    one, orders, top = _orders(d, n, "closed form")
+    if d != 2 and any(orders):
+        raise ValueError("closed form requires d = 2 or n = 0")
+    x = finite(u, "u")
+    rows = np.full((len(orders),) + x.shape, mean_order0_closed(d, x) if d != 2 else 0.0)
+    inside = np.abs(x) < 1.0  # the d = 2 mean is 0 elsewhere
+    alpha = np.array([math.acos(v) for v in x[inside].tolist()] if d == 2 else [])
+    check_cost(f"closed form at n = {top}" + ("" if one else
+               f" for {len(orders)} orders"), alpha.size * sum(o // 2 for o in orders),
+               f"terms at {alpha.size} point(s)", _MAX_CLOSED_TERMS)
+    for i, order in enumerate(orders if alpha.size else ()):
+        rows[i, inside] = mean_d2_closed(order, alpha)
+    return rows if not one else rows[0] if x.ndim else float(rows[0])
 
 
 def mean_series(d: int, n, u, nterms: int | None = None):
@@ -131,13 +144,7 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     before the pass when its (max(n) + 2K - 1 + (len(n) - 1) K) * points values
     exceed _MAX_SERIES_VALUES, or when (d-1)! is beyond the float range.
     """
-    one = isinstance(n, (int, np.integer))
-    if not one:  # a long range is refused before it is listed, or counted by len()
-        check_cost("series", _count(n), "orders", _MAX_SERIES_VALUES)
-    orders = [n] if one else [int(x) for x in n]
-    for order in orders:
-        _check_dn(d, order)
-    top = max(orders, default=0)
+    one, orders, top = _orders(d, n, "series")
     u_arr = finite(u, "u")
     if nterms is not None and nterms < 1:
         raise ValueError("nterms must be >= 1")
@@ -183,34 +190,36 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     return np.reshape(outs[0], u_arr.shape) if np.ndim(u) else float(outs[0])
 
 
-def mean_recursion_sides(d: int, n: int, u):
-    """Both sides of the mean recursion.
+def mean_recursion_sides(d: int, n, u):
+    """Both sides of the mean recursion, each of the shape of u (scalar or ndarray, |u| < 1),
+    with a row per order for a sequence of orders n, as for :func:`mean_series`:
 
     lhs = (d-1)! sum_{j=0}^{d-1} (-1)^j C(d-1, j) mean(d, n+2j, u)
     rhs = c_{d-1} (1-u^2)^(d-3/2) C_n^{d-1}(u) / C_n^{d-1}(1)
 
-    The means use the closed form for d = 2 and otherwise the filtered series,
-    all d orders from one pass.  ``u`` may be scalar or ndarray; each side has
-    the shape of ``u``.
+    Every mean comes from one call of :func:`mean_closed` (d = 2) or :func:`mean_series`.
     """
-    _check_dn(d, n)
-    lam = d - 1
-    u_arr = np.asarray(u, dtype=float)
-    if d == 2:
-        alpha = _acos(u_arr)
-        means = [mean_d2_closed(n + 2 * j, alpha) for j in range(d)]
-    else:
-        means = mean_series(d, [n + 2 * j for j in range(d)], u_arr)
+    one, orders, top = _orders(d, n, "mean recursion")
+    x = finite(u, "u")
+    if np.any(np.abs(x) >= 1.0):
+        raise ValueError(f"u must lie strictly inside (-1, 1), got {float(x[np.abs(x) >= 1][0])}")
+    fact, lam = _float_factorial(d - 1), float(d - 1)
+    check_cost("mean recursion", d * len(orders), "means", _MAX_ORDERS)
+    needed = sorted({order + 2 * j for order in orders for j in range(d)})
+    means = (mean_closed if d == 2 else mean_series)(d, needed, x)
+    row = {order: i for i, order in enumerate(needed)}
     lhs = 0.0
     for j in range(d):
-        lhs = lhs + (-1) ** j * math.comb(d - 1, j) * means[j]
-    lhs = lhs * _float_factorial(d - 1)
-    cn = gegenbauer_sequence(float(lam), n, u_arr)[n]
-    cn1 = gegenbauer_at_one(float(lam), n)[n]
-    rhs = geg_norm_c(float(lam)) * (1.0 - u_arr * u_arr) ** (d - 1.5) * cn / cn1
-    if np.ndim(u):
-        return lhs, rhs
-    return float(lhs), float(rhs)
+        lhs = lhs + (-1) ** j * math.comb(d - 1, j) * means[[row[o + 2 * j] for o in orders]]
+    lhs = lhs * fact
+    check_cost(f"mean recursion at n = {top}", (top + 1) * max(x.size, 1), "Gegenbauer values",
+               _MAX_GEGENBAUER)  # the right side's table: with no point, the means bound nothing
+    cn = gegenbauer_sequence(lam, top, x)[orders]
+    cn1 = gegenbauer_at_one(lam, top)[orders].reshape((-1,) + (1,) * x.ndim)
+    rhs = geg_norm_c(lam) * (1.0 - x * x) ** (d - 1.5) * cn / cn1
+    if one:  # floats for a scalar u
+        return (lhs[0], rhs[0]) if x.ndim else (float(lhs[0]), float(rhs[0]))
+    return lhs, rhs
 
 
 def _sorted_columns(thetas: np.ndarray) -> np.ndarray:
@@ -228,14 +237,14 @@ def _sorted_columns(thetas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo estimate with its standard error, of the shape of u (floats for a scalar)."""
+    """Monte-Carlo estimate and its standard error, each shaped as the other routes' values."""
 
     value: float | np.ndarray
     stderr: float | np.ndarray
     pairs: int
 
 
-def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
+def mean_torus_mc(d: int, n, u, budget: int | None = None,
                   seed: int = DEFAULT_SEED) -> McEstimate:
     """Seeded Monte-Carlo estimate of mean(d, n, u) by torus averaging, u scalar or ndarray.
 
@@ -245,20 +254,23 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
     the shell sum.  Samples whose sorted cosine knots have an adjacent gap
     below 1e-12 are rejected and redrawn (the integrand is integrable but
     unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
-    rounds of redraws raises ValueError.  ``budget`` counts integrand
-    evaluations per point, 4 to _MAX_MC_BUDGET / points; default 2e6 (d = 2), 1e7 (d = 3).
-    ValueError before the first draw when the shell sums of all budget / 2 pairs would
-    take more than _MAX_MC_COST multiply-adds.
+    rounds of redraws raises ValueError.  ``budget`` counts integrand evaluations per
+    point and order, 4 to _MAX_MC_BUDGET in all; default 2e6 (d = 2), 1e7 (d = 3).
+    ValueError before the first draw when the shell sums of all budget / 2 pairs at the
+    largest order would take more than _MAX_MC_COST multiply-adds.
 
-    All points share the draws, sorted once per batch of _MC_BATCH_PAIRS / points pairs
+    ``n`` is one order or a sequence of orders, as for :func:`mean_series`.  All orders
+    and points share the draws, sorted once per batch of _MC_BATCH_PAIRS / points pairs
     and held as d contiguous columns of cosines: the shell product takes them as they
-    are, and one field call evaluates +-u at every point.  Without redraws each
-    estimate is a lone call's.  At n = 0 the shell sum is 1 exactly and is not computed.
+    are, and one field call evaluates +-u at every point.  One order's shell sums are a
+    dot product per pair (none at n = 0, where they are 1); several orders keep a field
+    half per parity and take theirs from one table.  Each order's estimate is a lone call's,
+    and without redraws each point's, but in the last place where a batch of b = 1 mod
+    16 384 // (n + 1) pairs leaves a lone order's product a block of one pair, summed pairwise.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
-    if n < 0:
-        raise ValueError("index n must be >= 0")
+    one, orders, top = _orders(d, n, "Monte-Carlo")
     pts = finite(u, "u").reshape(-1)
     if np.any(np.abs(pts) >= 1.0):
         raise ValueError("Monte-Carlo route requires |u| < 1")
@@ -266,19 +278,21 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
         budget = _MC_DEFAULT_BUDGET[d]
     if budget < 4:  # fewer than two antithetic pairs give no spread
         raise ValueError(f"budget must be >= 4, got {budget}")
-    check_cost(f"budget {budget} at {pts.size} point(s)", budget * pts.size, "evaluations",
+    check_cost(f"budget {budget} at {pts.size} point(s)" + ("" if one else
+               f" for {len(orders)} orders"), budget * pts.size * len(orders), "evaluations",
                _MAX_MC_BUDGET)
     total_pairs = budget // 2
     # the whole call's shell product, whatever the batches: one per pair, shared by the points
-    check_cost(f"Monte-Carlo shell sums at d = {d}, n = {n} for {total_pairs} pair(s)",
-               total_pairs * d * (n + 1) ** 2, "multiply-adds", _MAX_MC_COST)
+    check_cost(f"Monte-Carlo shell sums at d = {d}, n = {top} for {total_pairs} pair(s)",
+               total_pairs * d * (top + 1) ** 2, "multiply-adds", _MAX_MC_COST)
     rng = np.random.default_rng(seed)
-    count = shell_count(d, n)
-    sgn = -1.0 if n % 2 else 1.0
-    chunks = []
-    remaining = total_pairs
-    while remaining > 0:
-        b = min(max(_MC_BATCH_PAIRS // max(pts.size, 1), 1), remaining)
+    counts, lone = [shell_count(d, order) for order in orders], len(orders) == 1
+    # per point and pair: a lone order's values, or a field half per parity of the orders
+    halves = {order % 2: np.empty((pts.size, total_pairs)) for order in orders}
+    sums = np.empty((0 if lone else len(orders), total_pairs))
+    step = max(_MC_BATCH_PAIRS // max(pts.size, 1), 1)
+    for lo in range(0, total_pairs if orders else 0, step):
+        b = min(step, total_pairs - lo)
         cols = _sorted_columns(rng.uniform(-math.pi, math.pi, size=(b, d)))
         bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
         for _ in range(MAX_DRAWS):
@@ -289,15 +303,26 @@ def mean_torus_mc(d: int, n: int, u, budget: int | None = None,
             bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
         if np.any(bad):
             raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
-        ssum = _shell_core(d, n, cols.T, _shell_finish) if n else 1.0  # E_0 = 1
         field = knot_field_batch(d, np.concatenate([pts, -pts]), cols.T)
-        chunks.append(0.5 * (field[:pts.size] + sgn * field[pts.size:]) * ssum / count)
-        remaining -= b
-    vals = np.concatenate(chunks, axis=1)  # a row of pairs per point
-    value, stderr = vals.mean(axis=1), vals.std(ddof=1, axis=1) / math.sqrt(total_pairs)
-    if np.ndim(u):
-        return McEstimate(value.reshape(np.shape(u)), stderr.reshape(np.shape(u)), total_pairs)
-    return McEstimate(float(value[0]), float(stderr[0]), total_pairs)
+        for parity, half in halves.items():
+            half[:, lo:lo + b] = 0.5 * (field[:pts.size] + (-1.0) ** parity * field[pts.size:])
+        if not lone:
+            sums[:, lo:lo + b] = _shell_core(d, top, cols.T, _table_finish)[:, orders].T
+        elif top:  # E_0 = 1
+            vals = halves[top % 2][:, lo:lo + b]
+            np.divide(np.multiply(vals, _shell_core(d, top, cols.T, _shell_finish), out=vals),
+                      counts[0], out=vals)
+    value, stderr = np.empty((2, len(orders), pts.size))
+    buf = np.empty(0 if lone else total_pairs)
+    for i, order in enumerate(orders):
+        for j, half in enumerate(halves[order % 2]):  # an order's values at a point
+            vals = half if lone else np.divide(np.multiply(half, sums[i], out=buf), counts[i],
+                                               out=buf)
+            value[i, j], stderr[i, j] = vals.mean(), vals.std(ddof=1) / math.sqrt(total_pairs)
+    if one and not np.ndim(u):
+        return McEstimate(float(value[0, 0]), float(stderr[0, 0]), total_pairs)
+    shape = (len(orders),) * (not one) + np.shape(u)
+    return McEstimate(value.reshape(shape), stderr.reshape(shape), total_pairs)
 
 
 def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:

@@ -18,9 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .bspline import bspline_values
-from .bspline_fourier import (_MAX_CLOSED_TERMS, _MAX_MC_BUDGET, _MAX_SERIES_TERMS,
-                              _MAX_SERIES_VALUES, biorthogonality_matrix, mean_closed,
-                              mean_recursion_sides, mean_series, mean_torus_mc)
+from .bspline_fourier import (biorthogonality_matrix, mean_closed, mean_recursion_sides,
+                              mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
 from .kernels import (_MAX_COST, _biortho_table, _shell_table, biortho_generating_pair,
                       biortho_generating_tail, dirichlet_kernel_batch,
@@ -151,9 +150,9 @@ def _dims(cfg: VerifyConfig, default: tuple[int, ...]) -> tuple[int, ...]:
     return (cfg.d,) if cfg.d is not None else default
 
 
-# A suite that loops over the orders n <= nmax is refused before the loop starts
-# by check_cost: its cost counts every order at the top order's cost, in the unit
-# of the route's own per-call limit, so the whole loop may cost what one call may.
+# shell-divdiff and dirichlet-divdiff loop over the orders n <= nmax, refused before the
+# loop by check_cost: every order at the top order's cost, against the route's per-call
+# limit.  The mean suites call each route once per dimension, under its own bound.
 
 
 @_suite("shell-count", 0.0,
@@ -322,16 +321,11 @@ def _mean_recursion(cfg: VerifyConfig):
     rng = np.random.default_rng([cfg.seed, 8])
     us = rng.uniform(-0.9, 0.9, 20)
     nmaxes = [cfg.nmax if cfg.nmax is not None else (5 if d == 2 else 3) for d in dims]
-    # one order's d means step through at most this many series values per point
-    # (the d = 2 closed form sums fewer terms)
-    check_cost(f"mean recursion at 20 points, n = 0 ... {max(nmaxes)}", sum(
-        us.size * (nmax + 1) * (nmax + 2 * d - 1 + (d + 1) * _MAX_SERIES_TERMS)
-        for d, nmax in zip(dims, nmaxes)), "values", _MAX_SERIES_VALUES)
     errors, details = [], {}
     for d, nmax in zip(dims, nmaxes):
         tol_d = 1e-10 if d == 2 else 1e-12
-        worst = float(np.max([list(map(rel_err, *mean_recursion_sides(d, n, us)))
-                              for n in range(nmax + 1)]))
+        sides = zip(*mean_recursion_sides(d, range(nmax + 1), us))
+        worst = float(np.max([list(map(rel_err, lhs, rhs)) for lhs, rhs in sides]))
         details[f"d={d}"] = {"max_error": worst, "tolerance": tol_d, "nmax": nmax}
         errors.append(worst / tol_d)
     return {"dims": list(dims), "points": 20}, errors, details
@@ -343,12 +337,10 @@ def _mean_recursion(cfg: VerifyConfig):
 def _mean_methods(cfg: VerifyConfig):
     nmax = cfg.nmax if cfg.nmax is not None else 4
     us = np.linspace(-0.99, 0.99, 50)
-    check_cost(f"d = 2 closed forms at 50 points, n = 0 ... {nmax}",
-               us.size * (nmax + 1) * (nmax // 2), "terms", _MAX_CLOSED_TERMS)
-    errors = []
-    # every order from one pass; nterms None: each point takes its own number of terms
-    for n, series in enumerate(mean_series(2, range(nmax + 1), us, nterms=cfg.nterms)):
-        errors += map(rel_err, series, mean_closed(2, n, us))
+    # every order from one call each; nterms None: each point takes its own number of terms
+    rows = zip(mean_closed(2, range(nmax + 1), us),
+               mean_series(2, range(nmax + 1), us, nterms=cfg.nterms))
+    errors = [rel_err(s, c) for closed, series in rows for c, s in zip(closed, series)]
     return {"nmax": nmax, "nterms": cfg.nterms, "grid": 50}, errors, {}
 
 
@@ -357,26 +349,19 @@ def _mean_methods(cfg: VerifyConfig):
         "normalized shell sum matches the deterministic mean within 3 sigma")
 def _mean_mc(cfg: VerifyConfig):
     dims = _dims(cfg, (2, 3))
-    plan = [(d, cfg.budget if cfg.budget is not None else (200_000 if d == 2 else 500_000),
-             (-0.6, 0.0, 0.6) if d == 2 else (-0.5, 0.0, 0.5),
-             cfg.nmax if cfg.nmax is not None else (3 if d == 2 else 4)) for d in dims]
-    check_cost("Monte-Carlo means", sum(len(us) * (nmax + 1) * budget
-                                        for _, budget, us, nmax in plan),
-               "evaluations", _MAX_MC_BUDGET)
-    check_cost("Monte-Carlo shell sums", sum(len(us) * (nmax + 1) ** 3 * (budget // 2) * d
-                                             for d, budget, us, nmax in plan),
-               "multiply-adds", _MAX_COST)
     errors, cases = [], []
-    for d, budget, us, nmax in plan:
-        for n in range(nmax + 1):
-            ref = (mean_closed if d == 2 else mean_series)(d, n, np.array(us))
-            est = mean_torus_mc(d, n, np.array(us), budget=budget, seed=cfg.seed)
-            # The paired average is exactly zero with zero spread when the
-            # sign-flipped term cancels the direct one (odd index at u = 0),
-            # so keep the ratio finite there.
-            errors += (abs(est.value - ref) / np.maximum(3.0 * est.stderr, 1e-15)).tolist()
+    for d in dims:
+        budget = cfg.budget if cfg.budget is not None else (200_000 if d == 2 else 500_000)
+        us = [-0.6, 0.0, 0.6] if d == 2 else [-0.5, 0.0, 0.5]
+        orders = range((cfg.nmax if cfg.nmax is not None else (3 if d == 2 else 4)) + 1)
+        refs = (mean_closed if d == 2 else mean_series)(d, orders, np.array(us))
+        est = mean_torus_mc(d, orders, np.array(us), budget=budget, seed=cfg.seed)
+        for n, ref, value, stderr in zip(orders, refs, est.value, est.stderr):
+            # the paired average is exactly 0 with no spread where the sign-flipped term
+            # cancels the direct one (odd n at u = 0): keep the ratio finite there
+            errors += (abs(value - ref) / np.maximum(3.0 * stderr, 1e-15)).tolist()
             cases += [{"d": d, "n": n, "u": u, "mc": v, "reference": r, "stderr": e} for u, v, r, e
-                      in zip(us, est.value.tolist(), ref.tolist(), est.stderr.tolist())]
+                      in zip(us, value.tolist(), ref.tolist(), stderr.tolist())]
     return {"dims": list(dims), "budget": cfg.budget}, errors, {"cases": cases}
 
 

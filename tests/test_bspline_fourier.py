@@ -304,6 +304,13 @@ def test_mc_bound_counts_every_point(monkeypatch):
         mean_torus_mc(2, 1, np.array([0.1, 0.2, 0.3, 0.4]), budget=4)
     with pytest.raises(ValueError, match=r"\|u\| < 1"):
         mean_torus_mc(2, 1, np.array([0.1, -1.0]), budget=4)
+    monkeypatch.undo()
+    # every order counts: 3 points x 23 orders at the mean-mc suite's d = 3 budget
+    with pytest.raises(ValueError, match="for 23 orders: 3.45e\\+07 evaluations, over"):
+        mean_torus_mc(3, range(23), np.array([-0.5, 0.0, 0.5]), budget=500_000)
+    # 2^21 orders at budget 4 are within the evaluation bound; they are not listed
+    with pytest.raises(ValueError, match="2.1e\\+06 orders, over the limit of 1.05e\\+06"):
+        mean_torus_mc(2, range(1 << 21), 0.3, budget=4)
 
 
 def test_mc_bound_counts_the_whole_call(monkeypatch):
@@ -335,6 +342,24 @@ def test_evaluator_takes_arrays():
         assert mean_closed(d, n, us.reshape(7, 1)).tolist() == value.reshape(7, 1).tolist()
     est = mean_torus_mc(3, 1, us[2:5].reshape(3, 1), budget=400)
     assert est.value.shape == est.stderr.shape == (3, 1)
+    # a sequence of orders gives a row per order, each the lone call's bits
+    for d, orders in ((2, range(9)), (2, [8, 0, 3, 3]), (3, [0, 0]), (5, range(1))):
+        rows = mean_closed(d, orders, us.reshape(7, 1))
+        assert rows.shape == (len(orders), 7, 1)
+        for order, row in zip(orders, rows):
+            assert row.tobytes() == mean_closed(d, order, us.reshape(7, 1)).tobytes()
+        assert mean_closed(d, orders, 0.3).tolist() == [mean_closed(d, o, 0.3) for o in orders]
+    assert mean_closed(2, [], us).shape == (0, 7)
+    with pytest.raises(ValueError, match="closed form requires d = 2 or n = 0"):
+        mean_closed(3, [0, 1], us)
+    rows = mean_torus_mc(3, range(3), us[2:5].reshape(3, 1), budget=400)
+    assert rows.value.shape == rows.stderr.shape == (3, 3, 1)
+    for order in range(3):
+        lone = mean_torus_mc(3, order, us[2:5].reshape(3, 1), budget=400)
+        assert rows.value[order].tobytes() == lone.value.tobytes()
+        assert rows.stderr[order].tobytes() == lone.stderr.tobytes()
+    at_point = mean_torus_mc(2, [1, 2], 0.3, budget=400)
+    assert at_point.value.tolist() == [mean_torus_mc(2, o, 0.3, budget=400).value for o in (1, 2)]
 
 
 # -------------------------------------------------------------- recursion
@@ -351,6 +376,44 @@ def test_alternating_sum_recursion(d, tol, rng):
             assert type(lhs) is float and type(rhs) is float
             assert abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
             assert abs(lb - lhs) <= 1e-14 and abs(rb - rhs) <= 1e-14
+    # a sequence of orders takes every mean from one call: each row is the lone call's
+    orders = [3, 0, 1, 6, 3]
+    lhs_rows, rhs_rows = mean_recursion_sides(d, orders, us)
+    assert lhs_rows.shape == rhs_rows.shape == (len(orders), us.size)
+    for n, lhs_row, rhs_row in zip(orders, lhs_rows, rhs_rows):
+        lhs, rhs = mean_recursion_sides(d, n, us)
+        assert lhs_row.tobytes() == lhs.tobytes() and rhs_row.tobytes() == rhs.tobytes()
+    lhs_rows, rhs_rows = mean_recursion_sides(d, range(4), float(us[0]))
+    assert lhs_rows.tolist() == [mean_recursion_sides(d, n, float(us[0]))[0] for n in range(4)]
+    assert rhs_rows.tolist() == [mean_recursion_sides(d, n, float(us[0]))[1] for n in range(4)]
+
+
+def test_recursion_bounds_its_means_and_its_table():
+    # d means per order are listed; with no point the means bound nothing, and the
+    # right side's Gegenbauer recurrence would step to n on empty rows
+    with pytest.raises(ValueError, match="1.71e\\+06 means, over the limit of 1.05e\\+06"):
+        mean_recursion_sides(171, range(10_000), 0.3)
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="Gegenbauer values, over the limit of 1.05e\\+06"):
+            mean_recursion_sides(d, 10**15, np.empty(0))
+        lhs, rhs = mean_recursion_sides(d, range(3), np.empty(0))
+        assert lhs.shape == rhs.shape == (3, 0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_recursion_names_u_outside_the_interval(d, monkeypatch):
+    # at d = 2 u = 1.5 raised "math domain error", and u = +-1 or nan an error about
+    # alpha; each is refused by name before a mean or the right side's table is built
+    def built(*args, **kwargs):
+        raise AssertionError("built")
+
+    for name in ("mean_closed", "mean_series", "gegenbauer_sequence"):
+        monkeypatch.setattr(bf, name, built)
+    for u, message in ((1.5, "got 1.5"), (-1.0, "got -1.0"), (np.array([0.2, 1.0]), "got 1.0")):
+        with pytest.raises(ValueError, match=r"u must lie strictly inside \(-1, 1\), " + message):
+            mean_recursion_sides(d, 1, u)
+    with pytest.raises(ValueError, match="u must be finite, got nan"):
+        mean_recursion_sides(d, [0, 1], math.nan)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -465,6 +528,14 @@ def test_mc_column_batches_are_bitwise_the_row_batches(monkeypatch, d, n, us):
     est = mean_torus_mc(d, n, pts, budget=20_002, seed=17)
     assert est.value.tobytes() == value.tobytes()
     assert est.stderr.tobytes() == stderr.tobytes()
+    # a sequence of orders shares the draws, redraws and batches: each row is the lone call
+    orders = [n, 0, n + 3, 2, n]
+    rows = mean_torus_mc(d, orders, pts, budget=20_002, seed=17)
+    assert rows.value.shape == rows.stderr.shape == (len(orders), pts.size)
+    for order, row_value, row_stderr in zip(orders, rows.value, rows.stderr):
+        lone = mean_torus_mc(d, order, pts, budget=20_002, seed=17)
+        assert row_value.tobytes() == lone.value.tobytes()
+        assert row_stderr.tobytes() == lone.stderr.tobytes()
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -519,6 +590,17 @@ def test_evaluator_closed_agrees_with_series():
     for n in (0, 1, 2, 5):
         assert np.all(np.abs(mean_closed(2, n, us) - mean_series(2, n, us)) < 1e-12)
     assert np.all(np.abs(mean_closed(3, 0, us) - mean_series(3, 0, us)) < 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_order0_and_field_refuse_a_nonfinite_u(d):
+    # mean_order0_closed read 0.5 (d = 2) or nan (d = 3) at u = nan, the field 0
+    knots = np.linspace(-0.5, 0.5, d)[None, :]
+    for u in (math.nan, math.inf, np.array([0.1, -math.inf])):
+        with pytest.raises(ValueError, match="u must be finite"):
+            mean_order0_closed(d, u)
+        with pytest.raises(ValueError, match="u must be finite"):
+            knot_field_batch(d, u, knots)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7])

@@ -533,6 +533,33 @@ def test_verify_high_dimension_finishes_or_fails_fast(capsys):
         "error: no 250 angles with cosines 0.01 apart in 10000 draws"]
 
 
+def test_verify_mean_mc_serves_what_its_route_serves(capsys):
+    # the suite's own copy of the shell-sum bound charged (nmax + 1)^3 per point against
+    # the per-batch limit, so it refused --nmax 9 that one call per dimension serves
+    code, out = run_cli(capsys, "verify", "--suite", "mean-mc", "--nmax", "9")
+    assert code in (0, 1)
+    (suite,) = json.loads(out)["suites"]
+    assert [(c["d"], c["n"]) for c in suite["details"]["cases"]][::3] == [
+        (d, n) for d in (2, 3) for n in range(10)]
+
+
+@pytest.mark.parametrize("suite, limit, value, route", [
+    ("mean-mc", "_MAX_MC_BUDGET", 1_000_000, "budget 200000 at 3 point(s) for 4 orders"),
+    ("mean-methods", "_MAX_CLOSED_TERMS", 100, "closed form at n = 4 for 5 orders"),
+    ("mean-recursion", "_MAX_SERIES_VALUES", 10_000, "series at n = 7, K = 212"),
+])
+def test_mean_suites_are_refused_by_their_routes_bounds(capsys, monkeypatch, suite, limit,
+                                                         value, route):
+    from l1torus import bspline_fourier
+
+    monkeypatch.setattr(bspline_fourier, limit, value)
+    code = main(["verify", "--suite", suite])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith(f"error: {route}") and line.endswith(f"over the limit of {value:.3g}")
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _ = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2

@@ -46,3 +46,13 @@ def test_every_public_name_is_reached_from_the_package():
                      (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
     assert [name for name in sorted(BENCHMARK_BOUND)
             if not re.search(rf"\b{name}\b", bench)] == []
+
+
+def test_verify_copies_no_mean_route_bound():
+    # each mean suite is refused by the bound its route enforces for any caller; a
+    # limit imported into verify.py would be a second copy of it, free to drift
+    tree = ast.parse((Path(l1torus.__file__).parent / "verify.py").read_text())
+    copied = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and (node.module or "").endswith("bspline_fourier")
+              for alias in node.names if alias.name.startswith("_MAX_")]
+    assert copied == []
