@@ -28,15 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import knot_field_batch
-from .kernels import (_MAX_GEGENBAUER, _biortho_table, _check_dn, _shell_core,
-                      _shell_finish, _table_finish)
+from .kernels import (_biortho_table, _check_dn, _check_product, _shell_core, _shell_finish,
+                      _table_finish)
 from .numerics import (DEFAULT_SEED, MAX_DRAWS, _float_factorial, check_cost, finite,
                        gauss_gegenbauer, shell_count)
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 SERIES_EDGE_MARGIN = 1e-3
 _SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
-_MAX_SERIES_TERMS = math.ceil(_SERIES_REACH / math.acos(1.0 - SERIES_EDGE_MARGIN))  # K at the edge
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
 _MC_BATCH_PAIRS = 50_000  # antithetic pairs per Monte-Carlo batch at one point, 1/P at P points
@@ -135,7 +134,7 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     a_k = (d-1)_k/k!, R_m = C_m^{d-1}(u)/C_m^{d-1}(1).  The filter sigma(eta) =
     exp(-36 eta^8) makes the conditionally convergent series converge spectrally
     away from u = +-1.  K = ceil(100 / arccos|u|) per point (``nterms``, if given,
-    everywhere).  Requires |u| <= 1 - SERIES_EDGE_MARGIN (so K <= _MAX_SERIES_TERMS = 2 236).
+    everywhere).  Requires |u| <= 1 - SERIES_EDGE_MARGIN (so K <= 2 236).
 
     ``n`` is one order, or a sequence of orders: then the result has one row per
     order, shape (len(n),) + shape(u), each row the value one call at that order
@@ -212,8 +211,6 @@ def mean_recursion_sides(d: int, n, u):
     for j in range(d):
         lhs = lhs + (-1) ** j * math.comb(d - 1, j) * means[[row[o + 2 * j] for o in orders]]
     lhs = lhs * fact
-    check_cost(f"mean recursion at n = {top}", (top + 1) * max(x.size, 1), "Gegenbauer values",
-               _MAX_GEGENBAUER)  # the right side's table: with no point, the means bound nothing
     cn = gegenbauer_sequence(lam, top, x)[orders]
     cn1 = gegenbauer_at_one(lam, top)[orders].reshape((-1,) + (1,) * x.ndim)
     rhs = geg_norm_c(lam) * (1.0 - x * x) ** (d - 1.5) * cn / cn1
@@ -265,8 +262,7 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     are, and one field call evaluates +-u at every point.  One order's shell sums are a
     dot product per pair (none at n = 0, where they are 1); several orders keep a field
     half per parity and take theirs from one table.  Each order's estimate is a lone call's,
-    and without redraws each point's, but in the last place where a batch of b = 1 mod
-    16 384 // (n + 1) pairs leaves a lone order's product a block of one pair, summed pairwise.
+    and without redraws each point's.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
@@ -283,8 +279,8 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
                _MAX_MC_BUDGET)
     total_pairs = budget // 2
     # the whole call's shell product, whatever the batches: one per pair, shared by the points
-    check_cost(f"Monte-Carlo shell sums at d = {d}, n = {top} for {total_pairs} pair(s)",
-               total_pairs * d * (top + 1) ** 2, "multiply-adds", _MAX_MC_COST)
+    _check_product(f"Monte-Carlo shell sums at d = {d}, n = {top} for {total_pairs} pair(s)",
+                   total_pairs, d, top, _MAX_MC_COST)
     rng = np.random.default_rng(seed)
     counts, lone = [shell_count(d, order) for order in orders], len(orders) == 1
     # per point and pair: a lone order's values, or a field half per parity of the orders

@@ -38,8 +38,7 @@ from .polys import gegenbauer_at_one, gegenbauer_sequence
 
 # Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
 _BLOCK_ENTRIES = 1 << 14
-_MAX_COST = 1 << 31  # multiply-adds, rows * d * (n+1)^2, one shell or Dirichlet batch may cost
-_MAX_GEGENBAUER = 1 << 20  # values, (n+1) * points, of the table one biortho_poly call may build
+_MAX_COST = 1 << 31  # multiply-adds one shell or Dirichlet batch may cost (_check_product)
 
 
 def _sign(d: int) -> float:
@@ -136,10 +135,7 @@ def biortho_poly(d: int, n: int, u, form: str = "c"):
     The "c" form is the definition; the "z" form must agree to 1e-11.
     The value equals the (d-1)-st derivative of the shell seed, and at u = 1
     it is (d-1)! times the shell count.  ``u`` may be a scalar or ndarray.
-    Row n of :func:`_biortho_table`, with its checks: ValueError before
-    allocating when the (n+1) * points table of Gegenbauer values exceeds
-    ``_MAX_GEGENBAUER`` or (d-1)! is beyond the float range, and when a value
-    of row n overflows.
+    Row n of :func:`_biortho_table`, with its checks.
     """
     total = _biortho_table(d, n, u, form, first=n)[n]
     return total.copy() if np.ndim(u) else float(total)
@@ -148,17 +144,15 @@ def biortho_poly(d: int, n: int, u, form: str = "c"):
 def _biortho_table(d: int, nmax: int, u, form: str = "c", first: int = 0) -> np.ndarray:
     """Rows biortho_poly(d, n, u) for n = 0, ..., nmax, shape (nmax + 1,) + shape(u).
 
-    One Gegenbauer pass serves every row; row n sums its terms j = 0, 1, ...
-    in the order the definition lists them.  ValueError before allocating when
-    the table exceeds ``_MAX_GEGENBAUER`` values or (d-1)! is beyond the float
-    range, and naming the first row from ``first`` on that overflows.
+    One Gegenbauer pass serves every row, bounded by :func:`gegenbauer_sequence`; row n
+    sums its terms j = 0, 1, ... in the order the definition lists them.  ValueError
+    when (d-1)! is beyond the float range, and naming the first row from ``first`` on
+    that overflows.
     """
     _check_dn(d, nmax)
     u_arr = finite(u, "u")
     if form not in ("c", "z"):
         raise ValueError("form must be 'c' or 'z'")
-    check_cost(f"biortho_poly at n = {nmax} for {u_arr.size} point(s)", (nmax + 1) * u_arr.size,
-               "Gegenbauer values", _MAX_GEGENBAUER)
     scale = _float_factorial(d - 1)
     base = d if form == "c" else d - 1
     lam = float(base)
@@ -184,14 +178,19 @@ def shell_sum(d: int, n: int, theta) -> float:
     return float(shell_sum_batch(d, n, theta_vector(theta, d)[None, :])[0])
 
 
+def _check_product(what: str, rows: int, d: int, n: int, limit: int = _MAX_COST):
+    """ValueError before any allocation when the shell product of ``rows`` points costs more
+    than ``limit`` multiply-adds, max(rows, 1) * d * (n+1)^2: an empty batch still steps to n."""
+    check_cost(what, max(rows, 1) * d * (n + 1) ** 2, "multiply-adds", limit)
+
+
 def _check_batch(d: int, n: int, thetas) -> np.ndarray:
     """The shared input check of the shell and Dirichlet batches, run before any allocation."""
     _check_dn(d, n, dmin=1)
     t = np.asarray(thetas, dtype=float)
     if t.ndim != 2 or t.shape[1] != d:
         raise ValueError("thetas must have shape (batch, d)")
-    check_cost(f"shell sums at d = {d}, n = {n} for {t.shape[0]} point(s)",
-               t.shape[0] * d * (n + 1) ** 2, "multiply-adds", _MAX_COST)
+    _check_product(f"shell sums at d = {d}, n = {n} for {t.shape[0]} point(s)", t.shape[0], d, n)
     return finite(t, "theta")
 
 
@@ -222,8 +221,8 @@ def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
     the first d - 1 factor tables (:func:`_factor`), ``last`` the last factor, both of
     shape (n+1, rows).  A block holds _BLOCK_ENTRIES / (n+1) rows whatever d is, and one
     recurrence builds the tables of as many factors as fit in _BLOCK_ENTRIES: one at a
-    time for a full block, all d for one row.  Its callers bound the cost: the batches by
-    :func:`_check_batch`, the Monte-Carlo mean for its whole call."""
+    time for a full block, all d for one row.  Its callers bound the cost by
+    :func:`_check_product`: the batches per call, the Monte-Carlo mean for its whole call."""
     step = max(1, _BLOCK_ENTRIES // (n + 1))
     # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
     # meets a zero at r = 1 at once, so partial products never grow and cancel.
@@ -248,13 +247,14 @@ def _shell_product(d: int, n: int, thetas, finish) -> np.ndarray:
 
 
 def _shell_finish(head: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The per-block finish of :func:`shell_sum_batch` and the Monte-Carlo mean."""
-    return (head * last[::-1]).sum(axis=0)
+    """The per-block finish of :func:`shell_sum_batch` and the Monte-Carlo mean: einsum adds
+    each column's terms in order, a block of one row too, where sum(axis=0) adds pairwise."""
+    return np.einsum("ij,ij->j", head, last[::-1])
 
 
 def _dirichlet_finish(head: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The per-block finish of :func:`dirichlet_kernel_batch`."""
-    return (head * np.cumsum(last, axis=0)[::-1]).sum(axis=0)
+    """The per-block finish of :func:`dirichlet_kernel_batch`, in order as the shell's."""
+    return np.einsum("ij,ij->j", head, np.cumsum(last, axis=0)[::-1])
 
 
 def _table_finish(head: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -355,15 +355,12 @@ def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
     """Bound for the omitted tail of the biorthogonal generating series, |u| <= 1.
 
     A majorant is summed over the 400 terms after ``nterms``, and the rest is
-    bounded by a geometric series.  The majorant's nterms + 401 values are
-    bounded as a :func:`_biortho_table` of one point is.
+    bounded by a geometric series.  :func:`gegenbauer_at_one` bounds its values.
     """
     _check_dn(d, 0)
     if not (0 <= r < 1):
         raise ValueError("r must lie in [0, 1)")
     top = nterms + 400
-    check_cost(f"the biortho tail majorant at n = {top}", top + 1, "Gegenbauer values",
-               _MAX_GEGENBAUER)
     fact = _float_factorial(d - 1)
     c1 = gegenbauer_at_one(float(d), top)
     # |biortho_poly(d, n, u)| <= (d-1)! sum_j C(d,j) C_{n-2j}^d(1) =: majorant(n)

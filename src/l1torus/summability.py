@@ -84,12 +84,6 @@ class CoeffSeq:
     def max_head_index(self) -> int:
         return len(self.head) - 1
 
-    def value(self, n: int) -> float:
-        """Numeric coefficient: head entry, or 0 beyond the head."""
-        if n < 0:
-            raise ValueError("index must be >= 0")
-        return self.head[n] if n < len(self.head) else 0.0
-
     def is_positive(self, n):
         """Sign information: head entry > 0, or the tail rule beyond it.
 

@@ -21,12 +21,12 @@ from .bspline import bspline_values
 from .bspline_fourier import (biorthogonality_matrix, mean_closed, mean_recursion_sides,
                               mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
-from .kernels import (_MAX_COST, _biortho_table, _shell_table, biortho_generating_pair,
-                      biortho_generating_tail, dirichlet_kernel_batch,
-                      dirichlet_seed, poisson_divdiff, poisson_kernel, poisson_product,
-                      shell_seed, shell_sum_batch)
-from .numerics import (DEFAULT_SEED, MAX_DRAWS, check_cost, gauss_legendre, rel_err,
-                       shell_count, shell_enumerate, theta_vector)
+from .kernels import (_biortho_table, _check_product, _shell_table, biortho_generating_pair,
+                      biortho_generating_tail, dirichlet_kernel_batch, dirichlet_seed,
+                      poisson_divdiff, poisson_kernel, poisson_product, shell_seed,
+                      shell_sum_batch)
+from .numerics import (DEFAULT_SEED, MAX_DRAWS, gauss_legendre, rel_err, shell_count,
+                       shell_enumerate, theta_vector)
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, spdf_check, spdf_pair_search
 from .summability import CoeffSeq, Tail
 
@@ -151,7 +151,7 @@ def _dims(cfg: VerifyConfig, default: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # shell-divdiff and dirichlet-divdiff loop over the orders n <= nmax, refused before the
-# loop by check_cost: every order at the top order's cost, against the route's per-call
+# loop by _check_product: every order at the top order's cost, against the route's per-call
 # limit.  The mean suites call each route once per dimension, under its own bound.
 
 
@@ -178,9 +178,8 @@ def _seed_divdiff(cfg: VerifyConfig, stream: int, first_n: int, seed, reference)
     the batched lattice sum ``reference(d, n, thetas)``, for first_n <= n <= nmax."""
     dims = _dims(cfg, (2, 3, 4))
     nmax = cfg.nmax if cfg.nmax is not None else 8
-    check_cost(f"lattice sums at 30 points, n = {first_n} ... {nmax}",
-               30 * sum(dims) * max(nmax - first_n + 1, 0) * (nmax + 1) ** 2, "multiply-adds",
-               _MAX_COST)
+    _check_product(f"lattice sums at 30 points, n = {first_n} ... {nmax}",
+                   30 * max(nmax - first_n + 1, 0), sum(dims), nmax)
     rng = np.random.default_rng([cfg.seed, stream])
     errors = []
     for d in dims:
@@ -281,8 +280,7 @@ def _poisson_series(cfg: VerifyConfig):
     dims = _dims(cfg, (2, 3))
     nterms = cfg.nterms if cfg.nterms is not None else 60
     # its 10-point tables may cost what one call may, checked before the points are drawn
-    check_cost(f"shell sums at 10 points, n = 0 ... {nterms}",
-               10 * sum(dims) * (nterms + 1) ** 2, "multiply-adds", _MAX_COST)
+    _check_product(f"shell sums at 10 points, n = 0 ... {nterms}", 10, sum(dims), nterms)
     rng = np.random.default_rng([cfg.seed, 7])
     errors = []
     for d in dims:

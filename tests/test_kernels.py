@@ -1,10 +1,14 @@
 """Seed polynomials, lattice shell sums, Dirichlet and Poisson kernels."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import l1torus
 from l1torus.bspline_fourier import mean_torus_mc
 from l1torus.divdiff import divided_difference_cos
 from l1torus.kernels import (
@@ -166,6 +170,39 @@ def test_shell_sum_batch_matches_scalar(rng):
         dirichlet_kernel_batch(3, 2, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="index n"):
         dirichlet_kernel_batch(3, -1, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_lone_point_is_its_batch_row_bitwise(d, rng):
+    # sum(axis=0) would add a one-row block's terms pairwise and a larger block's in
+    # order; every block adds in order, so a lone point is its batch row from n = 2 on
+    for n in range(2, 13):
+        thetas = rng.uniform(-math.pi, math.pi, (5, d))
+        assert [shell_sum(d, n, t) for t in thetas] == shell_sum_batch(d, n, thetas).tolist()
+        assert ([dirichlet_kernel(d, n, t) for t in thetas]
+                == dirichlet_kernel_batch(d, n, thetas).tolist())
+
+
+@pytest.mark.parametrize("call", [
+    "kernels.biortho_poly(3, 10**9, np.empty(0))",
+    "kernels.biortho_generating_pair(3, 0.5, np.empty(0), 10**9)",
+    "kernels.shell_sum_batch(3, 10**9, np.empty((0, 3)))",
+    "kernels.dirichlet_kernel_batch(3, 10**9, np.empty((0, 3)))",
+    "polys.gegenbauer_sequence(1.0, 10**9, np.empty(0))",
+    "polys.gegenbauer_at_one(1.0, 10**12)",
+])
+def test_tables_with_no_point_or_past_the_bound_are_refused_in_a_fresh_process(call):
+    # a table of no point still steps to n, so each bound counts at least one point; a
+    # separate process under a timeout fails the test rather than hanging the suite
+    src = os.path.dirname(os.path.dirname(l1torus.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", "import numpy as np\n"
+                           f"from l1torus import kernels, polys\n{call}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    (line,) = [line for line in done.stderr.splitlines() if line.startswith("ValueError")]
+    assert line == done.stderr.strip().splitlines()[-1] and "over the limit" in line
 
 
 def sweep_points(rng, d):

@@ -21,8 +21,7 @@ HEAD = (0.7, -0.3, 0.5, 0.1)
 
 def test_head_values_then_tail_rule():
     seq = CoeffSeq(head=(1.0, -0.5), tail=Tail(2, 1, frozenset({0})))
-    assert seq.value(0) == 1.0
-    assert seq.value(1) == -0.5
+    assert seq.head == (1.0, -0.5)
     assert seq.is_positive(0)
     assert not seq.is_positive(1)
     assert seq.is_positive(2) and seq.is_positive(17)
@@ -31,7 +30,7 @@ def test_head_values_then_tail_rule():
 def test_zero_tail_is_never_positive():
     seq = CoeffSeq(head=(1.0,), tail=Tail())
     assert seq.tail == CoeffSeq(head=(1.0,)).tail
-    assert seq.value(5) == 0.0
+    assert seq.head == (1.0,)
     assert not seq.is_positive(5)
 
 
@@ -128,7 +127,7 @@ def test_grid_coefficients_recover_shell_values(d):
              [2, 1] + [0] * (d - 2), [4] + [0] * (d - 1)]
     for alpha in cases:
         n = int(np.abs(alpha).sum())
-        expect = seq.value(n) if n <= 3 else 0.0
+        expect = seq.head[n] if n <= 3 else 0.0
         # the grid coefficient (2 pi)^-d integral of f(y) exp(-i alpha.y) dy
         phase = np.exp(-1j * (f.rule.nodes @ np.asarray(alpha, dtype=float)))
         got = np.dot(f.rule.weights, f.values * phase)
