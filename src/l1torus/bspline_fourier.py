@@ -38,7 +38,8 @@ SERIES_EDGE_MARGIN = 1e-3
 _SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
 _MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
-_MC_BATCH_PAIRS = 50_000  # antithetic pairs per Monte-Carlo batch at one point, 1/P at P points
+_MC_BATCH_PAIRS = 1 << 14  # antithetic pairs per Monte-Carlo batch, whatever the points
+_MC_FIELD_VALUES = 1 << 16  # values, pairs * 2 points (+u, -u) each, of one MC field call
 _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_torus_mc
 # multiply-adds, pairs * d * (n+1)^2, of one mean_torus_mc's shell sums: ~20 s at the ~3e9
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
@@ -250,19 +251,20 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     field(u | -knots reversed) = field(-u | knots) and the factor (-1)^n on
     the shell sum.  Samples whose sorted cosine knots have an adjacent gap
     below 1e-12 are rejected and redrawn (the integrand is integrable but
-    unbounded there); a chunk still holding such a sample after ``MAX_DRAWS``
+    unbounded there); a batch still holding such a sample after ``MAX_DRAWS``
     rounds of redraws raises ValueError.  ``budget`` counts integrand evaluations per
     point and order, 4 to _MAX_MC_BUDGET in all; default 2e6 (d = 2), 1e7 (d = 3).
     ValueError before the first draw when the shell sums of all budget / 2 pairs at the
     largest order would take more than _MAX_MC_COST multiply-adds.
 
     ``n`` is one order or a sequence of orders, as for :func:`mean_series`.  All orders
-    and points share the draws, sorted once per batch of _MC_BATCH_PAIRS / points pairs
-    and held as d contiguous columns of cosines: the shell product takes them as they
-    are, and one field call evaluates +-u at every point.  One order's shell sums are a
-    dot product per pair (none at n = 0, where they are 1); several orders keep a field
-    half per parity and take theirs from one table.  Each order's estimate is a lone call's,
-    and without redraws each point's.
+    and points share the draws, in batches of _MC_BATCH_PAIRS pairs, each sorted once and
+    held as d contiguous columns of cosines, which the shell product takes as they are:
+    one order's sums are a dot product per pair, several orders' one table (none at n = 0).
+    A field call evaluates +-u at as many points as _MC_FIELD_VALUES holds.  Each batch's
+    mean and squared deviations per order and point are merged into running ones (Chan,
+    Golub and LeVeque), so one batch gives its values' mean and ddof=1 spread bit for bit,
+    and each order's and point's estimate is its lone call's, redraws included.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
@@ -282,13 +284,10 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     _check_product(f"Monte-Carlo shell sums at d = {d}, n = {top} for {total_pairs} pair(s)",
                    total_pairs, d, top, _MAX_MC_COST)
     rng = np.random.default_rng(seed)
-    counts, lone = [shell_count(d, order) for order in orders], len(orders) == 1
-    # per point and pair: a lone order's values, or a field half per parity of the orders
-    halves = {order % 2: np.empty((pts.size, total_pairs)) for order in orders}
-    sums = np.empty((0 if lone else len(orders), total_pairs))
-    step = max(_MC_BATCH_PAIRS // max(pts.size, 1), 1)
-    for lo in range(0, total_pairs if orders else 0, step):
-        b = min(step, total_pairs - lo)
+    counts, parities = [shell_count(d, order) for order in orders], {o % 2 for o in orders}
+    mean, m2 = np.zeros((2, len(orders), pts.size))
+    for lo in range(0, total_pairs if orders else 0, _MC_BATCH_PAIRS):
+        b = min(_MC_BATCH_PAIRS, total_pairs - lo)
         cols = _sorted_columns(rng.uniform(-math.pi, math.pi, size=(b, d)))
         bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
         for _ in range(MAX_DRAWS):
@@ -299,26 +298,29 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
             bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
         if np.any(bad):
             raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
-        field = knot_field_batch(d, np.concatenate([pts, -pts]), cols.T)
-        for parity, half in halves.items():
-            half[:, lo:lo + b] = 0.5 * (field[:pts.size] + (-1.0) ** parity * field[pts.size:])
-        if not lone:
-            sums[:, lo:lo + b] = _shell_core(d, top, cols.T, _table_finish)[:, orders].T
-        elif top:  # E_0 = 1
-            vals = halves[top % 2][:, lo:lo + b]
-            np.divide(np.multiply(vals, _shell_core(d, top, cols.T, _shell_finish), out=vals),
-                      counts[0], out=vals)
-    value, stderr = np.empty((2, len(orders), pts.size))
-    buf = np.empty(0 if lone else total_pairs)
-    for i, order in enumerate(orders):
-        for j, half in enumerate(halves[order % 2]):  # an order's values at a point
-            vals = half if lone else np.divide(np.multiply(half, sums[i], out=buf), counts[i],
-                                               out=buf)
-            value[i, j], stderr[i, j] = vals.mean(), vals.std(ddof=1) / math.sqrt(total_pairs)
+        if not top:  # E_0 = 1
+            sums = np.ones((len(orders), b))
+        elif len(orders) == 1:
+            sums = _shell_core(d, top, cols.T, _shell_finish)[None]
+        else:
+            sums = _shell_core(d, top, cols.T, _table_finish).T[orders]
+        chunk = max(_MC_FIELD_VALUES // (2 * b), 1)
+        for p in range(0, pts.size, chunk):
+            at = pts[p:p + chunk]
+            field = knot_field_batch(d, np.concatenate([at, -at]), cols.T)
+            halves = {q: 0.5 * (field[:at.size] + (-1.0) ** q * field[at.size:]) for q in parities}
+            for i, order in enumerate(orders):
+                vals = halves[order % 2] * sums[i] / counts[i]
+                batch_mean = vals.mean(axis=1)
+                vals -= batch_mean[:, None]
+                dev = batch_mean - mean[i, p:p + chunk]
+                mean[i, p:p + chunk] += dev * (b / (lo + b))
+                m2[i, p:p + chunk] += (vals * vals).sum(axis=1) + dev * dev * (lo * b / (lo + b))
+    stderr = np.sqrt(m2 / (total_pairs - 1)) / math.sqrt(total_pairs)
     if one and not np.ndim(u):
-        return McEstimate(float(value[0, 0]), float(stderr[0, 0]), total_pairs)
+        return McEstimate(float(mean[0, 0]), float(stderr[0, 0]), total_pairs)
     shape = (len(orders),) * (not one) + np.shape(u)
-    return McEstimate(value.reshape(shape), stderr.reshape(shape), total_pairs)
+    return McEstimate(mean.reshape(shape), stderr.reshape(shape), total_pairs)
 
 
 def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:

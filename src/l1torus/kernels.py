@@ -39,6 +39,7 @@ from .polys import gegenbauer_at_one, gegenbauer_sequence
 # Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
 _BLOCK_ENTRIES = 1 << 14
 _MAX_COST = 1 << 31  # multiply-adds one shell or Dirichlet batch may cost (_check_product)
+_MAX_CHEBYSHEV = 1 << 20  # coefficients of one seed polynomial (n + d) or Poisson series
 
 
 def _sign(d: int) -> float:
@@ -74,6 +75,7 @@ _ONE_MINUS_SQ = Chebyshev([0.5, 0.0, -0.5])  # 1 - u^2
 def dirichlet_seed(d: int, n: int) -> Chebyshev:
     """The Dirichlet seed as an exact polynomial in u (Chebyshev basis)."""
     _check_dn(d, n)
+    check_cost(f"Dirichlet seed at d = {d}, n = {n}", n + d, "coefficients", _MAX_CHEBYSHEV)
     s = _sign(d)
     if d % 2 == 0:
         return s * _ONE_MINUS_SQ ** ((d - 2) // 2) * (_cheb_t(n + 1) + _cheb_t(n))
@@ -92,6 +94,7 @@ def shell_seed(d: int, n: int) -> Chebyshev:
     0-th shell sum (whose seed is the Dirichlet seed at 0).
     """
     _check_dn(d, n)
+    check_cost(f"shell seed at d = {d}, n = {n}", n + d, "coefficients", _MAX_CHEBYSHEV)
     s = _sign(d)
     if d % 2 == 0:
         return -2.0 * s * _ONE_MINUS_SQ ** (d // 2) * _cheb_u(n - 1)
@@ -311,13 +314,14 @@ def poisson_kernel(r: float) -> Chebyshev:
 
     The series stops at the first K with r^K <= 2^-106 (K = 32, 62 and 206 at
     r = 0.1, 0.3 and 0.7), so its divided differences are a route to
-    :func:`poisson_divdiff` independent of the closed form.  For r <= 0.7,
-    d <= 6 and knots anywhere in [-1, 1] they hold to 1e-10 relative; the
-    error grows as r -> 1 at knots near +-1 (1.5e-4 at d = 6, r = 0.9).
+    :func:`poisson_divdiff` independent of the closed form.  For r <= 0.7, d <= 6 and
+    knots anywhere in [-1, 1] they hold to 1e-10 relative; the error grows as r -> 1 at
+    knots near +-1 (1.5e-4 at d = 6, r = 0.9).  ValueError past _MAX_CHEBYSHEV terms.
     """
     if not (0 <= r < 1):
         raise ValueError("r must lie in [0, 1)")
     top = math.ceil(-106 / math.log2(r)) if r > 0 else 0
+    check_cost(f"Poisson series at r = {r!r}", top + 1, "coefficients", _MAX_CHEBYSHEV)
     coef = 2.0 * r ** np.arange(top + 1)
     coef[0] = 1.0
     return Chebyshev(coef / (1.0 - r * r))
@@ -365,11 +369,8 @@ def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
     c1 = gegenbauer_at_one(float(d), top)
     # |biortho_poly(d, n, u)| <= (d-1)! sum_j C(d,j) C_{n-2j}^d(1) =: majorant(n)
     maj = np.zeros(top + 1)
-    for j in range(d + 1):
-        shift = 2 * j
-        if shift > top:
-            break
-        maj[shift:] += math.comb(d, j) * c1[: top - shift + 1]
+    for j in range(min(d, top // 2) + 1):
+        maj[2 * j:] += math.comb(d, j) * c1[:top + 1 - 2 * j]
     maj *= fact
     tail = float(np.dot(maj[nterms + 1:], r ** np.arange(nterms + 1, top + 1)))
     ratio = r * ((top + 2.0 * d) / (top + 1.0)) ** (2 * d)

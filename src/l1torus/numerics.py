@@ -174,18 +174,18 @@ def shell_count(d: int, n: int) -> int:
     This is the coefficient of r^n in ((1+r)/(1-r))^d, i.e.
     sum_j C(d, j) * C(n - j + d - 1, d - 1) over 0 <= j <= min(d, n).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("shell index must be >= 0")
     return _binomial_sum(d, n, lambda j: math.comb(d, j) * math.comb(n - j + d - 1, d - 1))
 
 
 def _binomial_sum(d: int, n: int, term) -> int:
-    """Sum of term(j), 0 <= j <= min(d, n); refused first when its big integers cost too much.
-
-    The cost is estimated in floats: an index past their range counts as inf.
+    """Sum of term(j), 0 <= j <= min(d, n), once d >= 1 and n >= 0 are checked; refused
+    first when its big integers cost too much, estimated in floats: an index past their
+    range counts as inf.
     """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if n < 0:
+        raise ValueError("shell index must be >= 0")
     terms = min(d, n) + 1  # each of about log2 C(n + d, d) + min(d, n) bits
     try:
         if max(d, n) < 2**53:
@@ -212,10 +212,6 @@ def ball_enumerate(d: int, n: int) -> np.ndarray:
     what the ball holds, at most ``_MAX_SHELL_ENTRIES`` ints (points x d),
     checked before it is built.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("shell index must be >= 0")
     check_cost(f"the l1 shells 0..{n} in d = {d}", _ball_size(d, n) * d, "ints",
                _MAX_SHELL_ENTRIES)
     pts = np.zeros((1, 0), dtype=np.int64)

@@ -1,6 +1,8 @@
 """Fourier means of the B-spline knot field and their biorthogonal partners."""
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -284,7 +286,7 @@ def test_series_lone_point_steps_as_the_scalar_call():
 
 @pytest.mark.parametrize("d,n", [(2, 0), (2, 3), (3, 2)])
 def test_mc_points_share_one_set_of_draws(d, n):
-    # 60 001 pairs: one batch of 50 000 pairs per lone point, 12 500 at four points
+    # 60 001 pairs: the same four batches of 2^14 pairs at one point and at four
     us = np.array([-0.6, 0.05, 0.6, 0.3])
     est = mean_torus_mc(d, n, us, budget=120_002, seed=31)
     assert est.value.shape == est.stderr.shape == us.shape and est.pairs == 60_001
@@ -489,14 +491,15 @@ def test_mc_redraws_are_bounded(monkeypatch):
 
 def _row_major_mc(d, n, pts, budget, seed):
     """The Monte-Carlo batch loop as it was with each batch's knots held as (b, d) rows:
-    np.sort per row, the gap test per row, the shell sums from the drawn angles.
+    np.sort per row, the gap test per row, the shell sums from the drawn angles, each
+    batch's mean and squared deviations merged into running ones.
     Returns (value, stderr, rows redrawn)."""
     rng = np.random.default_rng(seed)
     sgn = -1.0 if n % 2 else 1.0
-    chunks, redrawn = [], 0
-    remaining = budget // 2
-    while remaining > 0:
-        b = min(max(bf._MC_BATCH_PAIRS // pts.size, 1), remaining)
+    mean, m2, redrawn = np.zeros(pts.size), np.zeros(pts.size), 0
+    lo = 0
+    while lo < budget // 2:
+        b = min(bf._MC_BATCH_PAIRS, budget // 2 - lo)
         theta = rng.uniform(-math.pi, math.pi, size=(b, d))
         knots = np.sort(np.cos(theta), axis=1)
         bad = np.min(np.diff(knots, axis=1), axis=1) < bf._MC_GAP
@@ -507,11 +510,13 @@ def _row_major_mc(d, n, pts, budget, seed):
             bad = np.min(np.diff(knots, axis=1), axis=1) < bf._MC_GAP
         ssum = shell_sum_batch(d, n, theta) if n else 1.0
         field = knot_field_batch(d, np.concatenate([pts, -pts]), knots)
-        chunks.append(0.5 * (field[:pts.size] + sgn * field[pts.size:]) * ssum
-                      / shell_count(d, n))
-        remaining -= b
-    vals = np.concatenate(chunks, axis=1)
-    return vals.mean(axis=1), vals.std(ddof=1, axis=1) / math.sqrt(budget // 2), redrawn
+        vals = 0.5 * (field[:pts.size] + sgn * field[pts.size:]) * ssum / shell_count(d, n)
+        dev = vals.mean(axis=1) - mean
+        mean = mean + dev * (b / (lo + b))
+        m2 = m2 + (((vals - vals.mean(axis=1)[:, None]) ** 2).sum(axis=1)
+                   + dev * dev * (lo * b / (lo + b)))
+        lo += b
+    return mean, np.sqrt(m2 / (lo - 1)) / math.sqrt(lo), redrawn
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -519,7 +524,7 @@ def _row_major_mc(d, n, pts, budget, seed):
 @pytest.mark.parametrize("us", [[0.37], [-0.6, 0.05, 0.81]])
 def test_mc_column_batches_are_bitwise_the_row_batches(monkeypatch, d, n, us):
     # a gap of 0.02 redraws a few percent of the rows; batches of 6 000 pairs split
-    # the 10 001 pairs into 2 batches at one point and 6 at three
+    # the 10 001 pairs into 2 batches at one point and at three
     monkeypatch.setattr(bf, "_MC_GAP", 0.02)
     monkeypatch.setattr(bf, "_MC_BATCH_PAIRS", 6_000)
     pts = np.array(us)
@@ -536,6 +541,35 @@ def test_mc_column_batches_are_bitwise_the_row_batches(monkeypatch, d, n, us):
         lone = mean_torus_mc(d, order, pts, budget=20_002, seed=17)
         assert row_value.tobytes() == lone.value.tobytes()
         assert row_stderr.tobytes() == lone.stderr.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [17, 18])
+def test_mc_points_are_their_lone_calls_with_redraws(monkeypatch, d, seed):
+    # a gap of 0.02 redraws a few percent of the rows; the 20 001 pairs take two
+    # batches whatever the points, and the three points two field calls per batch
+    monkeypatch.setattr(bf, "_MC_GAP", 0.02)
+    us = np.array([-0.6, 0.05, 0.81])
+    for n in range(3):
+        est = mean_torus_mc(d, n, us, budget=40_002, seed=seed)
+        lone = [mean_torus_mc(d, n, u, budget=40_002, seed=seed) for u in us.tolist()]
+        assert est.value.tobytes() == np.array([e.value for e in lone]).tobytes()
+        assert est.stderr.tobytes() == np.array([e.stderr for e in lone]).tobytes()
+
+
+def test_mc_memory_does_not_grow_with_the_budget(fresh_env):
+    # a fresh process: the peak after the largest budget is the peak after a small one,
+    # where one float per pair and point held until the end took 257 MB more
+    script = ("import resource\n"
+              "from l1torus.bspline_fourier import mean_torus_mc\n"
+              "mean_torus_mc(2, 0, 0.3, budget=2**16)\n"
+              "small = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "mean_torus_mc(2, 0, 0.3, budget=2**25)\n"
+              "print(small, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env,
+                          capture_output=True, text=True, timeout=120)
+    small, large = map(int, done.stdout.split())  # KiB on Linux
+    assert large - small <= 15 * 1024, (small, large)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -614,13 +613,13 @@ def test_pdf_residue_tail_failure_has_pair_witness(capsys, tmp_path):
     ((2**16 + 1) ** 2, None),
     (10**40 + 1, None),
 ])
-def test_pdf_large_modulus_is_searched_or_refused(tmp_path, modulus, witness):
+def test_pdf_large_modulus_is_searched_or_refused(tmp_path, fresh_env, modulus, witness):
     # a fresh process under a timeout: a search that walks every g <= q hangs
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"head": [1.0], "tail": {
         "kind": "residues-positive", "modulus": modulus, "residues": [1]}}))
     done = subprocess.run([sys.executable, "-m", "l1torus.cli", "pdf", "--spec", str(spec)],
-                          env=_fresh_env(), capture_output=True, text=True, timeout=60)
+                          env=fresh_env, capture_output=True, text=True, timeout=60)
     if witness is None:
         assert done.returncode == 2 and done.stdout == ""
         (line,) = done.stderr.strip().splitlines()
@@ -710,13 +709,6 @@ def test_count_prints_large_counts_exactly(capsys):
 _N, _M = str(10**200), str(10**400)  # past the float range: 10^400 as a count index
 
 
-def _fresh_env() -> dict:
-    """The environment of a child interpreter that imports this source tree."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-
-
 @pytest.mark.parametrize("argv", [
     ["count", "--d", "1000000000", "--n", "1000000000"],
     ["verify", "--suite", "shell-count", "--d", "1000000000", "--nmax", "1000000000"],
@@ -760,12 +752,12 @@ def _fresh_env() -> dict:
     ["mnd", "--d", "3", "--n", "300", "--method", "mc", "--grid-u", "-0.5:0.5:8",
      "--budget", "4194304"],
 ])
-def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
+def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, fresh_env, argv):
     # a separate process under a timeout: a request that runs instead of being
     # refused fails the test rather than hanging the suite
     if argv[0] in ("partial-sum", "pdf"):
         argv = [*argv, "--spec", coeff_spec]
-    done = subprocess.run([sys.executable, "-m", "l1torus.cli", *argv], env=_fresh_env(),
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", *argv], env=fresh_env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
@@ -773,7 +765,7 @@ def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, argv):
     assert "over the limit" in line
 
 
-def test_no_scipy_module_is_loaded_at_run_time(tmp_path):
+def test_no_scipy_module_is_loaded_at_run_time(tmp_path, fresh_env):
     # numpy alone at run time: scipy is a test oracle only, and its import cost
     # would come back in every CLI call
     script = ("import sys\n"
@@ -781,7 +773,7 @@ def test_no_scipy_module_is_loaded_at_run_time(tmp_path):
               "code = l1torus.cli.main(['verify', '--budget', '4000', '--out', sys.argv[1]])\n"
               "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     out = tmp_path / "verify.json"
-    done = subprocess.run([sys.executable, "-c", script, str(out)], env=_fresh_env(),
+    done = subprocess.run([sys.executable, "-c", script, str(out)], env=fresh_env,
                           capture_output=True, text=True, timeout=120)
     code, loaded = done.stdout.split(" ", 1)
     assert code in ("0", "1") and done.stderr == ""
@@ -791,11 +783,11 @@ def test_no_scipy_module_is_loaded_at_run_time(tmp_path):
 
 
 @pytest.mark.parametrize("grid", ["0:inf:5", "-1e308:1e308:5", "nan:1:3"])
-def test_non_finite_grid_u_is_one_line_in_a_fresh_process(grid):
+def test_non_finite_grid_u_is_one_line_in_a_fresh_process(fresh_env, grid):
     # a fresh process: in this one RuntimeWarning is an error, so a warning printed
     # by np.linspace before the error line would not show
     done = subprocess.run([sys.executable, "-m", "l1torus.cli", "mnd", "--d", "2", "--n", "1",
-                           "--grid-u", grid], env=_fresh_env(), capture_output=True, text=True,
+                           "--grid-u", grid], env=fresh_env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 2 and done.stdout == ""
     (line,) = done.stderr.strip().splitlines()

@@ -1,14 +1,12 @@
 """Seed polynomials, lattice shell sums, Dirichlet and Poisson kernels."""
 import itertools
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import l1torus
 from l1torus.bspline_fourier import mean_torus_mc
 from l1torus.divdiff import divided_difference_cos
 from l1torus.kernels import (
@@ -190,16 +188,17 @@ def test_a_lone_point_is_its_batch_row_bitwise(d, rng):
     "kernels.dirichlet_kernel_batch(3, 10**9, np.empty((0, 3)))",
     "polys.gegenbauer_sequence(1.0, 10**9, np.empty(0))",
     "polys.gegenbauer_at_one(1.0, 10**12)",
+    # the series and seed polynomials are sized by n (by r) alone
+    "kernels.shell_seed(3, 10**12)",
+    "kernels.dirichlet_seed(4, 10**12)",
+    "kernels.poisson_kernel(1 - 1e-12)",
 ])
-def test_tables_with_no_point_or_past_the_bound_are_refused_in_a_fresh_process(call):
+def test_tables_with_no_point_or_past_the_bound_are_refused_in_a_fresh_process(fresh_env, call):
     # a table of no point still steps to n, so each bound counts at least one point; a
     # separate process under a timeout fails the test rather than hanging the suite
-    src = os.path.dirname(os.path.dirname(l1torus.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run([sys.executable, "-c", "import numpy as np\n"
                            f"from l1torus import kernels, polys\n{call}"],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=fresh_env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 1 and done.stdout == ""
     (line,) = [line for line in done.stderr.splitlines() if line.startswith("ValueError")]
     assert line == done.stderr.strip().splitlines()[-1] and "over the limit" in line
