@@ -260,7 +260,8 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     ``n`` is one order or a sequence of orders, as for :func:`mean_series`.  All orders
     and points share the draws, in batches of _MC_BATCH_PAIRS pairs, each sorted once and
     held as d contiguous columns of cosines, which the shell product takes as they are:
-    one order's sums are a dot product per pair, several orders' one table (none at n = 0).
+    one order's sums are a dot product per pair, several orders' one table of E_0 ... E_top
+    (none at n = 0), filled block by block and read a contiguous row per order.
     A field call evaluates +-u at as many points as _MC_FIELD_VALUES holds.  Each batch's
     mean and squared deviations per order and point are merged into running ones (Chan,
     Golub and LeVeque), so one batch gives its values' mean and ddof=1 spread bit for bit,
@@ -285,6 +286,7 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
                    total_pairs, d, top, _MAX_MC_COST)
     rng = np.random.default_rng(seed)
     counts, parities = [shell_count(d, order) for order in orders], {o % 2 for o in orders}
+    rows = orders if len(orders) > 1 else [0]  # each order's row of a batch's sums
     mean, m2 = np.zeros((2, len(orders), pts.size))
     for lo in range(0, total_pairs if orders else 0, _MC_BATCH_PAIRS):
         b = min(_MC_BATCH_PAIRS, total_pairs - lo)
@@ -299,18 +301,18 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
         if np.any(bad):
             raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
         if not top:  # E_0 = 1
-            sums = np.ones((len(orders), b))
+            sums = np.ones((1, b))
         elif len(orders) == 1:
             sums = _shell_core(d, top, cols.T, _shell_finish)[None]
-        else:
-            sums = _shell_core(d, top, cols.T, _table_finish).T[orders]
+        else:  # E_0, ..., E_top: the table is column-major, so a row per order is contiguous
+            sums = _shell_core(d, top, cols.T, _table_finish).T
         chunk = max(_MC_FIELD_VALUES // (2 * b), 1)
         for p in range(0, pts.size, chunk):
             at = pts[p:p + chunk]
             field = knot_field_batch(d, np.concatenate([at, -at]), cols.T)
             halves = {q: 0.5 * (field[:at.size] + (-1.0) ** q * field[at.size:]) for q in parities}
             for i, order in enumerate(orders):
-                vals = halves[order % 2] * sums[i] / counts[i]
+                vals = halves[order % 2] * sums[rows[i]] / counts[i]
                 batch_mean = vals.mean(axis=1)
                 vals -= batch_mean[:, None]
                 dev = batch_mean - mean[i, p:p + chunk]

@@ -222,7 +222,10 @@ def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
     """``finish(head, last)`` per block of rows of ``knots``, shape (rows, d), the cosines
     cos(theta_i) of each point in ascending order: ``head`` is the truncated product of
     the first d - 1 factor tables (:func:`_factor`), ``last`` the last factor, both of
-    shape (n+1, rows).  A block holds _BLOCK_ENTRIES / (n+1) rows whatever d is, and one
+    shape (n+1, rows).  Each block's finish is written into its rows of one output, which
+    takes the first block's shape and memory layout (as np.concatenate would), and is then
+    dropped: a table of :func:`_table_finish` is held once, column-major, each order's sums
+    contiguous.  A block holds _BLOCK_ENTRIES / (n+1) rows whatever d is, and one
     recurrence builds the tables of as many factors as fit in _BLOCK_ENTRIES: one at a
     time for a full block, all d for one row.  Its callers bound the cost by
     :func:`_check_product`: the batches per call, the Monte-Carlo mean for its whole call."""
@@ -230,7 +233,7 @@ def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
     # Alternate the largest and smallest cosines: a pole near r = 1 (theta near 0)
     # meets a zero at r = 1 at once, so partial products never grow and cancel.
     ends = [d - 1 - i // 2 if i % 2 == 0 else i // 2 for i in range(d)]
-    parts = []
+    out = None
     for i in range(0, max(knots.shape[0], 1), step):  # an empty batch takes one empty block
         block = knots[i:i + step].T
         group = max(1, step // max(block.shape[1], 1))
@@ -239,8 +242,11 @@ def _shell_core(d: int, n: int, knots: np.ndarray, finish) -> np.ndarray:
         head = next(tables) if d > 1 else np.eye(n + 1, 1)
         for _ in range(d - 2):
             head = _times(head, next(tables))
-        parts.append(finish(head, next(tables)))
-    return np.concatenate(parts)
+        part = finish(head, next(tables))
+        if out is None:
+            out = np.empty_like(part, shape=knots.shape[:1] + part.shape[1:])
+        out[i:i + step] = part
+    return out
 
 
 def _shell_product(d: int, n: int, thetas, finish) -> np.ndarray:

@@ -185,9 +185,8 @@ def _seed_divdiff(cfg: VerifyConfig, stream: int, first_n: int, seed, reference)
     for d in dims:
         thetas = sample_separated_theta(rng, d, 30)
         for n in range(first_n, nmax + 1):
-            fn = seed(d, n)
-            errors += [rel_err(divided_difference_cos(fn, t), ref)
-                       for t, ref in zip(thetas, reference(d, n, thetas).tolist())]
+            errors += map(rel_err, divided_difference_cos(seed(d, n), thetas).tolist(),
+                          reference(d, n, thetas).tolist())
     return {"dims": list(dims), "n_range": [first_n, nmax], "points": 30}, errors, {}
 
 
@@ -265,11 +264,10 @@ def _poisson_divdiff(cfg: VerifyConfig):
     errors = []
     for d in dims:
         # the last point repeats the knot cos(0.8) d - 1 times
-        thetas = [*sample_separated_theta(rng, d, 20), np.array([2.0] + [0.8] * (d - 1))]
+        thetas = np.vstack([sample_separated_theta(rng, d, 20), [2.0] + [0.8] * (d - 1)])
         for r in (0.1, 0.3, 0.7):
-            fn = poisson_kernel(r)
-            errors += [rel_err(divided_difference_cos(fn, t), poisson_divdiff(d, r, t))
-                       for t in thetas]
+            errors += map(rel_err, divided_difference_cos(poisson_kernel(r), thetas).tolist(),
+                          [poisson_divdiff(d, r, t) for t in thetas])
     return {"dims": list(dims), "r": [0.1, 0.3, 0.7], "points": 21}, errors, {}
 
 

@@ -572,6 +572,22 @@ def test_mc_memory_does_not_grow_with_the_budget(fresh_env):
     assert large - small <= 15 * 1024, (small, large)
 
 
+def test_mc_order_table_is_held_once(fresh_env):
+    # a fresh process: one batch of 2**14 pairs at 512 orders holds its 64 MiB table of
+    # shell sums once; its block parts, their concatenation and a copy of its columns
+    # held it three times (+129 MB)
+    script = ("import resource\n"
+              "from l1torus.bspline_fourier import mean_torus_mc\n"
+              "mean_torus_mc(3, range(512), 0.3, budget=4)\n"
+              "small = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "mean_torus_mc(3, range(512), 0.3, budget=2**15)\n"
+              "print(small, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env,
+                          capture_output=True, text=True, timeout=120)
+    small, large = map(int, done.stdout.split())  # KiB on Linux
+    assert large - small <= 80 * 1024, (small, large)
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_mc_column_sort_is_np_sort(d, rng):
     # every order of d distinct cosines (a compare-exchange network that sorts them

@@ -1,5 +1,6 @@
 """Divided differences of Chebyshev series with confluent (repeated) knots."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,3 +122,52 @@ def test_cos_wrapper_matches_explicit_cosines(rng):
     got = divided_difference_cos(fn, theta)
     ref = divided_difference(fn, np.cos(theta))
     assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+@st.composite
+def knot_matrices(draw):
+    """0-8 rows of m + 1 knots, m = 0-6; a row may repeat one knot or nearly repeat it."""
+    m, rows = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    mat = np.empty((rows, m + 1))
+    for row in mat:
+        row[:] = draw(st.lists(st.floats(-1, 1), min_size=m + 1, max_size=m + 1))
+        gap = draw(st.sampled_from([None, 0.0, 1e-13]))
+        if gap is not None:
+            row[draw(st.integers(0, m))] = row[draw(st.integers(0, m))] + gap
+    return mat
+
+
+@given(coeffs=st.lists(st.floats(-2, 2), min_size=1, max_size=8),
+       domain=st.sampled_from([[-1.0, 1.0], [0.0, 1.0]]), knots=knot_matrices())
+@settings(max_examples=200, deadline=None)
+def test_knot_matrix_is_its_rows_bit_for_bit(coeffs, domain, knots):
+    fn = Chebyshev(coeffs, domain=domain)
+    got = divided_difference(fn, knots)
+    assert got.shape == (len(knots),)
+    assert got.tobytes() == np.array([divided_difference(fn, row) for row in knots]).tobytes()
+
+
+def test_angle_matrix_is_its_rows_bit_for_bit(rng):
+    fn = Chebyshev(rng.uniform(-1, 1, 9))
+    for thetas in (rng.uniform(-4.0, 4.0, (30, 3)), np.array([[2.0, 0.8, 0.8]]),
+                   np.empty((0, 2))):
+        got = divided_difference_cos(fn, thetas)
+        want = np.array([divided_difference_cos(fn, t) for t in thetas])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_knot_shapes_and_nonfinite_knots_are_refused():
+    fn = cheb([0.3, -1.0, 0.5])
+    for bad in (np.zeros((3, 0)), np.zeros((0, 0)), np.zeros((2, 2, 2)), 0.5):
+        with pytest.raises(ValueError, match="at least one knot"):
+            divided_difference(fn, bad)
+        with pytest.raises(ValueError, match="at least one knot"):
+            divided_difference_cos(fn, bad)
+    for v in (math.nan, math.inf, -math.inf):
+        for knots in ([0.1, v, 0.3], [[0.1, 0.2, 0.3], [0.1, v, 0.3]]):
+            with pytest.raises(ValueError, match="knots must be finite"):
+                divided_difference(fn, knots)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # refused before cos() warns
+                with pytest.raises(ValueError, match="theta must be finite"):
+                    divided_difference_cos(fn, knots)

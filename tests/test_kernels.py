@@ -303,7 +303,10 @@ def test_sorted_cosine_core_is_bitwise_the_batch_kernels(d, n, rng):
         for t in (thetas, thetas[:0]):
             got = fn(d, n, t)
             assert np.array_equal(got, _shell_core(d, n, np.sort(np.cos(t), axis=1), finish))
-            assert np.array_equal(got, _argsort_product(d, n, t, finish)), fn.__name__
+            ref = _argsort_product(d, n, t, finish)
+            assert np.array_equal(got, ref), fn.__name__
+            # the concatenated parts' layout too: a matrix product's sums follow it
+            assert got.strides == ref.strides, fn.__name__
         assert fn(d, n, thetas[:0]).shape == ((0, n + 1) if fn is _shell_table else (0,))
 
 

@@ -118,3 +118,18 @@ def test_a_large_dimension_is_refused_before_its_points_are_drawn(name, d):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_divdiff_suites_make_one_call_per_seed(monkeypatch):
+    # one knot-matrix call per (d, n) or (d, r) at the defaults, where one call per point
+    # made 720, 810 and 189
+    from l1torus import divdiff
+
+    calls = []
+    real = divdiff.divided_difference
+    monkeypatch.setattr(divdiff, "divided_difference",
+                        lambda p, knots: calls.append(p) or real(p, knots))
+    for name, count in (("shell-divdiff", 24), ("dirichlet-divdiff", 27), ("poisson-divdiff", 9)):
+        calls.clear()
+        (report,) = run_suites([name], VerifyConfig())
+        assert report.passed and len(calls) == count, (name, len(calls))
