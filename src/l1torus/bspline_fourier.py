@@ -6,14 +6,14 @@ For d >= 2 and n >= 0 define
                     M_{d-1}(u | cos theta) * shell_sum(d, n, theta) / shell_count(d, n)
 
 the average of the n-th normalized shell sum against the B-spline whose knots are
-the cosines of the angles.  Routes, each taking u (alpha) as a scalar or an ndarray,
-and the mean routes n as one order or a sequence of orders, one row of values each:
+the cosines of the angles.  Routes take u (alpha) as a scalar or an ndarray, and the
+mean routes n as one order or a sequence of orders, one row each, by one rule (``_shaped``):
 
 * ``mean_series``      Gegenbauer series under a spectral exponential filter,
                        valid for every d >= 2 away from u = +-1;
 * ``mean_closed``      the closed forms, wherever one is known: d = 2 (``mean_d2_closed``,
-                       in the angle variable u = cos(alpha)) and n = 0
-                       (``mean_order0_closed``, every d);
+                       in alpha = arccos u, every order from one row of sines per parity)
+                       and n = 0 (``mean_order0_closed``, every d);
 * ``mean_torus_mc``    seeded antithetic Monte-Carlo average over the torus
                        (d in {2, 3}); every order and point shares its draws;
 * ``biorthogonality_matrix``  the pairing with the biorthogonal polynomial
@@ -22,6 +22,7 @@ and the mean routes n as one order or a sequence of orders, one row of values ea
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -44,29 +45,34 @@ _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_t
 # multiply-adds, pairs * d * (n+1)^2, of one mean_torus_mc's shell sums: ~20 s at the ~3e9
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
 _MAX_MC_COST = 1 << 36
-_MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point, one mean_d2_closed call may sum
+_MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point and order, of one mean_d2_closed
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
 _MAX_ORDERS = 1 << 20  # orders (the recursion: means) one mean call may list, 36 MB of ints
 
 
-def mean_d2_closed(n: int, alpha):
-    """Closed form of mean(2, n, cos(alpha)) for alpha in (0, pi), scalar or ndarray:
+def mean_d2_closed(n, alpha):
+    """Closed form of mean(2, n, cos(alpha)) for alpha in (0, pi), scalar or ndarray, and n
+    one order or a sequence of orders as for :func:`mean_series`:
 
     1/2 - (n mod 2) alpha/pi - (2/pi) sum sin(m alpha)/m, m = 1 + n mod 2, 3 + n mod 2, ... < n.
-    ValueError before summing when points * (n // 2) terms exceed _MAX_CLOSED_TERMS.
+    Each order sums its prefix of one row of sin(m alpha)/m per parity, bit for bit its lone
+    call.  ValueError before summing past _MAX_CLOSED_TERMS terms, max(points, 1) sum(n // 2).
     """
-    if n < 0:
-        raise ValueError("index n must be >= 0")
+    one, orders, top = _orders(2, n, "closed form")
     a = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < a) & (a < math.pi)):
         raise ValueError("alpha must lie strictly inside (0, pi)")
     # the frequencies are listed even when there is no point
-    check_cost(f"closed form at n = {n}", max(a.size, 1) * (n // 2),
-               f"terms at {a.size} point(s)", _MAX_CLOSED_TERMS)
-    m = np.arange(1 + n % 2, n, 2)
-    s = np.sum(np.sin(a[..., None] * m) / m, axis=-1)
-    value = 0.5 - (n % 2) * a / math.pi - (2.0 / math.pi) * s
-    return value if np.ndim(alpha) else float(value)
+    check_cost(f"closed form at n = {top}" + ("" if one else f" for {len(orders)} orders"),
+               max(a.size, 1) * sum(o // 2 for o in orders), f"terms at {a.size} point(s)",
+               _MAX_CLOSED_TERMS)
+    tops = {o % 2: o for o in sorted(orders)}  # each parity's largest order
+    m = {p: np.arange(1 + p, last, 2) for p, last in tops.items()}
+    sines = {p: np.sin(a[..., None] * m[p]) / m[p] for p in m}
+    rows = np.empty((len(orders),) + a.shape)
+    for i, o in enumerate(orders):
+        rows[i] = 0.5 - (o % 2) * a / math.pi - (2.0 / math.pi) * sines[o % 2][..., :o // 2].sum(-1)
+    return _shaped(one, alpha, rows)
 
 
 def mean_order0_closed(d: int, u):
@@ -84,13 +90,11 @@ def mean_order0_closed(d: int, u):
     fact = _float_factorial(d - 1)
     const = math.gamma((d + 1) / 2.0) / math.sqrt(math.pi) / math.gamma(d / 2.0)
     power = np.maximum(1.0 - x * x, 0.0) ** ((d - 2) / 2.0)
-    value = np.reshape(np.where(np.abs(x) >= 1.0, 0.0, const / fact * power), np.shape(u))
-    return value if np.ndim(u) else float(value)
+    return _shaped(True, u, [np.where(np.abs(x) >= 1.0, 0.0, const / fact * power)])
 
 
 def _count(orders) -> int:
-    """len(orders) as a Python int: a range's from its start, stop and step, since
-    len() stops at sys.maxsize."""
+    """len(orders) as a Python int, a range's from its bounds: len() stops at sys.maxsize."""
     if isinstance(orders, range):
         return max(0, -((orders.start - orders.stop) // orders.step))
     return len(orders)
@@ -99,33 +103,39 @@ def _count(orders) -> int:
 def _orders(d: int, n, what: str) -> tuple[bool, list[int], int]:
     """Whether ``n`` is one order, its orders listed and checked against d, and the largest:
     a sequence of more than _MAX_ORDERS is refused before it is listed or len() counts it."""
-    one = isinstance(n, (int, np.integer))
+    one = not hasattr(n, "__len__") or getattr(n, "ndim", 1) == 0
     if not one:
         check_cost(what, _count(n), "orders", _MAX_ORDERS)
-    orders = [n] if one else [int(x) for x in n]
+    try:  # an int or a numpy integer: int() would make order 2 of 2.5
+        orders = [operator.index(x) for x in ([n] if one else n)]
+    except TypeError as exc:
+        raise ValueError(f"orders must be integers: {exc}") from None
     for order in orders:
         _check_dn(d, order)
     return one, orders, max(orders, default=0)
 
 
+def _shaped(one: bool, u, rows):
+    """A mean route's rows, one per order, as it returns them: shape (len(rows),) + shape(u)
+    for a sequence of orders; for one order its row, shaped as u, a float for a scalar u."""
+    rows = np.reshape(rows, (len(rows),) + np.shape(u))
+    return rows if not one else rows[0] if np.ndim(u) else float(rows[0])
+
+
 def mean_closed(d: int, n, u):
-    """Closed form of mean(d, n, u), u scalar or ndarray, n one order or a sequence of orders
-    as for :func:`mean_series`: for d = 2 :func:`mean_d2_closed` in alpha = arccos u, 0
-    wherever |u| >= 1; for n = 0 :func:`mean_order0_closed`.  ValueError for any other
-    (d, n), and before summing when the orders take over _MAX_CLOSED_TERMS sine terms."""
-    one, orders, top = _orders(d, n, "closed form")
+    """Closed form of mean(d, n, u), u and n as for :func:`mean_series`: for d = 2 one
+    :func:`mean_d2_closed` call over the points with |u| < 1, in alpha = arccos u, and 0
+    elsewhere; for n = 0 :func:`mean_order0_closed`; ValueError for any other (d, n)."""
+    one, orders, _ = _orders(d, n, "closed form")
     if d != 2 and any(orders):
         raise ValueError("closed form requires d = 2 or n = 0")
     x = finite(u, "u")
     rows = np.full((len(orders),) + x.shape, mean_order0_closed(d, x) if d != 2 else 0.0)
     inside = np.abs(x) < 1.0  # the d = 2 mean is 0 elsewhere
-    alpha = np.array([math.acos(v) for v in x[inside].tolist()] if d == 2 else [])
-    check_cost(f"closed form at n = {top}" + ("" if one else
-               f" for {len(orders)} orders"), alpha.size * sum(o // 2 for o in orders),
-               f"terms at {alpha.size} point(s)", _MAX_CLOSED_TERMS)
-    for i, order in enumerate(orders if alpha.size else ()):
-        rows[i, inside] = mean_d2_closed(order, alpha)
-    return rows if not one else rows[0] if x.ndim else float(rows[0])
+    if d == 2 and inside.any():
+        alpha = np.array([math.acos(v) for v in x[inside].tolist()])
+        rows[:, inside] = mean_d2_closed(n if one else orders, alpha)
+    return _shaped(one, u, rows)
 
 
 def mean_series(d: int, n, u, nterms: int | None = None):
@@ -183,11 +193,8 @@ def mean_series(d: int, n, u, nterms: int | None = None):
                 w = a_k * np.exp(k ** 8 * expo)
                 weights[k] = w if k < kfull else np.where(k < terms, w, 0.0)
             totals[order] += (weights.pop(k) if order == group[-1] else weights[k]) * cur
-    const = geg_norm_c(lam)
-    outs = [(1.0 - x * x) ** (d - 1.5) * const / fact * totals[order] for order in orders]
-    if not one:
-        return np.array(outs).reshape((len(orders),) + u_arr.shape)
-    return np.reshape(outs[0], u_arr.shape) if np.ndim(u) else float(outs[0])
+    scale = (1.0 - x * x) ** (d - 1.5) * geg_norm_c(lam) / fact
+    return _shaped(one, u, [scale * totals[order] for order in orders])
 
 
 def mean_recursion_sides(d: int, n, u):
@@ -208,16 +215,12 @@ def mean_recursion_sides(d: int, n, u):
     needed = sorted({order + 2 * j for order in orders for j in range(d)})
     means = (mean_closed if d == 2 else mean_series)(d, needed, x)
     row = {order: i for i, order in enumerate(needed)}
-    lhs = 0.0
-    for j in range(d):
-        lhs = lhs + (-1) ** j * math.comb(d - 1, j) * means[[row[o + 2 * j] for o in orders]]
-    lhs = lhs * fact
+    lhs = fact * sum((-1) ** j * math.comb(d - 1, j) * means[[row[o + 2 * j] for o in orders]]
+                     for j in range(d))
     cn = gegenbauer_sequence(lam, top, x)[orders]
     cn1 = gegenbauer_at_one(lam, top)[orders].reshape((-1,) + (1,) * x.ndim)
     rhs = geg_norm_c(lam) * (1.0 - x * x) ** (d - 1.5) * cn / cn1
-    if one:  # floats for a scalar u
-        return (lhs[0], rhs[0]) if x.ndim else (float(lhs[0]), float(rhs[0]))
-    return lhs, rhs
+    return _shaped(one, u, lhs), _shaped(one, u, rhs)
 
 
 def _sorted_columns(thetas: np.ndarray) -> np.ndarray:
@@ -273,8 +276,7 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     pts = finite(u, "u").reshape(-1)
     if np.any(np.abs(pts) >= 1.0):
         raise ValueError("Monte-Carlo route requires |u| < 1")
-    if budget is None:
-        budget = _MC_DEFAULT_BUDGET[d]
+    budget = _MC_DEFAULT_BUDGET[d] if budget is None else budget
     if budget < 4:  # fewer than two antithetic pairs give no spread
         raise ValueError(f"budget must be >= 4, got {budget}")
     check_cost(f"budget {budget} at {pts.size} point(s)" + ("" if one else
@@ -319,10 +321,7 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
                 mean[i, p:p + chunk] += dev * (b / (lo + b))
                 m2[i, p:p + chunk] += (vals * vals).sum(axis=1) + dev * dev * (lo * b / (lo + b))
     stderr = np.sqrt(m2 / (total_pairs - 1)) / math.sqrt(total_pairs)
-    if one and not np.ndim(u):
-        return McEstimate(float(mean[0, 0]), float(stderr[0, 0]), total_pairs)
-    shape = (len(orders),) * (not one) + np.shape(u)
-    return McEstimate(mean.reshape(shape), stderr.reshape(shape), total_pairs)
+    return McEstimate(_shaped(one, u, mean), _shaped(one, u, stderr), total_pairs)
 
 
 def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:

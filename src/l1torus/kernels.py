@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .numerics import _float_factorial, check_cost, finite, theta_vector
+from .numerics import _CACHE_ENTRIES, _float_factorial, check_cost, finite, theta_vector
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
 # Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
@@ -56,12 +56,12 @@ def _check_dn(d: int, n: int, dmin: int = 2):
                          f"the largest float")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _cheb_t(n: int) -> Chebyshev:
     return Chebyshev.basis(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _cheb_u(n: int) -> Chebyshev:
     if n < 0:
         return Chebyshev([0.0])
@@ -71,7 +71,7 @@ def _cheb_u(n: int) -> Chebyshev:
 _ONE_MINUS_SQ = Chebyshev([0.5, 0.0, -0.5])  # 1 - u^2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def dirichlet_seed(d: int, n: int) -> Chebyshev:
     """The Dirichlet seed as an exact polynomial in u (Chebyshev basis)."""
     _check_dn(d, n)
@@ -85,7 +85,7 @@ def dirichlet_seed(d: int, n: int) -> Chebyshev:
 dirichlet_seed_poly = dirichlet_seed
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def shell_seed(d: int, n: int) -> Chebyshev:
     """The shell seed as an exact polynomial in u (Chebyshev basis).
 
@@ -366,6 +366,8 @@ def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
 
     A majorant is summed over the 400 terms after ``nterms``, and the rest is
     bounded by a geometric series.  :func:`gegenbauer_at_one` bounds its values.
+    inf, without a warning, where the geometric ratio is not below 1 or the majorant
+    leaves the float range.
     """
     _check_dn(d, 0)
     if not (0 <= r < 1):
@@ -373,12 +375,15 @@ def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
     top = nterms + 400
     fact = _float_factorial(d - 1)
     c1 = gegenbauer_at_one(float(d), top)
-    # |biortho_poly(d, n, u)| <= (d-1)! sum_j C(d,j) C_{n-2j}^d(1) =: majorant(n)
-    maj = np.zeros(top + 1)
-    for j in range(min(d, top // 2) + 1):
-        maj[2 * j:] += math.comb(d, j) * c1[:top + 1 - 2 * j]
-    maj *= fact
-    tail = float(np.dot(maj[nterms + 1:], r ** np.arange(nterms + 1, top + 1)))
-    ratio = r * ((top + 2.0 * d) / (top + 1.0)) ** (2 * d)
-    rest = maj[top] * r**top * ratio / (1 - ratio) if ratio < 1 else math.inf
-    return tail + rest
+    # |biortho_poly(d, n, u)| <= (d-1)! sum_j C(d,j) C_{n-2j}^d(1) =: majorant(n); past the
+    # float range it is inf, and inf times an underflowed r^n is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        maj = np.zeros(top + 1)
+        for j in range(min(d, top // 2) + 1):
+            maj[2 * j:] += math.comb(d, j) * c1[:top + 1 - 2 * j]
+        maj *= fact
+        tail = float(np.dot(maj[nterms + 1:], r ** np.arange(nterms + 1, top + 1)))
+        ratio = r * ((top + 2.0 * d) / (top + 1.0)) ** (2 * d)
+        rest = maj[top] * r**top * ratio / (1 - ratio) if ratio < 1 else math.inf
+    bound = tail + rest
+    return math.inf if math.isnan(bound) else bound

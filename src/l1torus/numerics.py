@@ -22,7 +22,9 @@ _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid m
 _MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n of one ball_enumerate
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
-_MAX_RULE_NODES = 1 << 10  # nodes of one Gauss-Gegenbauer rule, a dense npts x npts eigenproblem
+_MAX_RULE_NODES = 1 << 10  # nodes of one Gauss rule, a dense npts x npts eigenproblem
+# entries each cached table keeps (rules, shells, seed polynomials): one verify run uses <= 33
+_CACHE_ENTRIES = 64
 
 
 def check_cost(what: str, cost, unit: str, limit: int):
@@ -70,9 +72,9 @@ class QuadRule:
             raise ValueError("quadrature weights must be positive")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def gauss_legendre(npts: int) -> QuadRule:
-    """Gauss-Legendre rule with ``npts`` nodes on [-1, 1].
+    """Gauss-Legendre rule with ``npts`` nodes on [-1, 1], npts <= ``_MAX_RULE_NODES``.
 
     Exact for polynomials of degree 2*npts - 1; nodes lie strictly inside
     the interval.  Rules are cached: each order is built once, and its
@@ -80,6 +82,7 @@ def gauss_legendre(npts: int) -> QuadRule:
     """
     if npts < 1:
         raise ValueError("npts must be >= 1")
+    check_cost("a Gauss-Legendre rule", npts, "nodes", _MAX_RULE_NODES)
     nodes, weights = leggauss(npts)
     return QuadRule(nodes, weights)
 
@@ -154,7 +157,7 @@ def _float_factorial(k: int) -> float:
     return float(math.factorial(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def shell_enumerate(d: int, n: int) -> np.ndarray:
     """The l1 shell {alpha in Z^d : |alpha|_1 = n} as a read-only (count, d) int64 array.
 

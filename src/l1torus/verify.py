@@ -230,6 +230,9 @@ def _biortho_generating(cfg: VerifyConfig):
     for d in dims:
         for r in (0.2, 0.5):
             bound = biortho_generating_tail(d, r, nterms) + 1e-12
+            if not math.isfinite(bound):  # every error would pass against it
+                raise ValueError(f"biortho-generating at d = {d}, r = {r}, nterms = {nterms}: "
+                                 f"the series tail has no finite bound")
             series, closed = biortho_generating_pair(d, r, rng.uniform(-1.0, 1.0, 20), nterms)
             errors += (np.abs(series - closed) / bound).tolist()
     return {"dims": list(dims), "r": [0.2, 0.5], "nterms": nterms, "points": 20}, errors, {}

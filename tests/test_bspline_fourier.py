@@ -264,6 +264,56 @@ def test_d2_closed_bound_counts_every_point(monkeypatch):
         mean_d2_closed(10**12, np.array([]))
 
 
+_D2_ORDERS = [[], [0], [5, 0, 1, 301, 302, 1, 4, 0, 302], [302, 301, 7, 2, 3, 3, 0, 1],
+              list(range(60)) + [999, 1000]]
+
+
+@pytest.mark.parametrize("orders", _D2_ORDERS, ids=["none", "zero", "mixed", "unsorted", "long"])
+@pytest.mark.parametrize("shape", [(), (7,), (19, 2)])
+def test_d2_closed_orders_are_their_lone_calls_bitwise(orders, shape):
+    # each order sums its prefix of one row of sines per parity: the sum its lone call takes
+    alpha = np.arccos(np.linspace(-0.99, 0.99, math.prod(shape))).reshape(shape)
+    alpha = alpha if shape else float(alpha)
+    rows = mean_d2_closed(orders, alpha)
+    assert rows.shape == (len(orders),) + shape
+    for row, order in zip(rows, orders):
+        assert row.tobytes() == np.asarray(mean_d2_closed(order, alpha)).tobytes()
+    assert mean_d2_closed(np.array(orders, dtype=np.int64), alpha).tobytes() == rows.tobytes()
+
+
+def test_mean_closed_makes_one_d2_call(monkeypatch):
+    calls = []
+    d2 = bf.mean_d2_closed
+    monkeypatch.setattr(bf, "mean_d2_closed", lambda n, alpha: calls.append(n) or d2(n, alpha))
+    us = np.array([-1.0, -0.4, 0.1, 0.8, 1.0])
+    rows = mean_closed(2, range(9), us)
+    assert len(calls) == 1 and rows.shape == (9, 5)
+    assert rows.tolist() == [mean_closed(2, n, us).tolist() for n in range(9)]
+    calls.clear()
+    assert mean_closed(2, 3, [1.5, -1.0]).tolist() == [0.0, 0.0] and calls == []
+    # the one bound is mean_d2_closed's, worded for the orders it was given
+    monkeypatch.setattr(bf, "_MAX_CLOSED_TERMS", 20)
+    with pytest.raises(ValueError, match="closed form at n = 9 for 4 orders: 24 terms at 3 point"):
+        mean_closed(2, [9, 0, 3, 6], us)
+    with pytest.raises(ValueError, match="closed form at n = 9: 24 terms at 6 point"):
+        mean_d2_closed(9, np.full(6, 1.0))
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), np.array(3.0), "3", None])
+def test_orders_must_be_integers(bad):
+    # int() truncated 2.5 to order 2, and a float or a 0-d array ended in a TypeError
+    routes = [lambda n: mean_series(2, n, 0.3), lambda n: mean_closed(2, n, 0.3),
+              lambda n: mean_recursion_sides(2, n, 0.3), lambda n: mean_d2_closed(n, 1.0),
+              lambda n: mean_torus_mc(2, n, 0.3, budget=100).value]
+    for route in routes:
+        for n in (bad, [1, bad], np.array([bad]) if isinstance(bad, float) else (bad,)):
+            with pytest.raises(ValueError, match="orders must be integers"):
+                route(n)
+        # numpy integers, a 0-d integer array included, are orders as ints are
+        for n in (np.int64(3), np.array(3), np.array([3], dtype=np.int32)):
+            assert np.isfinite(route(n)).all()
+
+
 def test_order0_closed_takes_arrays():
     us = np.linspace(-1.2, 1.2, 49)
     for d in (2, 3, 5):

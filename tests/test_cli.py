@@ -765,6 +765,19 @@ def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, fresh_env, a
     assert "over the limit" in line
 
 
+@pytest.mark.parametrize("d", [20, 100])
+def test_biortho_generating_refuses_an_infinite_tail_bound(fresh_env, d):
+    # every error passed against an infinite bound (d = 20, max_error 0.0), and at d = 100
+    # the bound was nan: max_error nan, with two RuntimeWarnings on stderr
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", "verify", "--suite",
+                           "biortho-generating", "--d", str(d)], env=fresh_env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    (line,) = done.stderr.strip().splitlines()
+    assert line == (f"error: biortho-generating at d = {d}, r = 0.2, nterms = 80: "
+                    f"the series tail has no finite bound")
+
+
 def test_no_scipy_module_is_loaded_at_run_time(tmp_path, fresh_env):
     # numpy alone at run time: scipy is a test oracle only, and its import cost
     # would come back in every CLI call

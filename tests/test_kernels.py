@@ -567,6 +567,13 @@ def test_seeds_refuse_indices_past_the_float_range(d, n):
             fn(d, n, 0.3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d, r", [(10, 0.5), (20, 0.2), (100, 0.2), (100, 0.5), (171, 0.9)])
+def test_biortho_tail_past_its_reach_is_inf_without_a_warning(d, r):
+    # at d = 100 the majorant overflowed and inf * 0 returned nan, with two RuntimeWarnings
+    assert biortho_generating_tail(d, r, 80) == math.inf
+
+
 def test_biortho_generating_pair_takes_arrays(rng):
     us = rng.uniform(-1.0, 1.0, 7)
     partial, closed = biortho_generating_pair(3, 0.5, us, 80)

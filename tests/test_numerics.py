@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from l1torus import kernels, numerics
 from l1torus.numerics import (
     QuadRule,
     ball_enumerate,
@@ -51,6 +52,32 @@ def test_gauss_legendre_rules_are_cached_and_read_only():
     rule = gauss_legendre(32)
     assert gauss_legendre(32) is rule
     assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
+
+def test_gauss_legendre_is_bounded_before_it_is_built(monkeypatch):
+    # leggauss builds a dense npts x npts matrix: gauss_legendre(10**5) asked for ~80 GB
+    def unreachable(npts):
+        raise AssertionError(f"leggauss reached at npts = {npts}")
+
+    monkeypatch.setattr(numerics, "leggauss", unreachable)
+    for npts in (numerics._MAX_RULE_NODES + 1, 10**5, 10**400):
+        with pytest.raises(ValueError, match="a Gauss-Legendre rule: .* nodes, over the limit"):
+            gauss_legendre(npts)
+    with pytest.raises(ValueError, match="a Gauss-Gegenbauer rule: .* nodes, over the limit"):
+        gauss_gegenbauer(numerics._MAX_RULE_NODES + 1, 1.0)
+
+
+def test_every_cache_keeps_at_most_its_bound():
+    # unbounded, 12 shell seeds of 2^19 coefficients held 24 series and 194 MB
+    bound = numerics._CACHE_ENTRIES
+    calls = {numerics.gauss_legendre: lambda k: (k,), numerics.shell_enumerate: lambda k: (1, k),
+             kernels._cheb_t: lambda k: (k,), kernels._cheb_u: lambda k: (k,),
+             kernels.dirichlet_seed: lambda k: (2, k), kernels.shell_seed: lambda k: (2, k)}
+    for cached, args in calls.items():
+        assert cached.cache_info().maxsize == bound
+        for k in range(1, bound + 10):
+            cached(*args(k))
+        assert cached.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 3.0])
