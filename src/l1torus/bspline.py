@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _float_factorial, finite
+from .numerics import _check_dn, _float_factorial, finite
 
 
 def bspline_values(knots, u) -> np.ndarray:
@@ -68,8 +68,7 @@ def knot_field_batch(d: int, u, cos_knots: np.ndarray) -> np.ndarray:
     Rows on which the field has a pole or degenerates must be filtered by the
     caller; zero spans simply contribute zero terms here.
     """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    _check_dn(d, 0)
     x = np.asarray(cos_knots, dtype=float)
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError("cos_knots must have shape (batch, d)")

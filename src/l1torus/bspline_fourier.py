@@ -7,7 +7,7 @@ For d >= 2 and n >= 0 define
 
 the average of the n-th normalized shell sum against the B-spline whose knots are
 the cosines of the angles.  Routes take u (alpha) as a scalar or an ndarray, and the
-mean routes n as one order or a sequence of orders, one row each, by one rule (``_shaped``):
+mean routes n as one order or a sequence of orders, one row each, by ``numerics._orders``:
 
 * ``mean_series``      Gegenbauer series under a spectral exponential filter,
                        valid for every d >= 2 away from u = +-1;
@@ -22,17 +22,15 @@ mean routes n as one order or a sequence of orders, one row each, by one rule (`
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bspline import knot_field_batch
-from .kernels import (_biortho_table, _check_dn, _check_product, _shell_core, _shell_finish,
-                      _table_finish)
-from .numerics import (DEFAULT_SEED, MAX_DRAWS, _float_factorial, check_cost, finite,
-                       gauss_gegenbauer, shell_count)
+from .kernels import _check_product, _shell_core, _shell_finish, _table_finish, biortho_poly
+from .numerics import (DEFAULT_SEED, MAX_DRAWS, _check_dn, _check_orders, _float_factorial,
+                       _orders, _shaped, check_cost, finite, gauss_gegenbauer, shell_count)
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 SERIES_EDGE_MARGIN = 1e-3
@@ -46,8 +44,14 @@ _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_t
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
 _MAX_MC_COST = 1 << 36
 _MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point and order, of one mean_d2_closed
+_MAX_CLOSED_VALUES = 1 << 22  # values, orders * max(points, 1), one closed-form call returns
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
-_MAX_ORDERS = 1 << 20  # orders (the recursion: means) one mean call may list, 36 MB of ints
+
+
+def _check_rows(orders: list[int], points: int):
+    """ValueError before a closed form allocates its len(orders) * max(points, 1) values."""
+    check_cost(f"closed form for {len(orders)} order(s) at {points} point(s)",
+               len(orders) * max(points, 1), "values", _MAX_CLOSED_VALUES)
 
 
 def mean_d2_closed(n, alpha):
@@ -56,12 +60,13 @@ def mean_d2_closed(n, alpha):
 
     1/2 - (n mod 2) alpha/pi - (2/pi) sum sin(m alpha)/m, m = 1 + n mod 2, 3 + n mod 2, ... < n.
     Each order sums its prefix of one row of sin(m alpha)/m per parity, bit for bit its lone
-    call.  ValueError before summing past _MAX_CLOSED_TERMS terms, max(points, 1) sum(n // 2).
+    call.  ValueError past :func:`_check_rows`, or max(points, 1) sum(n // 2) > _MAX_CLOSED_TERMS.
     """
     one, orders, top = _orders(2, n, "closed form")
     a = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < a) & (a < math.pi)):
         raise ValueError("alpha must lie strictly inside (0, pi)")
+    _check_rows(orders, a.size)
     # the frequencies are listed even when there is no point
     check_cost(f"closed form at n = {top}" + ("" if one else f" for {len(orders)} orders"),
                max(a.size, 1) * sum(o // 2 for o in orders), f"terms at {a.size} point(s)",
@@ -93,35 +98,6 @@ def mean_order0_closed(d: int, u):
     return _shaped(True, u, [np.where(np.abs(x) >= 1.0, 0.0, const / fact * power)])
 
 
-def _count(orders) -> int:
-    """len(orders) as a Python int, a range's from its bounds: len() stops at sys.maxsize."""
-    if isinstance(orders, range):
-        return max(0, -((orders.start - orders.stop) // orders.step))
-    return len(orders)
-
-
-def _orders(d: int, n, what: str) -> tuple[bool, list[int], int]:
-    """Whether ``n`` is one order, its orders listed and checked against d, and the largest:
-    a sequence of more than _MAX_ORDERS is refused before it is listed or len() counts it."""
-    one = not hasattr(n, "__len__") or getattr(n, "ndim", 1) == 0
-    if not one:
-        check_cost(what, _count(n), "orders", _MAX_ORDERS)
-    try:  # an int or a numpy integer: int() would make order 2 of 2.5
-        orders = [operator.index(x) for x in ([n] if one else n)]
-    except TypeError as exc:
-        raise ValueError(f"orders must be integers: {exc}") from None
-    for order in orders:
-        _check_dn(d, order)
-    return one, orders, max(orders, default=0)
-
-
-def _shaped(one: bool, u, rows):
-    """A mean route's rows, one per order, as it returns them: shape (len(rows),) + shape(u)
-    for a sequence of orders; for one order its row, shaped as u, a float for a scalar u."""
-    rows = np.reshape(rows, (len(rows),) + np.shape(u))
-    return rows if not one else rows[0] if np.ndim(u) else float(rows[0])
-
-
 def mean_closed(d: int, n, u):
     """Closed form of mean(d, n, u), u and n as for :func:`mean_series`: for d = 2 one
     :func:`mean_d2_closed` call over the points with |u| < 1, in alpha = arccos u, and 0
@@ -130,6 +106,7 @@ def mean_closed(d: int, n, u):
     if d != 2 and any(orders):
         raise ValueError("closed form requires d = 2 or n = 0")
     x = finite(u, "u")
+    _check_rows(orders, x.size)
     rows = np.full((len(orders),) + x.shape, mean_order0_closed(d, x) if d != 2 else 0.0)
     inside = np.abs(x) < 1.0  # the d = 2 mean is 0 elsewhere
     if d == 2 and inside.any():
@@ -211,7 +188,7 @@ def mean_recursion_sides(d: int, n, u):
     if np.any(np.abs(x) >= 1.0):
         raise ValueError(f"u must lie strictly inside (-1, 1), got {float(x[np.abs(x) >= 1][0])}")
     fact, lam = _float_factorial(d - 1), float(d - 1)
-    check_cost("mean recursion", d * len(orders), "means", _MAX_ORDERS)
+    _check_orders("mean recursion", d * len(orders), "means")
     needed = sorted({order + 2 * j for order in orders for j in range(d)})
     means = (mean_closed if d == 2 else mean_series)(d, needed, x)
     row = {order: i for i, order in enumerate(needed)}
@@ -334,9 +311,7 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
     (1-u^2)^(d-3/2) of order max_index + 8 integrates the remaining
     polynomial pairings exactly.
     """
-    _check_dn(d, 0)
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
+    _check_dn(d, max_index)
     lam = d - 1
     fact = _float_factorial(lam)  # checked before c_lam, which overflows from the same d on
     rule = gauss_gegenbauer(max_index + 8, float(lam))
@@ -352,5 +327,5 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
         degs = n + 2 * np.arange(kmax + 1)
         degs = degs[degs <= degmax]
         rows[n] = const * np.tensordot(a[: degs.size] / ones[degs], seq[degs], axes=(0, 0))
-    hmat = _biortho_table(d, max_index, x)
+    hmat = biortho_poly(d, range(max_index + 1), x)
     return rows @ (w * hmat).T

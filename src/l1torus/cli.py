@@ -37,16 +37,6 @@ def _fmt(x: float) -> str:
     return str(x) if isinstance(x, int) else _FMT % x  # counts stay exact
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("L1TORUS_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"L1TORUS_SEED must be an integer, got {raw!r}") from exc
-
-
 def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, help="series terms for every point (series method); "
                                          "default ceil(100 / arccos|u|) per point")
     p.add_argument("--budget", type=int, help="sample budget (mc method)")
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int)
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_mnd)
 
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, help="series truncation override")
     p.add_argument("--budget", type=int, help="Monte-Carlo budget override")
     p.add_argument("--tol", type=float, help="tolerance override")
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON report to this file")
     p.set_defaults(fn=_cmd_verify)
 
@@ -270,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="dimension for the sampled Gram check")
     p.add_argument("--points", type=int, default=12)
     p.add_argument("--trunc", type=int)
-    p.add_argument("--seed", type=int, default=_env_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the JSON verdict to this file")
     p.set_defaults(fn=_cmd_pdf)
 
@@ -300,13 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
-    try:
+        if getattr(args, "seed", DEFAULT_SEED) is None:  # a command with --seed, left unset
+            raw = os.environ.get("L1TORUS_SEED", str(DEFAULT_SEED))
+            try:
+                args.seed = int(raw)
+            except ValueError:
+                raise ValueError(f"L1TORUS_SEED must be an integer, got {raw!r}") from None
         return args.fn(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,18 +22,19 @@ Gegenbauer expansions implemented side by side.
 
 No lattice is enumerated: by the Poisson identity the shell sum E_n is the r^n
 coefficient of prod_i (1 + 2 sum_k r^k cos(k theta_i)), which the batched kernels
-take as a truncated product in O(d n^2) per point; scalar forms wrap one row.
+take as a truncated product in O(d n^2) per point; scalar forms wrap one row.  Likewise
+biortho_poly takes a set of orders and the Poisson forms a batch of points.
 """
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .numerics import _CACHE_ENTRIES, _float_factorial, check_cost, finite, theta_vector
+from .numerics import (_CACHE_ENTRIES, _check_dn, _check_r, _float_factorial, _orders, _shaped,
+                       check_cost, finite, theta_vector)
 from .polys import gegenbauer_at_one, gegenbauer_sequence
 
 # Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
@@ -44,16 +45,6 @@ _MAX_CHEBYSHEV = 1 << 20  # coefficients of one seed polynomial (n + d) or Poiss
 
 def _sign(d: int) -> float:
     return -1.0 if ((d - 1) // 2) % 2 else 1.0
-
-
-def _check_dn(d: int, n: int, dmin: int = 2):
-    if d < dmin:
-        raise ValueError(f"dimension must be >= {dmin}")
-    if n < 0:
-        raise ValueError("index n must be >= 0")
-    if max(d, n) > sys.float_info.max:  # each route takes d and n into float arithmetic
-        raise ValueError(f"index {max(d, n)} is over the limit of {sys.float_info.max:.3g}, "
-                         f"the largest float")
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -127,7 +118,7 @@ def shell_seed_theta(d: int, n: int, theta: float) -> float:
     return 2.0 * s * math.sin(theta) ** (d - 1) * osc
 
 
-def biortho_poly(d: int, n: int, u, form: str = "c"):
+def biortho_poly(d: int, n, u, form: str = "c"):
     """Degree-n polynomial biorthogonal to the B-spline Fourier means.
 
     Two equivalent explicit forms:
@@ -137,22 +128,14 @@ def biortho_poly(d: int, n: int, u, form: str = "c"):
 
     The "c" form is the definition; the "z" form must agree to 1e-11.
     The value equals the (d-1)-st derivative of the shell seed, and at u = 1
-    it is (d-1)! times the shell count.  ``u`` may be a scalar or ndarray.
-    Row n of :func:`_biortho_table`, with its checks.
+    it is (d-1)! times the shell count.  ``u`` may be a scalar or ndarray, and ``n`` one
+    order or a sequence of orders, one row each, as for the mean routes
+    (``numerics._orders``).  One Gegenbauer pass to the largest order serves every row,
+    bounded by :func:`gegenbauer_sequence`; row n sums its terms j = 0, 1, ... in the order
+    the definition lists them, so it is its lone call bit for bit.  ValueError when (d-1)!
+    is beyond the float range, and naming the first listed order that overflows.
     """
-    total = _biortho_table(d, n, u, form, first=n)[n]
-    return total.copy() if np.ndim(u) else float(total)
-
-
-def _biortho_table(d: int, nmax: int, u, form: str = "c", first: int = 0) -> np.ndarray:
-    """Rows biortho_poly(d, n, u) for n = 0, ..., nmax, shape (nmax + 1,) + shape(u).
-
-    One Gegenbauer pass serves every row, bounded by :func:`gegenbauer_sequence`; row n
-    sums its terms j = 0, 1, ... in the order the definition lists them.  ValueError
-    when (d-1)! is beyond the float range, and naming the first row from ``first`` on
-    that overflows.
-    """
-    _check_dn(d, nmax)
+    one, orders, top = _orders(d, n, "biorthogonal polynomials")
     u_arr = finite(u, "u")
     if form not in ("c", "z"):
         raise ValueError("form must be 'c' or 'z'")
@@ -160,20 +143,21 @@ def _biortho_table(d: int, nmax: int, u, form: str = "c", first: int = 0) -> np.
     base = d if form == "c" else d - 1
     lam = float(base)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = gegenbauer_sequence(lam, nmax, u_arr)
+        terms = gegenbauer_sequence(lam, top, u_arr)
         if form == "z":
-            terms = ((np.arange(nmax + 1) + lam) / lam).reshape((-1,) + (1,) * u_arr.ndim) * terms
+            terms = ((np.arange(top + 1) + lam) / lam).reshape((-1,) + (1,) * u_arr.ndim) * terms
         table = np.zeros(terms.shape)
-        for j in range(min(base, nmax // 2) + 1):  # row n takes the terms j <= n / 2
-            table[2 * j:] += (-1) ** j * math.comb(base, j) * terms[:nmax + 1 - 2 * j]
+        for j in range(min(base, top // 2) + 1):  # row n takes the terms j <= n / 2
+            table[2 * j:] += (-1) ** j * math.comb(base, j) * terms[:top + 1 - 2 * j]
         table *= scale
-    bad = ~np.isfinite(table[first:].reshape(nmax + 1 - first, -1))
+    rows = table[orders]
+    bad = ~np.isfinite(rows.reshape(len(orders), u_arr.size))
     if bad.any():
-        n = first + int(np.argmax(bad.any(axis=1)))
-        at = float(u_arr.reshape(-1)[np.argmax(bad[n - first])])
-        raise ValueError(f"biortho_poly at d = {d}, n = {n} overflows at u = {at:g}, "
+        i = int(np.argmax(bad.any(axis=1)))
+        at = float(u_arr.reshape(-1)[np.argmax(bad[i])])
+        raise ValueError(f"biortho_poly at d = {d}, n = {orders[i]} overflows at u = {at:g}, "
                          f"over the limit of {np.finfo(float).max:.3g}")
-    return table
+    return _shaped(one, u, rows)
 
 
 def shell_sum(d: int, n: int, theta) -> float:
@@ -298,21 +282,26 @@ def dirichlet_kernel_batch(d: int, n: int, thetas: np.ndarray) -> np.ndarray:
     return _shell_product(d, n, thetas, _dirichlet_finish)
 
 
-def _poisson_denominator(d: int, r: float, theta) -> float:
-    """prod_i (1 - 2 r cos(theta_i) + r^2), once d >= 1 and 0 <= r < 1 are checked."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
-    return np.prod(1.0 - 2.0 * r * np.cos(theta_vector(theta, d)) + r * r)
+def _poisson(d: int, r: float, theta, base: float, power: int):
+    """base^power / prod_i (1 - 2 r cos(theta_i) + r^2) at one point, shape (d,), giving a
+    float, or at each row of a (rows, d) batch, giving one value per row, each its lone
+    call's bit for bit; ValueError unless d >= 1, 0 <= r < 1 and theta has one of these shapes."""
+    _check_dn(d, 0, dmin=1)
+    _check_r(r)
+    t = np.asarray(theta, dtype=float)
+    if t.ndim not in (1, 2) or t.shape[-1] != d:
+        raise ValueError(f"theta must have shape (d,) or (rows, d), got shape {t.shape}")
+    vals = base ** power / np.prod(1.0 - 2.0 * r * np.cos(finite(t, "theta")) + r * r, axis=-1)
+    return vals if t.ndim == 2 else float(vals)
 
 
-def poisson_product(d: int, r: float, theta) -> float:
-    """Product-form Poisson kernel (1 - r^2)^d / prod_i (1 - 2 r cos(theta_i) + r^2).
+def poisson_product(d: int, r: float, theta):
+    """Product-form Poisson kernel (1 - r^2)^d / prod_i (1 - 2 r cos(theta_i) + r^2), at one
+    point or a batch of points as for :func:`_poisson`.
 
     Equals sum_n r^n * shell_sum(d, n, theta) for 0 <= r < 1.
     """
-    return float((1.0 - r * r) ** d / _poisson_denominator(d, r, theta))
+    return _poisson(d, r, theta, 1.0 - r * r, d)
 
 
 def poisson_kernel(r: float) -> Chebyshev:
@@ -324,8 +313,7 @@ def poisson_kernel(r: float) -> Chebyshev:
     knots anywhere in [-1, 1] they hold to 1e-10 relative; the error grows as r -> 1 at
     knots near +-1 (1.5e-4 at d = 6, r = 0.9).  ValueError past _MAX_CHEBYSHEV terms.
     """
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
+    _check_r(r)
     top = math.ceil(-106 / math.log2(r)) if r > 0 else 0
     check_cost(f"Poisson series at r = {r!r}", top + 1, "coefficients", _MAX_CHEBYSHEV)
     coef = 2.0 * r ** np.arange(top + 1)
@@ -333,32 +321,30 @@ def poisson_kernel(r: float) -> Chebyshev:
     return Chebyshev(coef / (1.0 - r * r))
 
 
-def poisson_divdiff(d: int, r: float, theta) -> float:
+def poisson_divdiff(d: int, r: float, theta):
     """Closed form of the divided difference of the Poisson kernel.
 
     [cos(theta_1), ..., cos(theta_d)] applied to u -> 1/(1 - 2ru + r^2)
     equals (2r)^(d-1) / prod_i (1 - 2 r cos(theta_i) + r^2); this function
-    returns that product form (the divided-difference route is exercised by
-    the verification suites).
+    returns that product form, at one point or a batch of points as for :func:`_poisson`
+    (the divided-difference route is exercised by the verification suites).
     """
-    return float((2.0 * r) ** (d - 1) / _poisson_denominator(d, r, theta))
+    return _poisson(d, r, theta, 2.0 * r, d - 1)
 
 
 def biortho_generating_pair(d: int, r: float, u, nterms: int):
     """Partial sum and closed form of sum_n biortho_poly(d, n, u) r^n, u scalar or ndarray.
 
     Returns (sum over n <= nterms, (d-1)! (1-r^2)^d (1 - 2ru + r^2)^(-d)), each of
-    the shape of u.  The partial sum weights the rows of one :func:`_biortho_table`,
-    with its checks.
+    the shape of u.  The partial sum weights the rows of one :func:`biortho_poly` call over
+    the orders 0 ... nterms, with its checks.
     """
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
-    table = _biortho_table(d, nterms, u)
+    _check_r(r)
+    _check_dn(d, nterms)
+    table = biortho_poly(d, range(nterms + 1), u)
     partial = r ** np.arange(nterms + 1) @ table
     closed = _float_factorial(d - 1) * (1 - r * r) ** d / (1 - 2 * r * u + r * r) ** d
-    if np.ndim(u):
-        return partial, closed
-    return float(partial), float(closed)
+    return _shaped(True, u, [partial]), _shaped(True, u, [closed])
 
 
 def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
@@ -370,8 +356,7 @@ def biortho_generating_tail(d: int, r: float, nterms: int) -> float:
     leaves the float range.
     """
     _check_dn(d, 0)
-    if not (0 <= r < 1):
-        raise ValueError("r must lie in [0, 1)")
+    _check_r(r)
     top = nterms + 400
     fact = _float_factorial(d - 1)
     c1 = gegenbauer_at_one(float(d), top)

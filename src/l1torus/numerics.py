@@ -2,12 +2,14 @@
 
 Quadrature rules (Gauss-Legendre, Gauss-Gegenbauer by the Golub-Welsch
 eigenvalue method, tensor trapezoid on the torus), enumeration and counting of
-l1 lattice shells, the mixed error measure, the finiteness and torus-point
-validators and the one cost check used throughout the package.  It needs numpy alone.
+l1 lattice shells, the mixed error measure, the one cost check used throughout the package,
+and every shared input rule: (d, n), r, finiteness, torus points, and one order or a
+sequence of orders (``_orders``, ``_shaped``).  It needs numpy alone.
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +25,7 @@ _MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n of one ball
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
 _MAX_RULE_NODES = 1 << 10  # nodes of one Gauss rule, a dense npts x npts eigenproblem
+_MAX_ORDERS = 1 << 20  # orders (the mean recursion: means) one call may list, 36 MB of ints
 # entries each cached table keeps (rules, shells, seed polynomials): one verify run uses <= 33
 _CACHE_ENTRIES = 64
 
@@ -36,6 +39,57 @@ def check_cost(what: str, cost, unit: str, limit: int):
         big = sys.float_info.max < cost < math.inf
         size = f"2^{math.log2(cost):.4g}" if big else f"{cost:.3g}"
         raise ValueError(f"{what}: {size} {unit}, over the limit of {limit:.3g}")
+
+
+def _check_dn(d: int, n: int, dmin: int = 2):
+    """ValueError unless d >= dmin, n >= 0 and both lie in the float range, as routes need."""
+    if d < dmin:
+        raise ValueError(f"dimension must be >= {dmin}")
+    if n < 0:
+        raise ValueError("index n must be >= 0")
+    if max(d, n) > sys.float_info.max:
+        raise ValueError(f"index {max(d, n)} is over the limit of {sys.float_info.max:.3g}, "
+                         f"the largest float")
+
+
+def _check_r(r: float):
+    """ValueError unless 0 <= r < 1, the radius of every Poisson and generating series."""
+    if not (0 <= r < 1):
+        raise ValueError("r must lie in [0, 1)")
+
+
+def _check_orders(what: str, count: int, unit: str = "orders"):
+    """The one bound on what one call may list: ``count`` orders (or means), _MAX_ORDERS."""
+    check_cost(what, count, unit, _MAX_ORDERS)
+
+
+def _count(orders) -> int:
+    """len(orders) as a Python int, a range's from its bounds: len() stops at sys.maxsize."""
+    if isinstance(orders, range):
+        return max(0, -((orders.start - orders.stop) // orders.step))
+    return len(orders)
+
+
+def _orders(d: int, n, what: str) -> tuple[bool, list[int], int]:
+    """Whether ``n`` is one order, its orders listed and checked against d, and the largest:
+    a sequence of more than _MAX_ORDERS is refused before it is listed or len() counts it."""
+    one = not hasattr(n, "__len__") or getattr(n, "ndim", 1) == 0
+    if not one:
+        _check_orders(what, _count(n))
+    try:  # an int or a numpy integer: int() would make order 2 of 2.5
+        orders = [operator.index(x) for x in ([n] if one else n)]
+    except TypeError as exc:
+        raise ValueError(f"orders must be integers: {exc}") from None
+    for order in orders or [0]:  # no order still checks d
+        _check_dn(d, order)
+    return one, orders, max(orders, default=0)
+
+
+def _shaped(one: bool, u, rows):
+    """A route's rows, one per order, as it returns them: shape (len(rows),) + shape(u) for a
+    sequence of orders; for one order its row, shaped as u, a float for a scalar u."""
+    rows = np.reshape(rows, (len(rows),) + np.shape(u))
+    return rows if not one else rows[0] if np.ndim(u) else float(rows[0])
 
 
 def rel_err(value: float, reference: float) -> float:
@@ -123,8 +177,7 @@ def gauss_gegenbauer(npts: int, lam: float) -> QuadRule:
 def check_grid(d: int, npts_per_axis: int):
     """ValueError unless d >= 1, npts_per_axis >= 1 and the torus grid's npts^d nodes x d
     floats are within ``_MAX_GRID_FLOATS``; nothing is allocated."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dn(d, 0, dmin=1)
     if npts_per_axis < 1:
         raise ValueError("npts_per_axis must be >= 1")
     # in log2 first: the exact power is formed below 2^65536 floats only, inf past it
@@ -181,14 +234,11 @@ def shell_count(d: int, n: int) -> int:
 
 
 def _binomial_sum(d: int, n: int, term) -> int:
-    """Sum of term(j), 0 <= j <= min(d, n), once d >= 1 and n >= 0 are checked; refused
-    first when its big integers cost too much, estimated in floats: an index past their
+    """Sum of term(j), 0 <= j <= min(d, n), once :func:`_check_dn` passes (d >= 1); refused
+    first when its big integers cost too much, estimated in floats: an estimate past their
     range counts as inf.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 0:
-        raise ValueError("shell index must be >= 0")
+    _check_dn(d, n, dmin=1)
     terms = min(d, n) + 1  # each of about log2 C(n + d, d) + min(d, n) bits
     try:
         if max(d, n) < 2**53:

@@ -156,7 +156,9 @@ def gram_matrix(spec: GramSpec) -> np.ndarray:
 def sampled_gram_matrix(d: int, npts: int, coeffs: CoeffSeq, trunc: int, seed: int):
     """:func:`gram_matrix` at npts seeded uniform points of [-pi, pi)^d, checked first:
     the pairs against _MAX_GRAM_PAIRS, the npts x d drawn floats against
-    numerics._MAX_GRID_FLOATS."""
+    numerics._MAX_GRID_FLOATS, once npts >= 1."""
+    if npts < 1:
+        raise ValueError("at least one point is required")
     check_cost(f"a Gram matrix of {npts} points", npts * (npts - 1) // 2, "pairs",
                _MAX_GRAM_PAIRS)
     check_cost(f"{npts} sample point(s) at d = {d}", npts * d, "floats", _MAX_GRID_FLOATS)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _shell_table, dirichlet_kernel_batch
-from .numerics import (QuadRule, _readonly, ball_enumerate, finite, theta_vector,
+from .numerics import (QuadRule, _check_dn, _readonly, ball_enumerate, finite, theta_vector,
                        torus_trapezoid)
 
 
@@ -135,11 +135,8 @@ def synth(d: int, coeffs: CoeffSeq, trunc: int, theta):
     ``theta`` is one point (d angles, returns a float) or a batch of shape
     (batch, d) (returns an array of shape (batch,)).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
-    top = min(trunc, coeffs.max_head_index)
+    top = min(trunc, coeffs.max_head_index)  # a trunc past the head is served as the head
+    _check_dn(d, top, dmin=1)
     batch = np.ndim(theta) == 2
     rows = np.asarray(theta, dtype=float) if batch else theta_vector(theta, d)[None, :]
     vals = _shell_table(d, top, rows) @ np.array(coeffs.head[:top + 1])
@@ -184,8 +181,7 @@ def partial_sum(f: SampledTorusFn, n: int, theta, route: str = "coefficients") -
     theta.  Both need the grid to resolve frequencies up to n:
     npts_per_axis > 2n, else :class:`ResolutionError`.
     """
-    if n < 0:
-        raise ValueError("order must be >= 0")
+    _check_dn(f.d, n, dmin=1)
     if f.npts_per_axis <= 2 * n:
         raise ResolutionError(f"grid of {f.npts_per_axis} points per axis cannot resolve "
                               f"order {n}")

@@ -21,11 +21,11 @@ from .bspline import bspline_values
 from .bspline_fourier import (biorthogonality_matrix, mean_closed, mean_recursion_sides,
                               mean_series, mean_torus_mc)
 from .divdiff import divided_difference_cos
-from .kernels import (_biortho_table, _check_product, _shell_table, biortho_generating_pair,
-                      biortho_generating_tail, dirichlet_kernel_batch, dirichlet_seed,
-                      poisson_divdiff, poisson_kernel, poisson_product, shell_seed,
-                      shell_sum_batch)
-from .numerics import (DEFAULT_SEED, MAX_DRAWS, gauss_legendre, rel_err, shell_count,
+from .kernels import (_check_product, _shell_table, biortho_generating_pair,
+                      biortho_generating_tail, biortho_poly, dirichlet_kernel_batch,
+                      dirichlet_seed, poisson_divdiff, poisson_kernel, poisson_product,
+                      shell_seed, shell_sum_batch)
+from .numerics import (DEFAULT_SEED, MAX_DRAWS, _check_dn, gauss_legendre, rel_err, shell_count,
                        shell_enumerate, theta_vector)
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, spdf_check, spdf_pair_search
 from .summability import CoeffSeq, Tail
@@ -110,8 +110,9 @@ def field_integrals(d: int, theta, integrand: Callable, nodes_per_segment: int =
     at most 1/4: one rule over a long segment loses accuracy when the
     integrand has a pole just beyond its end, as the Poisson kernel
     (1 - 2ru + r^2)^(-d) does at u = (1 + r^2) / (2r).  The B-spline values
-    at all nodes are computed in one call and shared across the rows.
+    at all nodes are computed in one call and shared across the rows (d >= 2).
     """
+    _check_dn(d, 0)
     knots = np.sort(np.cos(theta_vector(theta, d)))
     if knots[0] == knots[-1]:
         raise ValueError("all knots coincide")
@@ -164,7 +165,7 @@ def _shell_count(cfg: VerifyConfig):
     errors = []
     for d in dims:
         shell_enumerate(d, nmax)  # the loop below builds no larger shell: fail before any
-        at_one = _biortho_table(d, nmax, 1.0).tolist()
+        at_one = biortho_poly(d, range(nmax + 1), 1.0).tolist()
         for n in range(nmax + 1):
             count = shell_count(d, n)
             enum = len(shell_enumerate(d, n))
@@ -206,7 +207,7 @@ def _shell_integral(cfg: VerifyConfig):
     errors = []
     for d in dims:
         thetas = sample_separated_theta(rng, d, 30)
-        rows = partial(_biortho_table, d, nmax)
+        rows = partial(biortho_poly, d, range(nmax + 1))
         for t, ref in zip(thetas, _shell_table(d, nmax, thetas).tolist()):
             errors += map(rel_err, field_integrals(d, t, rows), ref)
     return {"dims": list(dims), "n_range": [0, nmax], "points": 30}, errors, {}
@@ -250,11 +251,11 @@ def _poisson_bspline(cfg: VerifyConfig):
         def powers(x, d=d):
             return [(1.0 - 2.0 * r * x + r * r) ** (-d) for r in rs]
 
-        for t in sample_separated_theta(rng, d, 10):
+        thetas = sample_separated_theta(rng, d, 10)
+        refs = zip(*(poisson_divdiff(d, r, thetas) / (2.0 * r) ** (d - 1) for r in rs))
+        for t, ref in zip(thetas, refs):
             lhs = field_integrals(d, t, powers, nodes_per_segment=40)
-            errors += [rel_err(math.factorial(d - 1) * v,
-                               float(np.prod(1.0 / (1.0 - 2.0 * r * np.cos(t) + r * r))))
-                       for r, v in zip(rs, lhs)]
+            errors += map(rel_err, (math.factorial(d - 1) * v for v in lhs), map(float, ref))
     return {"dims": list(dims), "r": list(rs), "points": 10}, errors, {}
 
 
@@ -270,7 +271,7 @@ def _poisson_divdiff(cfg: VerifyConfig):
         thetas = np.vstack([sample_separated_theta(rng, d, 20), [2.0] + [0.8] * (d - 1)])
         for r in (0.1, 0.3, 0.7):
             errors += map(rel_err, divided_difference_cos(poisson_kernel(r), thetas).tolist(),
-                          [poisson_divdiff(d, r, t) for t in thetas])
+                          poisson_divdiff(d, r, thetas).tolist())
     return {"dims": list(dims), "r": [0.1, 0.3, 0.7], "points": 21}, errors, {}
 
 
@@ -289,8 +290,7 @@ def _poisson_series(cfg: VerifyConfig):
         shells = _shell_table(d, nterms, thetas)
         for r in (0.2, 0.5):
             partials = shells @ r ** np.arange(nterms + 1)
-            errors += [rel_err(s, poisson_product(d, r, t))
-                       for t, s in zip(thetas, partials.tolist())]
+            errors += map(rel_err, partials.tolist(), poisson_product(d, r, thetas).tolist())
     return {"dims": list(dims), "r": [0.2, 0.5], "nterms": nterms, "points": 10}, errors, {}
 
 

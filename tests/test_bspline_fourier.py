@@ -17,7 +17,7 @@ from l1torus.bspline_fourier import (
     mean_series,
     mean_torus_mc,
 )
-from l1torus import bspline_fourier as bf
+from l1torus import bspline_fourier as bf, numerics
 from l1torus.bspline import knot_field_batch
 from l1torus.kernels import shell_sum_batch
 from l1torus.numerics import gauss_legendre, shell_count
@@ -202,7 +202,7 @@ def test_series_counts_a_range_past_ssize_t():
         mean_series(3, range(10**200, 0, -3), 0.5)
     for r in (range(0), range(5, 5), range(3, 10, 2), range(3, 10, 3), range(10, 3, -3),
               range(3, 10, -1), range(-5, 7, 4)):
-        assert bf._count(r) == len(r)
+        assert numerics._count(r) == len(r)
     assert mean_series(3, range(2, 9, 3), 0.5).tolist() == mean_series(3, [2, 5, 8], 0.5).tolist()
 
 
@@ -297,6 +297,31 @@ def test_mean_closed_makes_one_d2_call(monkeypatch):
         mean_closed(2, [9, 0, 3, 6], us)
     with pytest.raises(ValueError, match="closed form at n = 9: 24 terms at 6 point"):
         mean_d2_closed(9, np.full(6, 1.0))
+
+
+def test_closed_form_rows_are_bounded_before_allocation(monkeypatch):
+    # orders 0 and 1 sum no sine, so the sine count alone served any number of their rows;
+    # np.full filled all of them before mean_d2_closed checked anything
+    us = np.linspace(-0.5, 0.5, 16)
+    alpha, mixed, zeros = np.arccos(us), [0, 1] * (1 << 18), [0] * (1 << 19)
+    for call in (lambda: mean_closed(2, mixed, us), lambda: mean_d2_closed(mixed, alpha),
+                 lambda: mean_closed(3, zeros, us)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="524288 order\\(s\\) at 16 point\\(s\\): "
+                                                 "8.39e\\+06 values, over the limit of 4.19e\\+06"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 23  # the listed orders; the 2^23 rows' values would take 64 MiB
+    monkeypatch.setattr(bf, "_MAX_CLOSED_VALUES", 12)
+    assert mean_closed(2, [0, 1, 5], us[:4]).shape == (3, 4)
+    assert mean_closed(3, [0] * 12, np.array([])).shape == (12, 0)
+    with pytest.raises(ValueError, match="4 order\\(s\\) at 4 point\\(s\\): 16 values"):
+        mean_closed(2, [0, 1, 5, 0], us[:4])
+    with pytest.raises(ValueError, match="13 order\\(s\\) at 0 point\\(s\\): 13 values"):
+        mean_closed(3, [0] * 13, np.array([]))
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), np.array(3.0), "3", None])

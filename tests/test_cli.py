@@ -897,6 +897,41 @@ def test_env_var_must_be_integer(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--d", "2", "--n", "3"],
+    ["kernel", "--d", "2", "--n", "1", "--what", "E", "--theta", "0,0"],
+    ["partial-sum", "--d", "2", "--n", "1", "--L", "8", "--theta", "0.1,0.2"],
+])
+def test_a_malformed_seed_variable_leaves_commands_without_seed_alone(capsys, monkeypatch,
+                                                                     coeff_spec, argv):
+    # the parser read the variable for every --seed default on every call, so these
+    # commands, which take no seed, exited 2
+    if argv[0] == "partial-sum":
+        argv = [*argv, "--spec", coeff_spec]
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setenv("L1TORUS_SEED", "abc")
+    assert run_cli(capsys, *argv) == expected and expected[0] == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_pdf_refuses_fewer_than_one_point(capsys, coeff_spec, points):
+    # --points -1 printed numpy's "negative dimensions are not allowed"
+    code = main(["pdf", "--spec", coeff_spec, "--points", points])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: at least one point is required"]
+
+
+@pytest.mark.parametrize("suite", ["shell-integral", "poisson-bspline"])
+def test_field_suites_refuse_dimension_one(capsys, suite):
+    # one knot makes M_0 a point mass: the suites said "all knots coincide"
+    code = main(["verify", "--suite", suite, "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: dimension must be >= 2"]
+
+
 def test_invalid_choice_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kernel", "--d", "2", "--n", "1", "--what", "X"])

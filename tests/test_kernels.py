@@ -26,7 +26,6 @@ from l1torus.kernels import (
     shell_sum,
     shell_sum_batch,
     _BLOCK_ENTRIES,
-    _biortho_table,
     _dirichlet_finish,
     _shell_core,
     _shell_finish,
@@ -473,13 +472,13 @@ def _biortho_row(d, n, u, form):
 @pytest.mark.parametrize("nmax", [0, 1, 8, 30])
 def test_biortho_table_rows_are_the_scalar_values(form, d, nmax, rng):
     us = rng.uniform(-1.0, 1.0, 13)
-    table = _biortho_table(d, nmax, us, form)
+    table = biortho_poly(d, range(nmax + 1), us, form)
     assert table.shape == (nmax + 1, us.size)
     for n in range(nmax + 1):
         assert np.array_equal(table[n], _biortho_row(d, n, us, form))
         assert np.array_equal(table[n], biortho_poly(d, n, us, form=form))
     for u in us[:3].tolist():
-        column = _biortho_table(d, nmax, u, form)
+        column = biortho_poly(d, range(nmax + 1), u, form)
         assert column.shape == (nmax + 1,)
         assert column.tolist() == [float(_biortho_row(d, n, u, form)) for n in range(nmax + 1)]
         assert column.tolist() == [biortho_poly(d, n, u, form=form) for n in range(nmax + 1)]
@@ -487,12 +486,44 @@ def test_biortho_table_rows_are_the_scalar_values(form, d, nmax, rng):
 
 def test_biortho_table_keeps_the_checks():
     with pytest.raises(ValueError, match="over the limit"):
-        _biortho_table(3, 10**12, 0.5)
+        biortho_poly(3, range(10**12 + 1), 0.5)
     with pytest.raises(ValueError, match="n = 2 overflows at u = 1e\\+200"):
-        _biortho_table(3, 4, np.array([0.5, 1e200]))
+        biortho_poly(3, range(5), np.array([0.5, 1e200]))
     with pytest.raises(ValueError, match="171! is over the limit"):
         biortho_poly(172, 0, 0.5)
     assert biortho_poly(171, 0, 0.5) == float(math.factorial(170))
+
+
+@pytest.mark.parametrize("form", ["c", "z"])
+@pytest.mark.parametrize("orders", [[], [0], [9, 2, 0, 31, 2, 9, 1], [4, 4, 4], range(3, 12, 4)],
+                         ids=["none", "zero", "unsorted", "repeated", "range"])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 2)])
+def test_biortho_poly_orders_are_their_lone_calls_bitwise(form, orders, shape):
+    # one Gegenbauer pass to the largest order: each row is what its lone call returns
+    u = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+    u = u if shape else 0.37
+    rows = biortho_poly(4, orders, u, form)
+    assert rows.shape == (len(orders),) + shape
+    for row, n in zip(rows, orders):
+        assert row.tobytes() == np.asarray(biortho_poly(4, n, u, form)).tobytes()
+    assert biortho_poly(4, np.array(list(orders), dtype=np.int64), u, form).tobytes() \
+        == rows.tobytes()
+
+
+def test_biortho_poly_orders_are_checked_as_the_means_are():
+    for bad in (2.5, [1, 2.0], np.array([3.0]), "3"):
+        with pytest.raises(ValueError, match="orders must be integers"):
+            biortho_poly(3, bad, 0.5)
+    with pytest.raises(ValueError, match="1.05e\\+06 orders, over the limit of 1.05e\\+06"):
+        biortho_poly(3, range((1 << 20) + 1), np.empty(0))
+    with pytest.raises(ValueError, match="index n must be >= 0"):
+        biortho_poly(3, [2, -1], 0.5)
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        biortho_poly(1, [], 0.5)
+    # rows 2 ... 4 overflow at u = 1e200, but only a listed order is named, first as listed
+    assert np.isfinite(biortho_poly(3, [0, 1], [0.5, 1e200])).all()
+    with pytest.raises(ValueError, match="n = 5 overflows at u = 1e\\+200"):
+        biortho_poly(3, [1, 5, 2, 0], np.array([0.5, 1e200]))
 
 
 def test_biortho_generating_pair_partial_vs_closed(rng):
@@ -551,6 +582,25 @@ def test_poisson_kernel_series_matches_closed_form(r, terms, rng):
         thetas[2, :2], thetas[3, :2] = 0.0, math.pi  # a double knot at 1 or at -1
         for t in thetas:
             assert rel_err(divided_difference_cos(fn, t), poisson_divdiff(d, r, t)) < 1e-10
+
+
+@pytest.mark.parametrize("fn", [poisson_product, poisson_divdiff])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_poisson_forms_take_a_batch_bitwise(fn, d, rng):
+    thetas = np.vstack([rng.uniform(-math.pi, math.pi, (6, d)), np.zeros(d),
+                        [2.0] + [0.8] * (d - 1)])  # a knot at 1, d times; a repeated knot
+    for r in (0.0, 0.3, 0.9):
+        rows = fn(d, r, thetas)
+        assert rows.shape == (len(thetas),)
+        lone = [fn(d, r, t) for t in thetas]
+        assert all(type(v) is float for v in lone)
+        assert rows.tobytes() == np.array(lone).tobytes()
+        assert fn(d, r, np.empty((0, d))).shape == (0,)
+    for shape in [(), (d + 1,), (4, d + 1), (2, 2, d)]:
+        with pytest.raises(ValueError, match="theta must have shape \\(d,\\) or \\(rows, d\\)"):
+            fn(d, 0.5, np.zeros(shape))
+    with pytest.raises(ValueError, match="theta must be finite"):
+        fn(d, 0.5, np.full((2, d), np.nan))
 
 
 def test_poisson_rejects_r_outside_unit_interval():

@@ -59,3 +59,17 @@ def test_verify_copies_no_mean_route_bound():
         if path.name not in ("verify.py", "bspline_fourier.py"):
             copies &= {"_MAX_COST", "_MAX_GEGENBAUER"}
         assert copies == set(), path.name
+
+
+def test_input_rules_are_defined_in_numerics_alone():
+    # the (d, n) rule, the order prologue and the r rule each have one definition, which
+    # every route calls; a copy elsewhere would be free to drift
+    rules = {"_check_dn", "_check_r", "_check_orders", "_count", "_orders", "_shaped"}
+    messages = ("dimension must be", "index n must be", "r must lie in", "orders must be integers")
+    for path in Path(l1torus.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        defined = {node.name for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.FunctionDef)}
+        home = path.name == "numerics.py"
+        assert defined & rules == (rules if home else set()), path.name
+        assert [text.count(m) for m in messages] == [int(home)] * len(messages), path.name

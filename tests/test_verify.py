@@ -2,6 +2,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from l1torus.verify import (
@@ -118,6 +119,23 @@ def test_a_large_dimension_is_refused_before_its_points_are_drawn(name, d):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_poisson_suites_make_one_call_per_dimension_and_radius(monkeypatch):
+    # one batch per (d, r), where one call per point made 189, 40 and 90; poisson-bspline
+    # takes its product from poisson_divdiff instead of writing its own
+    from l1torus import verify
+
+    calls = []
+    for name in ("poisson_divdiff", "poisson_product"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda d, r, theta, real=real:
+                            calls.append(np.shape(theta)) or real(d, r, theta))
+    for name, count, rows in (("poisson-divdiff", 9, 21), ("poisson-series", 4, 10),
+                              ("poisson-bspline", 9, 10)):
+        calls.clear()
+        (report,) = run_suites([name], VerifyConfig())
+        assert report.passed and [shape[0] for shape in calls] == [rows] * count, name
 
 
 def test_divdiff_suites_make_one_call_per_seed(monkeypatch):
