@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .bspline import knot_field_batch
 from .kernels import _check_product, _shell_core, _shell_finish, _table_finish, biortho_poly
 from .numerics import (DEFAULT_SEED, MAX_DRAWS, _check_dn, _check_orders, _float_factorial,
                        _orders, _shaped, check_cost, finite, gauss_gegenbauer, shell_count)
-from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
+from .polys import _check_values, _gegenbauer_rows, geg_norm_c
 
 SERIES_EDGE_MARGIN = 1e-3
 _SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
@@ -115,6 +116,17 @@ def mean_closed(d: int, n, u):
     return _shaped(one, u, rows)
 
 
+def _series_coefficients(d: int):
+    """The parts of the mean's Gegenbauer series
+
+        mean(d, n, u) = (1-u^2)^(d-3/2) c_{d-1} / (d-1)! sum_k a_k R_{n+2k}(u),
+
+    R_m = C_m^{d-1}(u) / C_m^{d-1}(1): c_{d-1}, (d-1)! and the map k -> a_k = C(k+d-2, k)
+    = (d-1)_k / k!.  (d-1)! is checked first: c_{d-1} overflows from the same d on."""
+    fact = _float_factorial(d - 1)
+    return geg_norm_c(d - 1.0), fact, lambda k: float(math.comb(k + d - 2, k))
+
+
 def mean_series(d: int, n, u, nterms: int | None = None):
     """Filtered Gegenbauer series route for mean(d, n, u), for u scalar or ndarray.
 
@@ -126,8 +138,8 @@ def mean_series(d: int, n, u, nterms: int | None = None):
 
     ``n`` is one order, or a sequence of orders: then the result has one row per
     order, shape (len(n),) + shape(u), each row the value one call at that order
-    returns.  One recurrence pass over m serves every order, keeping two rows of
-    R and one running total per order; each total sums k upward.  ValueError
+    returns.  One pass of the normalized Gegenbauer stream over m serves every order,
+    keeping one running total per order; each total sums k upward.  ValueError
     before the pass when its (max(n) + 2K - 1 + (len(n) - 1) K) * points values
     exceed _MAX_SERIES_VALUES, or when (d-1)! is beyond the float range.
     """
@@ -148,29 +160,24 @@ def mean_series(d: int, n, u, nterms: int | None = None):
                f"{u_arr.size} point(s)", cost, "values", _MAX_SERIES_VALUES)
     if nterms is not None:  # a float once it is known to be small
         terms = np.full(u_arr.shape, float(kmax))
-    fact = _float_factorial(d - 1)
-    lam = d - 1.0
+    norm, fact, coef = _series_coefficients(d)
     x, terms = u_arr.squeeze()[()], terms.squeeze()[()]  # a lone point steps as numpy scalars
     expo = -36.0 / terms ** 8  # sigma(k/K) = exp(k^8 * expo)
     kfull = int(np.min(terms, initial=kmax))  # every point takes the terms k < kfull
     totals = {order: np.zeros_like(x)[()] for order in orders}
     parity = ([o for o in sorted(totals) if o % 2 == 0], [o for o in sorted(totals) if o % 2])
     weights = {}  # k -> sigma(k/K) a_k, until the largest order of its parity has taken it
-    prev, cur = np.zeros_like(x)[()], np.ones_like(x)[()]  # R_{m-1}, R_m
-    for m in range(top + 2 * kmax - 1 if kmax else 0):
-        if m:  # (m+2lam-1) R_m = 2 (m+lam-1) u R_{m-1} - (m-1) R_{m-2}
-            prev, cur = cur, ((2.0 * (m + lam - 1.0) * x * cur - (m - 1.0) * prev)
-                              / (m + 2.0 * lam - 1.0))
+    rows = _gegenbauer_rows(d - 1.0, x, normalized=True)
+    for m, cur in zip(range(top + 2 * kmax - 1 if kmax else 0), rows):  # cur = R_m
         group = parity[m % 2]
         # the orders whose term k < K sits at degree m = order + 2k
         for order in group[bisect_left(group, m - 2 * kmax + 2):bisect_right(group, m)]:
             k = (m - order) // 2
             if k not in weights:
-                a_k = float(math.comb(k + d - 2, k))  # (d-1)_k / k!
-                w = a_k * np.exp(k ** 8 * expo)
+                w = coef(k) * np.exp(k ** 8 * expo)
                 weights[k] = w if k < kfull else np.where(k < terms, w, 0.0)
             totals[order] += (weights.pop(k) if order == group[-1] else weights[k]) * cur
-    scale = (1.0 - x * x) ** (d - 1.5) * geg_norm_c(lam) / fact
+    scale = (1.0 - x * x) ** (d - 1.5) * norm / fact
     return _shaped(one, u, [scale * totals[order] for order in orders])
 
 
@@ -181,22 +188,27 @@ def mean_recursion_sides(d: int, n, u):
     lhs = (d-1)! sum_{j=0}^{d-1} (-1)^j C(d-1, j) mean(d, n+2j, u)
     rhs = c_{d-1} (1-u^2)^(d-3/2) C_n^{d-1}(u) / C_n^{d-1}(1)
 
-    Every mean comes from one call of :func:`mean_closed` (d = 2) or :func:`mean_series`.
+    Every mean comes from one call of :func:`mean_closed` (d = 2) or :func:`mean_series`,
+    and the right side from the normalized Gegenbauer stream to the largest order, bounded
+    with the rows it returns before any mean is taken.
     """
     one, orders, top = _orders(d, n, "mean recursion")
     x = finite(u, "u")
     if np.any(np.abs(x) >= 1.0):
         raise ValueError(f"u must lie strictly inside (-1, 1), got {float(x[np.abs(x) >= 1][0])}")
-    fact, lam = _float_factorial(d - 1), float(d - 1)
+    norm, fact, _ = _series_coefficients(d)
     _check_orders("mean recursion", d * len(orders), "means")
+    _check_values(f"recursion to degree {top} for {len(orders)} order(s) at {x.size} point(s)",
+                  max(top + 1, len(orders)), x.size)
     needed = sorted({order + 2 * j for order in orders for j in range(d)})
     means = (mean_closed if d == 2 else mean_series)(d, needed, x)
     row = {order: i for i, order in enumerate(needed)}
     lhs = fact * sum((-1) ** j * math.comb(d - 1, j) * means[[row[o + 2 * j] for o in orders]]
                      for j in range(d))
-    cn = gegenbauer_sequence(lam, top, x)[orders]
-    cn1 = gegenbauer_at_one(lam, top)[orders].reshape((-1,) + (1,) * x.ndim)
-    rhs = geg_norm_c(lam) * (1.0 - x * x) ** (d - 1.5) * cn / cn1
+    wanted, stream = set(orders), _gegenbauer_rows(d - 1.0, x, normalized=True)
+    picked = {m: r for m, r in zip(range(top + 1), stream) if m in wanted}  # R_n, each order
+    rhs = norm * (1.0 - x * x) ** (d - 1.5) * np.reshape([picked[o] for o in orders],
+                                                         (len(orders),) + x.shape)
     return _shaped(one, u, lhs), _shaped(one, u, rhs)
 
 
@@ -312,20 +324,19 @@ def biorthogonality_matrix(d: int, max_index: int) -> np.ndarray:
     polynomial pairings exactly.
     """
     _check_dn(d, max_index)
-    lam = d - 1
-    fact = _float_factorial(lam)  # checked before c_lam, which overflows from the same d on
-    rule = gauss_gegenbauer(max_index + 8, float(lam))
+    norm, fact, coef = _series_coefficients(d)
+    rule = gauss_gegenbauer(max_index + 8, d - 1.0)
     x, w = rule.nodes, rule.weights
     degmax = max_index + 6
-    seq = gegenbauer_sequence(float(lam), degmax, x)
-    ones = gegenbauer_at_one(float(lam), degmax)
-    a = np.array([math.comb(k + d - 2, k) for k in range(degmax)], dtype=float)  # (d-1)_k/k!
-    const = geg_norm_c(float(lam)) / fact
+    _check_values(f"pairing to degree {degmax} at {x.size} point(s)", degmax + 1, x.size)
+    seq = np.array(list(islice(_gegenbauer_rows(d - 1.0, x, normalized=True), degmax + 1)))
+    a = np.array([coef(k) for k in range(degmax)])
+    const = norm / fact
     rows = np.empty((max_index + 1, x.size))
     for n in range(max_index + 1):
         kmax = (max_index - n) // 2 + 2
         degs = n + 2 * np.arange(kmax + 1)
         degs = degs[degs <= degmax]
-        rows[n] = const * np.tensordot(a[: degs.size] / ones[degs], seq[degs], axes=(0, 0))
+        rows[n] = const * np.tensordot(a[: degs.size], seq[degs], axes=(0, 0))
     hmat = biortho_poly(d, range(max_index + 1), x)
     return rows @ (w * hmat).T

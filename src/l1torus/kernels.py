@@ -28,41 +28,57 @@ biortho_poly takes a set of orders and the Poisson forms a batch of points.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .numerics import (_CACHE_ENTRIES, _check_dn, _check_r, _float_factorial, _orders, _shaped,
                        check_cost, finite, theta_vector)
-from .polys import gegenbauer_at_one, gegenbauer_sequence
+from .polys import _check_values, _gegenbauer_rows, gegenbauer_at_one
 
 # Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
 _BLOCK_ENTRIES = 1 << 14
 _MAX_COST = 1 << 31  # multiply-adds one shell or Dirichlet batch may cost (_check_product)
 _MAX_CHEBYSHEV = 1 << 20  # coefficients of one seed polynomial (n + d) or Poisson series
+_CACHED_SEED = 1 << 14  # coefficients (n + d, 128 KiB) up to which a seed polynomial is cached
+_BIORTHO_BLOCK = 256  # rows of the Gegenbauer stream biortho_poly combines at once
 
 
 def _sign(d: int) -> float:
     return -1.0 if ((d - 1) // 2) % 2 else 1.0
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
 def _cheb_t(n: int) -> Chebyshev:
-    return Chebyshev.basis(n)
+    coef = np.zeros(n + 1)  # Chebyshev.basis lists n zeros in Python first
+    coef[n] = 1.0
+    return Chebyshev(coef)
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
 def _cheb_u(n: int) -> Chebyshev:
     if n < 0:
         return Chebyshev([0.0])
-    return Chebyshev.basis(n + 1).deriv() / (n + 1)
+    return _cheb_t(n + 1).deriv() / (n + 1)
 
 
 _ONE_MINUS_SQ = Chebyshev([0.5, 0.0, -0.5])  # 1 - u^2
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
+def _cached_seed(build):
+    """``build(d, n)`` behind an lru_cache of _CACHE_ENTRIES entries that keeps only seeds
+    of at most _CACHED_SEED coefficients, n + d: a larger seed is built again on each call,
+    so the cache holds at most _CACHE_ENTRIES * _CACHED_SEED coefficients."""
+    cached = lru_cache(maxsize=_CACHE_ENTRIES)(build)
+
+    @wraps(build)
+    def seed(d: int, n: int) -> Chebyshev:
+        return (cached if n + d <= _CACHED_SEED else build)(d, n)
+
+    seed.cache_info = cached.cache_info
+    return seed
+
+
+@_cached_seed
 def dirichlet_seed(d: int, n: int) -> Chebyshev:
     """The Dirichlet seed as an exact polynomial in u (Chebyshev basis)."""
     _check_dn(d, n)
@@ -76,7 +92,7 @@ def dirichlet_seed(d: int, n: int) -> Chebyshev:
 dirichlet_seed_poly = dirichlet_seed
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
+@_cached_seed
 def shell_seed(d: int, n: int) -> Chebyshev:
     """The shell seed as an exact polynomial in u (Chebyshev basis).
 
@@ -130,27 +146,48 @@ def biortho_poly(d: int, n, u, form: str = "c"):
     The value equals the (d-1)-st derivative of the shell seed, and at u = 1
     it is (d-1)! times the shell count.  ``u`` may be a scalar or ndarray, and ``n`` one
     order or a sequence of orders, one row each, as for the mean routes
-    (``numerics._orders``).  One Gegenbauer pass to the largest order serves every row,
-    bounded by :func:`gegenbauer_sequence`; row n sums its terms j = 0, 1, ... in the order
-    the definition lists them, so it is its lone call bit for bit.  ValueError when (d-1)!
-    is beyond the float range, and naming the first listed order that overflows.
+    (``numerics._orders``).  One Gegenbauer stream to the largest order serves every row:
+    it fills blocks of _BIORTHO_BLOCK rows, each combined at once and carried over by
+    its last 2 d rows, so a call holds at most 2 d + _BIORTHO_BLOCK rows of it whatever
+    n is.  Row n sums its terms j = 0, 1, ... in the order the definition lists them, so
+    it is its lone call bit for bit.  ValueError before the stream steps when its rows,
+    or the rows returned, at every point exceed the bound of
+    :func:`polys._check_values`; when (d-1)! is beyond the float range; and naming the
+    first listed order that overflows.
     """
     one, orders, top = _orders(d, n, "biorthogonal polynomials")
     u_arr = finite(u, "u")
     if form not in ("c", "z"):
         raise ValueError("form must be 'c' or 'z'")
+    _check_values(f"biorthogonal polynomials to degree {top} for {len(orders)} order(s) at "
+                  f"{u_arr.size} point(s)", max(top + 1, len(orders)), u_arr.size)
     scale = _float_factorial(d - 1)
     base = d if form == "c" else d - 1
     lam = float(base)
+    span = 2 * base  # the terms row n reaches back to, n - 2 base ... n
+    where = np.argsort(orders, kind="stable")  # the output rows in the order of their orders
+    listed = np.asarray(orders, dtype=np.int64)[where]
+    rows = np.empty((len(orders),) + u_arr.shape)
+    buf = np.empty((min(span + _BIORTHO_BLOCK, top + 1),) + u_arr.shape)
+    held = 0  # rows of buf carried over: the terms lo - held ... lo - 1
+    stream = _gegenbauer_rows(lam, u_arr)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = gegenbauer_sequence(lam, top, u_arr)
-        if form == "z":
-            terms = ((np.arange(top + 1) + lam) / lam).reshape((-1,) + (1,) * u_arr.ndim) * terms
-        table = np.zeros(terms.shape)
-        for j in range(min(base, top // 2) + 1):  # row n takes the terms j <= n / 2
-            table[2 * j:] += (-1) ** j * math.comb(base, j) * terms[:top + 1 - 2 * j]
-        table *= scale
-    rows = table[orders]
+        for lo in range(0, top + 1 if orders else 0, _BIORTHO_BLOCK):
+            hi = min(lo + _BIORTHO_BLOCK, top + 1)
+            for m, row in zip(range(lo, hi), stream):
+                buf[held + m - lo] = row if form == "c" else (m + lam) / lam * row
+            first = lo - held  # the degree of buf[0]
+            block = np.zeros((hi - lo,) + u_arr.shape)
+            for j in range(min(base, (hi - 1) // 2) + 1):  # row n takes the terms j <= n / 2
+                start = max(lo, 2 * j + first)
+                block[start - lo:] += ((-1) ** j * math.comb(base, j)
+                                       * buf[start - 2 * j - first:hi - 2 * j - first])
+            block *= scale
+            first_row, end_row = np.searchsorted(listed, (lo, hi))
+            rows[where[first_row:end_row]] = block[listed[first_row:end_row] - lo]
+            keep = min(span, hi)
+            buf[:keep] = buf[held + hi - lo - keep:held + hi - lo]
+            held = keep
     bad = ~np.isfinite(rows.reshape(len(orders), u_arr.size))
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))

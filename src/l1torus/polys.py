@@ -1,27 +1,62 @@
 """Gegenbauer (ultraspherical) polynomial machinery.
 
-Values come from the three-term recurrence
+Values come from one three-term recurrence, streamed a row at a time by
+``_gegenbauer_rows``:
 
-    n C_n^lam(t) = 2 (n + lam - 1) t C_{n-1}^lam(t) - (n + 2 lam - 2) C_{n-2}^lam(t)
+    m C_m^lam(t) = 2 (m + lam - 1) t C_{m-1}^lam(t) - (m + 2 lam - 2) C_{m-2}^lam(t)
 
-with C_0 = 1 and C_1 = 2 lam t.  The module also provides the values at
-t = 1 and the weight normalization constant c_lam.  Each table is bounded here,
-before it is allocated, for every caller.
+with C_0 = 1 and C_1 = 2 lam t, or for the normalized rows R_m = C_m^lam(t) / C_m^lam(1)
+
+    (m + 2 lam - 1) R_m = 2 (m + lam - 1) t R_{m-1} - (m - 1) R_{m-2}
+
+with R_0 = 1 and R_{-1} = 0.  Every route steps this stream, and ``gegenbauer_sequence``
+fills a table from it.  The module also provides the values at t = 1 and the weight
+normalization constant c_lam; ``_check_values`` bounds each table and bounded stream
+before it is allocated or stepped.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .numerics import check_cost
 
-_MAX_GEGENBAUER = 1 << 20  # values, (nmax + 1) * max(points, 1), of one Gegenbauer table
+_MAX_GEGENBAUER = 1 << 22  # values, rows stepped * max(points, 1), of one table or stream
 
 
 def _check_lam(lam: float):
     if lam <= -0.5:
         raise ValueError("Gegenbauer parameter must exceed -1/2")
+
+
+def _check_values(what: str, rows: int, points: int):
+    """ValueError when ``rows`` rows of the recurrence at ``points`` points, rows *
+    max(points, 1) values, exceed _MAX_GEGENBAUER: with no point the recurrence would
+    still step through its rows.  Each caller counts the rows it steps or returns."""
+    check_cost(what, rows * max(points, 1), "Gegenbauer values", _MAX_GEGENBAUER)
+
+
+def _gegenbauer_rows(lam: float, t, normalized: bool = False):
+    """The rows m = 0, 1, 2, ... of the recurrence at ``t``, without end: C_m^lam(t), or
+    R_m = C_m^lam(t) / C_m^lam(1) when ``normalized`` (lam > 0).  Each row has the shape
+    of t, except that at a lone point (t of size 1) it is a numpy scalar, which steps
+    several times faster than an array of one value, to the same bits.  The stream itself
+    is unbounded: its callers bound the rows they take by :func:`_check_values`, or by a
+    limit of their own."""
+    x = np.asarray(t, dtype=float)
+    x = x.reshape(())[()] if x.size == 1 else x
+    prev = np.zeros(np.shape(x))[()]
+    cur = prev + 1.0
+    yield cur
+    if not normalized:  # C_1 = 2 lam t, which the step gives at C_{-1} = 0 up to rounding
+        prev, cur = cur, 2.0 * lam * x
+        yield cur
+    for m in itertools.count(1 if normalized else 2):
+        back, div = (m - 1.0, m + 2.0 * lam - 1.0) if normalized else (m + 2.0 * lam - 2.0, m)
+        prev, cur = cur, (2.0 * (m + lam - 1.0) * x * cur - back * prev) / div
+        yield cur
 
 
 def gegenbauer_sequence(lam: float, nmax: int, t) -> np.ndarray:
@@ -33,14 +68,10 @@ def gegenbauer_sequence(lam: float, nmax: int, t) -> np.ndarray:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     t = np.asarray(t, dtype=float)
-    check_cost(f"recurrence to degree {nmax} at {t.size} point(s)", (nmax + 1) * max(t.size, 1),
-               "Gegenbauer values", _MAX_GEGENBAUER)
+    _check_values(f"recurrence to degree {nmax} at {t.size} point(s)", nmax + 1, t.size)
     out = np.empty((nmax + 1,) + t.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * lam * t
-    for n in range(2, nmax + 1):
-        out[n] = (2.0 * (n + lam - 1.0) * t * out[n - 1] - (n + 2.0 * lam - 2.0) * out[n - 2]) / n
+    for n, row in zip(range(nmax + 1), _gegenbauer_rows(lam, t)):
+        out[n] = row
     return out
 
 
@@ -48,7 +79,7 @@ def gegenbauer_at_one(lam: float, nmax: int) -> np.ndarray:
     """Values at the right endpoint: C_n^lam(1) = (2 lam)_n / n! for n <= nmax.
     ValueError before allocating when nmax + 1 values exceed _MAX_GEGENBAUER."""
     _check_lam(lam)
-    check_cost(f"values at t = 1 to degree {nmax}", nmax + 1, "Gegenbauer values", _MAX_GEGENBAUER)
+    _check_values(f"values at t = 1 to degree {nmax}", nmax + 1, 1)
     out = np.empty(nmax + 1)
     out[0] = 1.0
     for n in range(1, nmax + 1):

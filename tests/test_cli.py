@@ -85,6 +85,17 @@ def test_kernel_large_shell_returns_exact_count(capsys):
     assert row["value"] == str(shell_count(8, 60)) == "143297324288"
 
 
+def test_two_point_h_request_is_served_row_by_row_as_its_lone_points(capsys):
+    # one table of 1.2e6 Gegenbauer values was refused with exit 2, though each point alone
+    # was served; the stream holds a block of rows, and each row is its lone point's
+    lines = {}
+    for us in (("0.1", "0.2"), ("0.1",), ("0.2",)):
+        flags = [flag for u in us for flag in ("--u", u)]
+        assert main(["kernel", "--d", "3", "--n", "600000", "--what", "h", *flags]) == 0
+        lines[us] = capsys.readouterr().out.splitlines()[1:]
+    assert lines[("0.1", "0.2")] == lines[("0.1",)] + lines[("0.2",)]
+
+
 @pytest.mark.parametrize("argv", [
     ["--d", "3", "--n", "1000000000", "--what", "E", "--theta", "0.1,0.2,0.3"],
     ["--d", "8", "--n", "2", "--what", "E", "--grid", "30"],

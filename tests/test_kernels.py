@@ -453,12 +453,13 @@ def test_biortho_poly_is_high_derivative_of_shell_seed(d, n, rng):
     assert np.max(np.abs(got - deriv)) < 1e-10 * scale
 
 
-def _biortho_row(d, n, u, form):
+def _biortho_row(d, n, u, form, seq=None):
     """One row by the definition's own loop over j, as biortho_poly summed it
-    before the table: the reference the table must reproduce bit for bit."""
+    before the table: the reference the table must reproduce bit for bit.  ``seq``, a
+    Gegenbauer table to n or beyond at u, saves building it again."""
     lam, base = (float(d), d) if form == "c" else (float(d - 1), d - 1)
     u = np.asarray(u, dtype=float)
-    seq = gegenbauer_sequence(lam, n, u)
+    seq = gegenbauer_sequence(lam, n, u) if seq is None else seq
     total = np.zeros(u.shape)
     for j in range(min(base, n // 2) + 1):
         k = n - 2 * j
@@ -469,19 +470,44 @@ def _biortho_row(d, n, u, form):
 
 @pytest.mark.parametrize("form", ["c", "z"])
 @pytest.mark.parametrize("d", [2, 3, 4, 7])
-@pytest.mark.parametrize("nmax", [0, 1, 8, 30])
+@pytest.mark.parametrize("nmax", [0, 1, 8, 30, 600])
 def test_biortho_table_rows_are_the_scalar_values(form, d, nmax, rng):
+    # 600 orders take three blocks of the stream, each carried into the next; the lone
+    # calls are compared at every order up to 30, and past it at each block's edges
     us = rng.uniform(-1.0, 1.0, 13)
+    lam = float(d if form == "c" else d - 1)
+    lone = range(nmax + 1) if nmax <= 30 else [*range(20), 255, 256, 257, 511, 512, 513, nmax]
     table = biortho_poly(d, range(nmax + 1), us, form)
     assert table.shape == (nmax + 1, us.size)
+    seq = gegenbauer_sequence(lam, nmax, us)
     for n in range(nmax + 1):
-        assert np.array_equal(table[n], _biortho_row(d, n, us, form))
+        assert np.array_equal(table[n], _biortho_row(d, n, us, form, seq))
+    for n in lone:
         assert np.array_equal(table[n], biortho_poly(d, n, us, form=form))
     for u in us[:3].tolist():
         column = biortho_poly(d, range(nmax + 1), u, form)
         assert column.shape == (nmax + 1,)
-        assert column.tolist() == [float(_biortho_row(d, n, u, form)) for n in range(nmax + 1)]
-        assert column.tolist() == [biortho_poly(d, n, u, form=form) for n in range(nmax + 1)]
+        seq = gegenbauer_sequence(lam, nmax, u)
+        assert column.tolist() == [float(_biortho_row(d, n, u, form, seq))
+                                   for n in range(nmax + 1)]
+        assert [column[n] for n in lone] == [biortho_poly(d, n, u, form=form) for n in lone]
+
+
+def test_biortho_poly_peak_does_not_grow_with_n_in_a_fresh_process(fresh_env):
+    # the whole (n + 1)-row table was held: 0.4 MB at n = 5e4, 53 MB as a process at 1e6
+    code = ("import tracemalloc\n"
+            "from l1torus.kernels import biortho_poly\n"
+            "biortho_poly(3, 300, 0.5)\n"
+            "tracemalloc.start()\n"
+            "for n in (1_000, 50_000):\n"
+            "    tracemalloc.reset_peak()\n"
+            "    biortho_poly(3, n, 0.5)\n"
+            "    print(tracemalloc.get_traced_memory()[1])\n")
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    small, large = map(int, done.stdout.split())
+    assert large <= small + (16 << 10) and large < 64 << 10
 
 
 def test_biortho_table_keeps_the_checks():
@@ -636,4 +662,4 @@ def test_biortho_generating_pair_takes_arrays(rng):
     with pytest.raises(ValueError, match="over the limit"):
         biortho_generating_pair(3, 0.5, us, 1 << 20)
     with pytest.raises(ValueError, match="over the limit"):
-        biortho_generating_tail(3, 0.5, 1 << 20)
+        biortho_generating_tail(3, 0.5, 1 << 22)

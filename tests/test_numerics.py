@@ -1,6 +1,8 @@
 """Quadrature rules, lattice enumeration, and small numeric helpers."""
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,13 +73,32 @@ def test_every_cache_keeps_at_most_its_bound():
     # unbounded, 12 shell seeds of 2^19 coefficients held 24 series and 194 MB
     bound = numerics._CACHE_ENTRIES
     calls = {numerics.gauss_legendre: lambda k: (k,), numerics.shell_enumerate: lambda k: (1, k),
-             kernels._cheb_t: lambda k: (k,), kernels._cheb_u: lambda k: (k,),
              kernels.dirichlet_seed: lambda k: (2, k), kernels.shell_seed: lambda k: (2, k)}
     for cached, args in calls.items():
         assert cached.cache_info().maxsize == bound
         for k in range(1, bound + 10):
             cached(*args(k))
         assert cached.cache_info().currsize <= bound
+
+
+def test_seeds_at_the_limit_are_not_held_in_a_fresh_process(fresh_env):
+    # the seed caches kept 64 entries whatever their size: 10 shell and 10 Dirichlet seeds
+    # at the limit held 248 MiB with the Chebyshev bases they were built from
+    code = ("import tracemalloc\n"
+            "from l1torus.kernels import _MAX_CHEBYSHEV as top, dirichlet_seed, shell_seed\n"
+            "tracemalloc.start()\n"
+            "for i in range(35):\n"
+            "    shell_seed(3, top - 3 - i)\n"
+            "    dirichlet_seed(4, top - 4 - i)\n"
+            "print(tracemalloc.get_traced_memory()[0])\n")
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 64 << 20
+    # small seeds, the sizes every suite and benchmark request takes, stay cached
+    before = kernels.shell_seed.cache_info().hits
+    assert kernels.shell_seed(5, 10) is kernels.shell_seed(5, 10)
+    assert kernels.shell_seed.cache_info().hits > before
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0, 3.0])

@@ -1,4 +1,5 @@
 """Gegenbauer polynomial family: recurrence, norms, generating function."""
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer, gamma, poch, roots_gegenbauer
 
 from l1torus.numerics import gauss_gegenbauer
-from l1torus.polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
+from l1torus.polys import _gegenbauer_rows, geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 
 TOL = 1e-11
 RULE_LAMS = [-0.25, 0.0, 0.5, 1.0, 2.0, 5.0, 50.0, 170.0]
@@ -150,3 +151,34 @@ def test_gegenbauer_rule_rejects_bad_input(npts, lam):
 def test_gegenbauer_rule_size_is_bounded_before_allocation():
     with pytest.raises(ValueError, match="over the limit"):
         gauss_gegenbauer(10**8, 1.0)
+
+
+# ------------------------------------------------------ the one recurrence stream
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0])
+def test_normalized_rows_are_the_values_over_their_value_at_one(lam, rng):
+    t = rng.uniform(-1, 1, 7)
+    rows = np.array(list(itertools.islice(_gegenbauer_rows(lam, t, normalized=True), 40)))
+    ref = eval_gegenbauer(np.arange(40)[:, None], lam, t) / gegenbauer_at_one(lam, 39)[:, None]
+    assert np.max(np.abs(rows - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_a_lone_point_steps_as_scalars_to_its_batch_bits(normalized, rng):
+    t = rng.uniform(-1, 1, 5)
+    batch = np.array(list(itertools.islice(_gegenbauer_rows(2.0, t, normalized), 30)))
+    for i, u in enumerate(t):
+        for shape in ((), (1,), (1, 1)):
+            rows = list(itertools.islice(_gegenbauer_rows(2.0, np.full(shape, u), normalized), 30))
+            assert all(isinstance(row, np.float64) and row.ndim == 0 for row in rows)
+            assert np.array(rows).tobytes() == batch[:, i].tobytes()
+
+
+def test_one_count_of_values_bounds_the_table():
+    # rows * max(points, 1): 2^22 values, a table of 32 MiB, are served; one more row is not
+    assert gegenbauer_sequence(1.0, 7, np.zeros(1 << 19)).shape == (8, 1 << 19)
+    message = (r"recurrence to degree 8 at 524288 point\(s\): 4.72e\+06 Gegenbauer values, "
+               r"over the limit of 4.19e\+06")
+    with pytest.raises(ValueError, match=message):
+        gegenbauer_sequence(1.0, 8, np.zeros(1 << 19))

@@ -17,9 +17,11 @@ def test_all_lists_every_public_name_once():
     assert sorted(bound - set(listed)) == [], "bound but not listed"
 
 
-# Reached only from the benchmark's jobs and the tests; they go when perfbench/ stops
-# binding them, which is a change to the benchmark of its own.
-BENCHMARK_BOUND = {"bspline_eval", "dirichlet_kernel", "dirichlet_seed_poly", "shell_sum"}
+# Reached only from the benchmark's jobs or its tracer and the tests; they go when
+# perfbench/ stops binding them, which is a change to the benchmark of its own.  Every
+# route steps the Gegenbauer stream of polys, so its table is one of them.
+BENCHMARK_BOUND = {"bspline_eval", "dirichlet_kernel", "dirichlet_seed_poly",
+                   "gegenbauer_sequence", "shell_sum"}
 
 
 def _references(tree: ast.AST, skip: str | None = None):
@@ -73,3 +75,25 @@ def test_input_rules_are_defined_in_numerics_alone():
         home = path.name == "numerics.py"
         assert defined & rules == (rules if home else set()), path.name
         assert [text.count(m) for m in messages] == [int(home)] * len(messages), path.name
+
+
+def _gegenbauer_steps(tree: ast.AST) -> list[int]:
+    """Lines of three-term steps: a quotient whose numerator takes a product of two or more
+    factors from a product of three or more, as (2 (m + lam - 1) t X_{m-1} - b X_{m-2}) / c."""
+    def factors(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return factors(node.left) + factors(node.right)
+        return [node]
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and len(factors(node.left.left)) >= 3 and len(factors(node.left.right)) >= 2]
+
+
+def test_one_gegenbauer_recurrence_in_polys_alone():
+    # the series stepped its own copy of the recurrence beside the table's; every route
+    # now takes its rows, raw or normalized, from the one stream in polys
+    for path in Path(l1torus.__file__).parent.glob("*.py"):
+        steps = _gegenbauer_steps(ast.parse(path.read_text()))
+        assert len(steps) == (path.name == "polys.py"), (path.name, steps)

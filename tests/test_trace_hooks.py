@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import l1torus
-from l1torus import bspline, cli, divdiff, kernels
+from l1torus import bspline, cli, divdiff, kernels, polys
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -66,6 +66,7 @@ def test_tracer_installs_counts_and_uninstalls(tracer_module, tmp_path):
         kernels.dirichlet_kernel(2, 1, [0.1, 0.2])
         bspline.bspline_eval([0.0, 0.5, 1.0], 0.3)
         divdiff.divided_difference_cos(kernels.shell_seed(2, 1), [0.1, 0.7])
+        polys.gegenbauer_sequence(1.0, 3, 0.5)  # no route takes the table: each steps the stream
         summary = tracer.summary()
         spans = tracer.spans
     finally:
