@@ -30,13 +30,12 @@ import numpy as np
 
 from .bspline import knot_field_batch
 from .kernels import _check_product, _shell_core, _shell_finish, _table_finish, biortho_poly
-from .numerics import (DEFAULT_SEED, MAX_DRAWS, _check_dn, _check_orders, _float_factorial,
+from .numerics import (DEFAULT_SEED, _check_dn, _check_orders, _check_values, _float_factorial,
                        _orders, _shaped, check_cost, finite, gauss_gegenbauer, shell_count)
-from .polys import _check_values, _gegenbauer_rows, geg_norm_c
+from .polys import _gegenbauer_rows, geg_norm_c
 
 SERIES_EDGE_MARGIN = 1e-3
 _SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
-_MC_GAP = 1e-12
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
 _MC_BATCH_PAIRS = 1 << 14  # antithetic pairs per Monte-Carlo batch, whatever the points
 _MC_FIELD_VALUES = 1 << 16  # values, pairs * 2 points (+u, -u) each, of one MC field call
@@ -45,14 +44,7 @@ _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_t
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
 _MAX_MC_COST = 1 << 36
 _MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point and order, of one mean_d2_closed
-_MAX_CLOSED_VALUES = 1 << 22  # values, orders * max(points, 1), one closed-form call returns
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
-
-
-def _check_rows(orders: list[int], points: int):
-    """ValueError before a closed form allocates its len(orders) * max(points, 1) values."""
-    check_cost(f"closed form for {len(orders)} order(s) at {points} point(s)",
-               len(orders) * max(points, 1), "values", _MAX_CLOSED_VALUES)
 
 
 def mean_d2_closed(n, alpha):
@@ -61,13 +53,15 @@ def mean_d2_closed(n, alpha):
 
     1/2 - (n mod 2) alpha/pi - (2/pi) sum sin(m alpha)/m, m = 1 + n mod 2, 3 + n mod 2, ... < n.
     Each order sums its prefix of one row of sin(m alpha)/m per parity, bit for bit its lone
-    call.  ValueError past :func:`_check_rows`, or max(points, 1) sum(n // 2) > _MAX_CLOSED_TERMS.
+    call.  ValueError before any row is allocated when its orders * max(points, 1) values
+    exceed ``numerics._MAX_VALUES``, or max(points, 1) sum(n // 2) > _MAX_CLOSED_TERMS.
     """
     one, orders, top = _orders(2, n, "closed form")
     a = np.asarray(alpha, dtype=float)
     if not np.all((0.0 < a) & (a < math.pi)):
         raise ValueError("alpha must lie strictly inside (0, pi)")
-    _check_rows(orders, a.size)
+    _check_values(f"closed form for {len(orders)} order(s) at {a.size} point(s)", len(orders),
+                  a.size)
     # the frequencies are listed even when there is no point
     check_cost(f"closed form at n = {top}" + ("" if one else f" for {len(orders)} orders"),
                max(a.size, 1) * sum(o // 2 for o in orders), f"terms at {a.size} point(s)",
@@ -107,7 +101,8 @@ def mean_closed(d: int, n, u):
     if d != 2 and any(orders):
         raise ValueError("closed form requires d = 2 or n = 0")
     x = finite(u, "u")
-    _check_rows(orders, x.size)
+    _check_values(f"closed form for {len(orders)} order(s) at {x.size} point(s)", len(orders),
+                  x.size)
     rows = np.full((len(orders),) + x.shape, mean_order0_closed(d, x) if d != 2 else 0.0)
     inside = np.abs(x) < 1.0  # the d = 2 mean is 0 elsewhere
     if d == 2 and inside.any():
@@ -241,11 +236,10 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     Draws uniform points on the torus in antithetic pairs (theta, pi - theta);
     the mirror member is folded in analytically through the symmetries
     field(u | -knots reversed) = field(-u | knots) and the factor (-1)^n on
-    the shell sum.  Samples whose sorted cosine knots have an adjacent gap
-    below 1e-12 are rejected and redrawn (the integrand is integrable but
-    unbounded there); a batch still holding such a sample after ``MAX_DRAWS``
-    rounds of redraws raises ValueError.  ``budget`` counts integrand evaluations per
-    point and order, 4 to _MAX_MC_BUDGET in all; default 2e6 (d = 2), 1e7 (d = 3).
+    the shell sum.  No draw is rejected: a zero span between tied knots adds a zero
+    term to the field, so every draw gives a finite value.  ``budget`` counts integrand
+    evaluations per point and order, 4 to _MAX_MC_BUDGET in all; default 2e6 (d = 2),
+    1e7 (d = 3).
     ValueError before the first draw when the shell sums of all budget / 2 pairs at the
     largest order would take more than _MAX_MC_COST multiply-adds.
 
@@ -257,7 +251,7 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     A field call evaluates +-u at as many points as _MC_FIELD_VALUES holds.  Each batch's
     mean and squared deviations per order and point are merged into running ones (Chan,
     Golub and LeVeque), so one batch gives its values' mean and ddof=1 spread bit for bit,
-    and each order's and point's estimate is its lone call's, redraws included.
+    and each order's and point's estimate is its lone call's.
     """
     if d not in (2, 3):
         raise ValueError("Monte-Carlo route supports d in {2, 3}")
@@ -282,15 +276,6 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     for lo in range(0, total_pairs if orders else 0, _MC_BATCH_PAIRS):
         b = min(_MC_BATCH_PAIRS, total_pairs - lo)
         cols = _sorted_columns(rng.uniform(-math.pi, math.pi, size=(b, d)))
-        bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
-        for _ in range(MAX_DRAWS):
-            if not np.any(bad):
-                break
-            cols[:, bad] = _sorted_columns(rng.uniform(-math.pi, math.pi,
-                                                       size=(int(bad.sum()), d)))
-            bad = np.min(np.diff(cols, axis=0), axis=0) < _MC_GAP
-        if np.any(bad):
-            raise ValueError(f"knots still closer than {_MC_GAP:g} after {MAX_DRAWS} redraws")
         if not top:  # E_0 = 1
             sums = np.ones((1, b))
         elif len(orders) == 1:

@@ -33,9 +33,9 @@ from functools import lru_cache, wraps
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .numerics import (_CACHE_ENTRIES, _check_dn, _check_r, _float_factorial, _orders, _shaped,
-                       check_cost, finite, theta_vector)
-from .polys import _check_values, _gegenbauer_rows, gegenbauer_at_one
+from .numerics import (_CACHE_ENTRIES, _check_dn, _check_r, _check_values, _float_factorial,
+                       _orders, _shaped, check_cost, finite, theta_vector)
+from .polys import _gegenbauer_rows, gegenbauer_at_one
 
 # Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
 _BLOCK_ENTRIES = 1 << 14
@@ -152,7 +152,7 @@ def biortho_poly(d: int, n, u, form: str = "c"):
     n is.  Row n sums its terms j = 0, 1, ... in the order the definition lists them, so
     it is its lone call bit for bit.  ValueError before the stream steps when its rows,
     or the rows returned, at every point exceed the bound of
-    :func:`polys._check_values`; when (d-1)! is beyond the float range; and naming the
+    :func:`numerics._check_values`; when (d-1)! is beyond the float range; and naming the
     first listed order that overflows.
     """
     one, orders, top = _orders(d, n, "biorthogonal polynomials")

@@ -3,8 +3,9 @@
 Quadrature rules (Gauss-Legendre, Gauss-Gegenbauer by the Golub-Welsch
 eigenvalue method, tensor trapezoid on the torus), enumeration and counting of
 l1 lattice shells, the mixed error measure, the one cost check used throughout the package,
-and every shared input rule: (d, n), r, finiteness, torus points, and one order or a
-sequence of orders (``_orders``, ``_shaped``).  It needs numpy alone.
+and every shared input rule: (d, n), r, the Gegenbauer parameter, finiteness, torus points,
+one order or a sequence of orders (``_orders``, ``_shaped``), and the bounds on the orders
+and on the values one call holds.  It needs numpy alone.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 co
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
 _MAX_RULE_NODES = 1 << 10  # nodes of one Gauss rule, a dense npts x npts eigenproblem
 _MAX_ORDERS = 1 << 20  # orders (the mean recursion: means) one call may list, 36 MB of ints
+_MAX_VALUES = 1 << 22  # values, rows * max(points, 1), one call returns or one stream steps
 # entries each cached table keeps (rules, shells, seed polynomials): one verify run uses <= 33
 _CACHE_ENTRIES = 64
 
@@ -34,11 +36,14 @@ def check_cost(what: str, cost, unit: str, limit: int):
     """ValueError "{what}: {cost} {unit}, over the limit of {limit}" when cost > limit.
 
     An int cost of any size compares exactly and, past the float range, prints
-    as 2^k; a float cost is an estimate and prints as it is, inf included."""
+    as 2^k; a float cost is an estimate and prints as it is, inf included.  Both
+    print with three digits, or in full when those would read the same."""
     if cost > limit:
         big = sys.float_info.max < cost < math.inf
-        size = f"2^{math.log2(cost):.4g}" if big else f"{cost:.3g}"
-        raise ValueError(f"{what}: {size} {unit}, over the limit of {limit:.3g}")
+        size, top = f"2^{math.log2(cost):.4g}" if big else f"{cost:.3g}", f"{limit:.3g}"
+        if size == top:  # just past the limit
+            size, top = str(cost), str(limit)
+        raise ValueError(f"{what}: {size} {unit}, over the limit of {top}")
 
 
 def _check_dn(d: int, n: int, dmin: int = 2):
@@ -58,9 +63,22 @@ def _check_r(r: float):
         raise ValueError("r must lie in [0, 1)")
 
 
+def _check_lam(lam: float):
+    """ValueError unless lam > -1/2, the parameter of every Gegenbauer weight and polynomial."""
+    if lam <= -0.5:
+        raise ValueError("Gegenbauer parameter must exceed -1/2")
+
+
 def _check_orders(what: str, count: int, unit: str = "orders"):
     """The one bound on what one call may list: ``count`` orders (or means), _MAX_ORDERS."""
     check_cost(what, count, unit, _MAX_ORDERS)
+
+
+def _check_values(what: str, rows: int, points: int):
+    """The one bound on what one call holds: ``rows`` rows at ``points`` points, rows *
+    max(points, 1) values, _MAX_VALUES.  A row counts once with no point: a recurrence
+    still steps through it, and a closed form still lists it."""
+    check_cost(what, rows * max(points, 1), "values", _MAX_VALUES)
 
 
 def _count(orders) -> int:
@@ -158,8 +176,7 @@ def gauss_gegenbauer(npts: int, lam: float) -> QuadRule:
     """
     if npts < 1:
         raise ValueError("npts must be >= 1")
-    if lam <= -0.5:
-        raise ValueError("lam must exceed -1/2")
+    _check_lam(lam)
     check_cost("a Gauss-Gegenbauer rule", npts, "nodes", _MAX_RULE_NODES)
     off = np.empty(npts - 1)
     off[:1] = math.sqrt(0.5 / (1.0 + lam))  # b_1: the general form is 0/0 at lam = 0

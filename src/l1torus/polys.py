@@ -11,8 +11,8 @@ with C_0 = 1 and C_1 = 2 lam t, or for the normalized rows R_m = C_m^lam(t) / C_
 
 with R_0 = 1 and R_{-1} = 0.  Every route steps this stream, and ``gegenbauer_sequence``
 fills a table from it.  The module also provides the values at t = 1 and the weight
-normalization constant c_lam; ``_check_values`` bounds each table and bounded stream
-before it is allocated or stepped.
+normalization constant c_lam; ``numerics._check_values`` bounds each table and bounded
+stream before it is allocated or stepped.
 """
 from __future__ import annotations
 
@@ -21,21 +21,7 @@ import math
 
 import numpy as np
 
-from .numerics import check_cost
-
-_MAX_GEGENBAUER = 1 << 22  # values, rows stepped * max(points, 1), of one table or stream
-
-
-def _check_lam(lam: float):
-    if lam <= -0.5:
-        raise ValueError("Gegenbauer parameter must exceed -1/2")
-
-
-def _check_values(what: str, rows: int, points: int):
-    """ValueError when ``rows`` rows of the recurrence at ``points`` points, rows *
-    max(points, 1) values, exceed _MAX_GEGENBAUER: with no point the recurrence would
-    still step through its rows.  Each caller counts the rows it steps or returns."""
-    check_cost(what, rows * max(points, 1), "Gegenbauer values", _MAX_GEGENBAUER)
+from .numerics import _check_lam, _check_values
 
 
 def _gegenbauer_rows(lam: float, t, normalized: bool = False):
@@ -43,7 +29,7 @@ def _gegenbauer_rows(lam: float, t, normalized: bool = False):
     R_m = C_m^lam(t) / C_m^lam(1) when ``normalized`` (lam > 0).  Each row has the shape
     of t, except that at a lone point (t of size 1) it is a numpy scalar, which steps
     several times faster than an array of one value, to the same bits.  The stream itself
-    is unbounded: its callers bound the rows they take by :func:`_check_values`, or by a
+    is unbounded: its callers bound the rows they take by ``numerics._check_values``, or by a
     limit of their own."""
     x = np.asarray(t, dtype=float)
     x = x.reshape(())[()] if x.size == 1 else x
@@ -62,7 +48,7 @@ def _gegenbauer_rows(lam: float, t, normalized: bool = False):
 def gegenbauer_sequence(lam: float, nmax: int, t) -> np.ndarray:
     """All values C_0^lam(t), ..., C_nmax^lam(t), shape (nmax + 1,) + shape(t), from one
     recurrence pass; ``t`` may be a scalar or an ndarray.  ValueError before allocating
-    when (nmax + 1) * max(points, 1) values exceed _MAX_GEGENBAUER: with no point the
+    when (nmax + 1) * max(points, 1) values exceed ``numerics._MAX_VALUES``: with no point the
     recurrence would still step to nmax."""
     _check_lam(lam)
     if nmax < 0:
@@ -77,7 +63,7 @@ def gegenbauer_sequence(lam: float, nmax: int, t) -> np.ndarray:
 
 def gegenbauer_at_one(lam: float, nmax: int) -> np.ndarray:
     """Values at the right endpoint: C_n^lam(1) = (2 lam)_n / n! for n <= nmax.
-    ValueError before allocating when nmax + 1 values exceed _MAX_GEGENBAUER."""
+    ValueError before allocating when nmax + 1 values exceed ``numerics._MAX_VALUES``."""
     _check_lam(lam)
     _check_values(f"values at t = 1 to degree {nmax}", nmax + 1, 1)
     out = np.empty(nmax + 1)

@@ -315,7 +315,7 @@ def test_closed_form_rows_are_bounded_before_allocation(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 1 << 23  # the listed orders; the 2^23 rows' values would take 64 MiB
-    monkeypatch.setattr(bf, "_MAX_CLOSED_VALUES", 12)
+    monkeypatch.setattr(numerics, "_MAX_VALUES", 12)
     assert mean_closed(2, [0, 1, 5], us[:4]).shape == (3, 4)
     assert mean_closed(3, [0] * 12, np.array([])).shape == (12, 0)
     with pytest.raises(ValueError, match="4 order\\(s\\) at 4 point\\(s\\): 16 values"):
@@ -471,7 +471,7 @@ def test_recursion_bounds_its_means_and_its_table():
     with pytest.raises(ValueError, match="1.71e\\+06 means, over the limit of 1.05e\\+06"):
         mean_recursion_sides(171, range(10_000), 0.3)
     for d in (2, 3):
-        with pytest.raises(ValueError, match="Gegenbauer values, over the limit of 4.19e\\+06"):
+        with pytest.raises(ValueError, match=" values, over the limit of 4.19e\\+06"):
             mean_recursion_sides(d, 10**15, np.empty(0))
         lhs, rhs = mean_recursion_sides(d, range(3), np.empty(0))
         assert lhs.shape == rhs.shape == (3, 0)
@@ -538,7 +538,6 @@ def test_mc_reproduces_the_two_call_formula_bitwise(d, n):
     seed, u = 2024, 0.37
     theta = np.random.default_rng(seed).uniform(-math.pi, math.pi, size=(1000, d))
     knots = np.sort(np.cos(theta), axis=1)
-    assert np.min(np.diff(knots, axis=1)) >= 1e-12  # no redraws
     sgn = -1.0 if n % 2 else 1.0
     vals = (0.5 * (knot_field_batch(d, u, knots) + sgn * knot_field_batch(d, -u, knots))
             * shell_sum_batch(d, n, theta) / shell_count(d, n))
@@ -555,34 +554,41 @@ def test_mc_validates_inputs():
         mean_torus_mc(2, 0, 1.0, budget=1000)
 
 
-def test_mc_redraws_are_bounded(monkeypatch):
-    import l1torus.bspline_fourier as bf
+def test_mc_takes_tied_knots_as_drawn(monkeypatch):
+    # draws whose cosines tie, or lie one ulp apart, were rejected and redrawn; a zero
+    # span adds a zero term to the field, so the one draw of 1 000 pairs is used as it is
+    d, n, u = 3, 2, 0.3
+    theta = np.random.default_rng(2024).uniform(-math.pi, math.pi, size=(1000, d))
+    theta[:3] = [0.4, -0.4, 1.0], [1.2, -1.2, -1.2], [0.7, np.nextafter(0.7, 1.0), 2.0]
+    knots = np.sort(np.cos(theta), axis=1)
+    calls = []
 
-    # no two cosines in [-1, 1] are 3 apart: every draw is rejected
-    monkeypatch.setattr(bf, "_MC_GAP", 3.0)
-    with pytest.raises(ValueError, match="after 10000 redraws"):
-        mean_torus_mc(2, 1, 0.3, budget=4)
+    class StandIn:
+        def uniform(self, low, high, size):
+            calls.append(size)
+            return theta.copy()
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: StandIn())
+    est = mean_torus_mc(d, n, u, budget=2000)
+    vals = (0.5 * (knot_field_batch(d, u, knots) + knot_field_batch(d, -u, knots))
+            * shell_sum_batch(d, n, theta) / shell_count(d, n))
+    assert math.isfinite(est.value) and calls == [(1000, d)]
+    assert est.value == float(vals.mean())
+    assert est.stderr == float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
 def _row_major_mc(d, n, pts, budget, seed):
     """The Monte-Carlo batch loop as it was with each batch's knots held as (b, d) rows:
-    np.sort per row, the gap test per row, the shell sums from the drawn angles, each
-    batch's mean and squared deviations merged into running ones.
-    Returns (value, stderr, rows redrawn)."""
+    np.sort per row, the shell sums from the drawn angles, each batch's mean and squared
+    deviations merged into running ones.  Returns (value, stderr)."""
     rng = np.random.default_rng(seed)
     sgn = -1.0 if n % 2 else 1.0
-    mean, m2, redrawn = np.zeros(pts.size), np.zeros(pts.size), 0
+    mean, m2 = np.zeros(pts.size), np.zeros(pts.size)
     lo = 0
     while lo < budget // 2:
         b = min(bf._MC_BATCH_PAIRS, budget // 2 - lo)
         theta = rng.uniform(-math.pi, math.pi, size=(b, d))
         knots = np.sort(np.cos(theta), axis=1)
-        bad = np.min(np.diff(knots, axis=1), axis=1) < bf._MC_GAP
-        while np.any(bad):
-            redrawn += int(bad.sum())
-            theta[bad] = rng.uniform(-math.pi, math.pi, size=(int(bad.sum()), d))
-            knots[bad] = np.sort(np.cos(theta[bad]), axis=1)
-            bad = np.min(np.diff(knots, axis=1), axis=1) < bf._MC_GAP
         ssum = shell_sum_batch(d, n, theta) if n else 1.0
         field = knot_field_batch(d, np.concatenate([pts, -pts]), knots)
         vals = 0.5 * (field[:pts.size] + sgn * field[pts.size:]) * ssum / shell_count(d, n)
@@ -591,24 +597,21 @@ def _row_major_mc(d, n, pts, budget, seed):
         m2 = m2 + (((vals - vals.mean(axis=1)[:, None]) ** 2).sum(axis=1)
                    + dev * dev * (lo * b / (lo + b)))
         lo += b
-    return mean, np.sqrt(m2 / (lo - 1)) / math.sqrt(lo), redrawn
+    return mean, np.sqrt(m2 / (lo - 1)) / math.sqrt(lo)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [0, 1, 8])
 @pytest.mark.parametrize("us", [[0.37], [-0.6, 0.05, 0.81]])
 def test_mc_column_batches_are_bitwise_the_row_batches(monkeypatch, d, n, us):
-    # a gap of 0.02 redraws a few percent of the rows; batches of 6 000 pairs split
-    # the 10 001 pairs into 2 batches at one point and at three
-    monkeypatch.setattr(bf, "_MC_GAP", 0.02)
+    # batches of 6 000 pairs split the 10 001 pairs into 2 batches at one point and at three
     monkeypatch.setattr(bf, "_MC_BATCH_PAIRS", 6_000)
     pts = np.array(us)
-    value, stderr, redrawn = _row_major_mc(d, n, pts, 20_002, seed=17)
-    assert redrawn > 0
+    value, stderr = _row_major_mc(d, n, pts, 20_002, seed=17)
     est = mean_torus_mc(d, n, pts, budget=20_002, seed=17)
     assert est.value.tobytes() == value.tobytes()
     assert est.stderr.tobytes() == stderr.tobytes()
-    # a sequence of orders shares the draws, redraws and batches: each row is the lone call
+    # a sequence of orders shares the draws and batches: each row is the lone call
     orders = [n, 0, n + 3, 2, n]
     rows = mean_torus_mc(d, orders, pts, budget=20_002, seed=17)
     assert rows.value.shape == rows.stderr.shape == (len(orders), pts.size)
@@ -620,10 +623,9 @@ def test_mc_column_batches_are_bitwise_the_row_batches(monkeypatch, d, n, us):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("seed", [17, 18])
-def test_mc_points_are_their_lone_calls_with_redraws(monkeypatch, d, seed):
-    # a gap of 0.02 redraws a few percent of the rows; the 20 001 pairs take two
-    # batches whatever the points, and the three points two field calls per batch
-    monkeypatch.setattr(bf, "_MC_GAP", 0.02)
+def test_mc_points_are_their_lone_calls(d, seed):
+    # the 20 001 pairs take two batches whatever the points, and the three points two
+    # field calls per batch
     us = np.array([-0.6, 0.05, 0.81])
     for n in range(3):
         est = mean_torus_mc(d, n, us, budget=40_002, seed=seed)

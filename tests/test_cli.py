@@ -776,6 +776,15 @@ def test_oversized_requests_exit_two_in_a_fresh_process(coeff_spec, fresh_env, a
     assert "over the limit" in line
 
 
+def test_a_cost_just_past_its_limit_prints_in_full(capsys):
+    # 4 194 320 values against 4 194 304 printed as "4.19e+06 ..., over the limit of 4.19e+06"
+    code = main(["verify", "--suite", "biortho-generating", "--K", "209715"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.endswith(": 4194320 values, over the limit of 4194304"), line
+
+
 @pytest.mark.parametrize("d", [20, 100])
 def test_biortho_generating_refuses_an_infinite_tail_bound(fresh_env, d):
     # every error passed against an infinite bound (d = 20, max_error 0.0), and at d = 100

@@ -540,7 +540,7 @@ def test_biortho_poly_orders_are_checked_as_the_means_are():
     for bad in (2.5, [1, 2.0], np.array([3.0]), "3"):
         with pytest.raises(ValueError, match="orders must be integers"):
             biortho_poly(3, bad, 0.5)
-    with pytest.raises(ValueError, match="1.05e\\+06 orders, over the limit of 1.05e\\+06"):
+    with pytest.raises(ValueError, match="1048577 orders, over the limit of 1048576"):
         biortho_poly(3, range((1 << 20) + 1), np.empty(0))
     with pytest.raises(ValueError, match="index n must be >= 0"):
         biortho_poly(3, [2, -1], 0.5)

@@ -207,7 +207,11 @@ def test_check_cost_compares_exactly_and_prints_any_size():
     check_cost("a request", 1 << 20, "values", 1 << 20)  # at the limit: served
     with pytest.raises(ValueError) as refused:
         check_cost("a request", (1 << 20) + 1, "values", 1 << 20)
-    assert str(refused.value) == "a request: 1.05e+06 values, over the limit of 1.05e+06"
+    # a count just past its limit reads as the limit in three digits, so both print in full
+    assert str(refused.value) == "a request: 1048577 values, over the limit of 1048576"
+    with pytest.raises(ValueError) as refused:
+        check_cost("a request", 1 << 21, "values", 1 << 20)
+    assert str(refused.value) == "a request: 2.1e+06 values, over the limit of 1.05e+06"
     # an int past the float range is compared and printed without converting it
     check_cost("a request", 10**400, "values", 10**400)
     with pytest.raises(ValueError) as refused:

@@ -178,7 +178,7 @@ def test_a_lone_point_steps_as_scalars_to_its_batch_bits(normalized, rng):
 def test_one_count_of_values_bounds_the_table():
     # rows * max(points, 1): 2^22 values, a table of 32 MiB, are served; one more row is not
     assert gegenbauer_sequence(1.0, 7, np.zeros(1 << 19)).shape == (8, 1 << 19)
-    message = (r"recurrence to degree 8 at 524288 point\(s\): 4.72e\+06 Gegenbauer values, "
+    message = (r"recurrence to degree 8 at 524288 point\(s\): 4.72e\+06 values, "
                r"over the limit of 4.19e\+06")
     with pytest.raises(ValueError, match=message):
         gegenbauer_sequence(1.0, 8, np.zeros(1 << 19))

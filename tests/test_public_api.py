@@ -1,5 +1,6 @@
 """The package's public names: each listed once, each resolvable, none unlisted."""
 import ast
+import importlib
 import re
 import types
 from pathlib import Path
@@ -59,15 +60,37 @@ def test_verify_copies_no_mean_route_bound():
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         copies = {name for name in imported if name.startswith("_MAX_")}
         if path.name not in ("verify.py", "bspline_fourier.py"):
-            copies &= {"_MAX_COST", "_MAX_GEGENBAUER"}
+            copies &= {"_MAX_COST", "_MAX_VALUES"}
         assert copies == set(), path.name
 
 
+def test_every_size_limit_has_its_row_in_the_readme():
+    # README's table of limits: a constant without a row, a row whose value is not its
+    # constant's, or a row for a constant that is gone fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(_MAX_\w+)` \| `(\w+)` \| (?:2\^(\d+)|(\d+)) \|", readme, re.M)
+    table = {name: (module, 1 << int(power) if power else int(plain))
+             for name, module, power, plain in rows}
+    assert len(table) == len(rows), "a constant with two rows"
+    assigned = {}
+    for path in Path(l1torus.__file__).parent.glob("*.py"):
+        module = importlib.import_module(f"l1torus.{path.stem}".removesuffix(".__init__"))
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            assigned.update((t.id, (path.stem, getattr(module, t.id))) for t in targets
+                            if isinstance(t, ast.Name) and t.id.startswith("_MAX_"))
+    assert table == assigned
+
+
 def test_input_rules_are_defined_in_numerics_alone():
-    # the (d, n) rule, the order prologue and the r rule each have one definition, which
-    # every route calls; a copy elsewhere would be free to drift
-    rules = {"_check_dn", "_check_r", "_check_orders", "_count", "_orders", "_shaped"}
-    messages = ("dimension must be", "index n must be", "r must lie in", "orders must be integers")
+    # the (d, n) rule, the order prologue, the r and Gegenbauer parameter rules and the
+    # bounds on orders and values each have one definition, which every route calls; a
+    # copy elsewhere would be free to drift
+    rules = {"_check_dn", "_check_r", "_check_lam", "_check_orders", "_check_values", "_count",
+             "_orders", "_shaped"}
+    messages = ("dimension must be", "index n must be", "r must lie in", "orders must be integers",
+                "must exceed -1/2")
     for path in Path(l1torus.__file__).parent.glob("*.py"):
         text = path.read_text()
         defined = {node.name for node in ast.walk(ast.parse(text))
