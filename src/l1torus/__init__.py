@@ -26,8 +26,7 @@ from .pdf import (CheckResult, GramSpec, MIN_POINT_SEPARATION, gram_matrix,
                   min_eigenvalue, pdf_check, spdf_check, spdf_pair_search)
 from .polys import geg_norm_c, gegenbauer_at_one, gegenbauer_sequence
 from .summability import CoeffSeq, ResolutionError, SampledTorusFn, Tail, partial_sum, synth
-from .verify import (IdentityReport, SUITES, VerifyConfig, field_integrals,
-                     run_suites, sample_separated_theta)
+from .verify import IdentityReport, SUITES, VerifyConfig, field_integrals, run_suites
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,7 @@ __all__ = [
     "mean_d2_closed", "mean_order0_closed", "mean_recursion_sides",
     "mean_series", "mean_torus_mc", "min_eigenvalue", "partial_sum",
     "pdf_check", "poisson_divdiff", "poisson_kernel", "poisson_product",
-    "rel_err", "run_suites", "sample_separated_theta", "shell_count",
+    "rel_err", "run_suites", "shell_count",
     "shell_enumerate", "shell_seed", "shell_seed_theta",
     "shell_sum", "shell_sum_batch", "spdf_check", "spdf_pair_search",
     "synth", "torus_trapezoid", "wrap_angles",

@@ -43,7 +43,6 @@ _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_t
 # multiply-adds, pairs * d * (n+1)^2, of one mean_torus_mc's shell sums: ~20 s at the ~3e9
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
 _MAX_MC_COST = 1 << 36
-_MAX_CLOSED_TERMS = 1 << 22  # sine terms, n // 2 per point and order, of one mean_d2_closed
 _MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
 
 
@@ -53,8 +52,8 @@ def mean_d2_closed(n, alpha):
 
     1/2 - (n mod 2) alpha/pi - (2/pi) sum sin(m alpha)/m, m = 1 + n mod 2, 3 + n mod 2, ... < n.
     Each order sums its prefix of one row of sin(m alpha)/m per parity, bit for bit its lone
-    call.  ValueError before any row is allocated when its orders * max(points, 1) values
-    exceed ``numerics._MAX_VALUES``, or max(points, 1) sum(n // 2) > _MAX_CLOSED_TERMS.
+    call.  ValueError before any row is allocated when its orders, or its sine terms
+    sum(n // 2), times max(points, 1) exceed ``numerics._MAX_VALUES``.
     """
     one, orders, top = _orders(2, n, "closed form")
     a = np.asarray(alpha, dtype=float)
@@ -62,10 +61,9 @@ def mean_d2_closed(n, alpha):
         raise ValueError("alpha must lie strictly inside (0, pi)")
     _check_values(f"closed form for {len(orders)} order(s) at {a.size} point(s)", len(orders),
                   a.size)
-    # the frequencies are listed even when there is no point
-    check_cost(f"closed form at n = {top}" + ("" if one else f" for {len(orders)} orders"),
-               max(a.size, 1) * sum(o // 2 for o in orders), f"terms at {a.size} point(s)",
-               _MAX_CLOSED_TERMS)
+    # its sine terms, n // 2 per order at each point, listed even when there is no point
+    _check_values(f"closed form at n = {top}" + ("" if one else f" for {len(orders)} orders"),
+                  sum(o // 2 for o in orders), a.size)
     tops = {o % 2: o for o in sorted(orders)}  # each parity's largest order
     m = {p: np.arange(1 + p, last, 2) for p, last in tops.items()}
     sines = {p: np.sin(a[..., None] * m[p]) / m[p] for p in m}

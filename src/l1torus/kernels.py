@@ -64,6 +64,15 @@ def _cheb_u(n: int) -> Chebyshev:
 _ONE_MINUS_SQ = Chebyshev([0.5, 0.0, -0.5])  # 1 - u^2
 
 
+def _check_seed(name: str, d: int, n: int, power: int):
+    """The checks of a seed polynomial, before it is built: its n + d coefficients against
+    _MAX_CHEBYSHEV, and its power of 1 - u^2 against the largest a Chebyshev series takes."""
+    _check_dn(d, n)
+    what = f"{name} seed at d = {d}, n = {n}"
+    check_cost(what, n + d, "coefficients", _MAX_CHEBYSHEV)
+    check_cost(what, power, "as the power of 1 - u^2", Chebyshev.maxpower)
+
+
 def _cached_seed(build):
     """``build(d, n)`` behind an lru_cache of _CACHE_ENTRIES entries that keeps only seeds
     of at most _CACHED_SEED coefficients, n + d: a larger seed is built again on each call,
@@ -81,8 +90,7 @@ def _cached_seed(build):
 @_cached_seed
 def dirichlet_seed(d: int, n: int) -> Chebyshev:
     """The Dirichlet seed as an exact polynomial in u (Chebyshev basis)."""
-    _check_dn(d, n)
-    check_cost(f"Dirichlet seed at d = {d}, n = {n}", n + d, "coefficients", _MAX_CHEBYSHEV)
+    _check_seed("Dirichlet", d, n, (d - 1) // 2)
     s = _sign(d)
     if d % 2 == 0:
         return s * _ONE_MINUS_SQ ** ((d - 2) // 2) * (_cheb_t(n + 1) + _cheb_t(n))
@@ -100,8 +108,7 @@ def shell_seed(d: int, n: int) -> Chebyshev:
     n = 0 polynomial is defined by the same formula but is not the seed of the
     0-th shell sum (whose seed is the Dirichlet seed at 0).
     """
-    _check_dn(d, n)
-    check_cost(f"shell seed at d = {d}, n = {n}", n + d, "coefficients", _MAX_CHEBYSHEV)
+    _check_seed("shell", d, n, d // 2)
     s = _sign(d)
     if d % 2 == 0:
         return -2.0 * s * _ONE_MINUS_SQ ** (d // 2) * _cheb_u(n - 1)
@@ -204,8 +211,11 @@ def shell_sum(d: int, n: int, theta) -> float:
 
 def _check_product(what: str, rows: int, d: int, n: int, limit: int = _MAX_COST):
     """ValueError before any allocation when the shell product of ``rows`` points costs more
-    than ``limit`` multiply-adds, max(rows, 1) * d * (n+1)^2: an empty batch still steps to n."""
-    check_cost(what, max(rows, 1) * d * (n + 1) ** 2, "multiply-adds", limit)
+    than ``limit`` multiply-adds, max(rows, 1) * d * (n+1)^2 + d * _BLOCK_ENTRIES: an empty
+    batch still steps to n, and each of the call's d Python-level factor steps is charged a
+    full block, the least one costs."""
+    check_cost(what, max(rows, 1) * d * (n + 1) ** 2 + d * _BLOCK_ENTRIES, "multiply-adds",
+               limit)
 
 
 def _check_batch(d: int, n: int, thetas) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 DEFAULT_SEED = 1234567
-MAX_DRAWS = 10_000  # draws rejection sampling may take for one point before it gives up
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
 _MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n of one ball_enumerate
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum

@@ -25,8 +25,8 @@ from .kernels import (_check_product, _shell_table, biortho_generating_pair,
                       biortho_generating_tail, biortho_poly, dirichlet_kernel_batch,
                       dirichlet_seed, poisson_divdiff, poisson_kernel, poisson_product,
                       shell_seed, shell_sum_batch)
-from .numerics import (DEFAULT_SEED, MAX_DRAWS, _check_dn, gauss_legendre, rel_err, shell_count,
-                       shell_enumerate, theta_vector)
+from .numerics import (DEFAULT_SEED, _check_dn, _float_factorial, gauss_legendre, rel_err,
+                       shell_count, shell_enumerate, theta_vector)
 from .pdf import GramSpec, gram_matrix, min_eigenvalue, spdf_check, spdf_pair_search
 from .summability import CoeffSeq, Tail
 
@@ -74,29 +74,12 @@ class VerifyConfig:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
-def sample_separated_theta(rng: np.random.Generator, d: int, count: int,
-                           min_cos_gap: float = 1e-2) -> np.ndarray:
-    """Uniform torus points whose cosine knots are pairwise separated.
-
-    Rejection-samples until all pairwise |cos(theta_i) - cos(theta_j)| are at
-    least ``min_cos_gap``, keeping divided-difference tables well
-    conditioned.  A point that takes more than ``MAX_DRAWS`` draws raises
-    ValueError, at once when d cosines in [-1, 1] cannot be so far apart.
-    """
-    failure = f"no {d} angles with cosines {min_cos_gap:g} apart in {MAX_DRAWS} draws"
-    if min_cos_gap > 0 and d - 1 > 2.0 / min_cos_gap:
-        raise ValueError(failure)
-    out = np.empty((count, d))
-    for i in range(count):
-        for _ in range(MAX_DRAWS):
-            t = rng.uniform(-math.pi, math.pi, d)
-            c = np.sort(np.cos(t))
-            if d == 1 or np.min(np.diff(c)) >= min_cos_gap:
-                out[i] = t
-                break
-        else:
-            raise ValueError(failure)
-    return out
+def _torus_points(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    """``count`` uniform points of the d-torus, shape (count, d), the stream of ``count``
+    one-point draws.  The identities hold at every point, repeated knots included, so none
+    is rejected; d > 171, whose (d-1)! no float holds, is refused before any is drawn."""
+    _float_factorial(d - 1)
+    return rng.uniform(-math.pi, math.pi, (count, d))
 
 
 def field_integrals(d: int, theta, integrand: Callable, nodes_per_segment: int = 32) -> list[float]:
@@ -184,7 +167,7 @@ def _seed_divdiff(cfg: VerifyConfig, stream: int, first_n: int, seed, reference)
     rng = np.random.default_rng([cfg.seed, stream])
     errors = []
     for d in dims:
-        thetas = sample_separated_theta(rng, d, 30)
+        thetas = _torus_points(rng, d, 30)
         for n in range(first_n, nmax + 1):
             errors += map(rel_err, divided_difference_cos(seed(d, n), thetas).tolist(),
                           reference(d, n, thetas).tolist())
@@ -206,7 +189,7 @@ def _shell_integral(cfg: VerifyConfig):
     rng = np.random.default_rng([cfg.seed, 2])
     errors = []
     for d in dims:
-        thetas = sample_separated_theta(rng, d, 30)
+        thetas = _torus_points(rng, d, 30)
         rows = partial(biortho_poly, d, range(nmax + 1))
         for t, ref in zip(thetas, _shell_table(d, nmax, thetas).tolist()):
             errors += map(rel_err, field_integrals(d, t, rows), ref)
@@ -251,7 +234,7 @@ def _poisson_bspline(cfg: VerifyConfig):
         def powers(x, d=d):
             return [(1.0 - 2.0 * r * x + r * r) ** (-d) for r in rs]
 
-        thetas = sample_separated_theta(rng, d, 10)
+        thetas = _torus_points(rng, d, 10)
         refs = zip(*(poisson_divdiff(d, r, thetas) / (2.0 * r) ** (d - 1) for r in rs))
         for t, ref in zip(thetas, refs):
             lhs = field_integrals(d, t, powers, nodes_per_segment=40)
@@ -268,7 +251,7 @@ def _poisson_divdiff(cfg: VerifyConfig):
     errors = []
     for d in dims:
         # the last point repeats the knot cos(0.8) d - 1 times
-        thetas = np.vstack([sample_separated_theta(rng, d, 20), [2.0] + [0.8] * (d - 1)])
+        thetas = np.vstack([_torus_points(rng, d, 20), [2.0] + [0.8] * (d - 1)])
         for r in (0.1, 0.3, 0.7):
             errors += map(rel_err, divided_difference_cos(poisson_kernel(r), thetas).tolist(),
                           poisson_divdiff(d, r, thetas).tolist())

@@ -250,14 +250,15 @@ def test_d2_closed_takes_arrays_bitwise(n):
 
 
 def test_d2_closed_bound_counts_every_point(monkeypatch):
-    monkeypatch.setattr(bf, "_MAX_CLOSED_TERMS", 30)
+    # its sine terms are values of the one bound on what a call holds
+    monkeypatch.setattr(numerics, "_MAX_VALUES", 30)
     assert mean_d2_closed(20, np.full(3, 1.0)).shape == (3,)  # 3 points x 10 terms
-    with pytest.raises(ValueError, match="40 terms at 4 point"):
+    with pytest.raises(ValueError, match="closed form at n = 20: 40 values"):
         mean_d2_closed(20, np.full(4, 1.0))
     with pytest.raises(ValueError, match="strictly inside"):
         mean_d2_closed(2, np.array([1.0, math.pi]))
     # no point still lists the frequencies: counted as one, refused before np.arange
-    with pytest.raises(ValueError, match="40 terms at 0 point"):
+    with pytest.raises(ValueError, match="closed form at n = 80: 40 values"):
         mean_d2_closed(80, np.array([]))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="over the limit"):
@@ -292,10 +293,10 @@ def test_mean_closed_makes_one_d2_call(monkeypatch):
     calls.clear()
     assert mean_closed(2, 3, [1.5, -1.0]).tolist() == [0.0, 0.0] and calls == []
     # the one bound is mean_d2_closed's, worded for the orders it was given
-    monkeypatch.setattr(bf, "_MAX_CLOSED_TERMS", 20)
-    with pytest.raises(ValueError, match="closed form at n = 9 for 4 orders: 24 terms at 3 point"):
+    monkeypatch.setattr(numerics, "_MAX_VALUES", 20)
+    with pytest.raises(ValueError, match="closed form at n = 9 for 4 orders: 24 values"):
         mean_closed(2, [9, 0, 3, 6], us)
-    with pytest.raises(ValueError, match="closed form at n = 9: 24 terms at 6 point"):
+    with pytest.raises(ValueError, match="closed form at n = 9: 24 values"):
         mean_d2_closed(9, np.full(6, 1.0))
 
 

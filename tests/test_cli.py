@@ -534,13 +534,16 @@ def test_verify_high_dimension_finishes_or_fails_fast(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "shell-divdiff", "--d", "16")
     assert code in (0, 1)
     assert json.loads(out)["suites"][0]["params"]["dims"] == [16]
-    # no 250 cosines in [-1, 1] are pairwise 0.01 apart: the sampler gives up
+    # no 40 cosines lay 0.01 apart within the old sampler's 10 000 draws; uniform points serve
+    code, out = run_cli(capsys, "verify", "--suite", "shell-divdiff", "--d", "40")
+    assert code == 0 and json.loads(out)["suites"][0]["passed"] is True
+    # 249! is past the float range: refused before any point is drawn
     code = main(["verify", "--suite", "shell-divdiff", "--d", "250"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
-        "error: no 250 angles with cosines 0.01 apart in 10000 draws"]
+        "error: 249! is over the limit of 1.8e+308, the largest float"]
 
 
 def test_verify_mean_mc_serves_what_its_route_serves(capsys):
@@ -555,14 +558,16 @@ def test_verify_mean_mc_serves_what_its_route_serves(capsys):
 
 @pytest.mark.parametrize("suite, limit, value, route", [
     ("mean-mc", "_MAX_MC_BUDGET", 1_000_000, "budget 200000 at 3 point(s) for 4 orders"),
-    ("mean-methods", "_MAX_CLOSED_TERMS", 100, "closed form at n = 4 for 5 orders"),
+    ("mean-methods", "_MAX_VALUES", 100, "closed form for 5 order(s) at 50 point(s)"),
     ("mean-recursion", "_MAX_SERIES_VALUES", 10_000, "series at n = 7, K = 212"),
 ])
 def test_mean_suites_are_refused_by_their_routes_bounds(capsys, monkeypatch, suite, limit,
                                                          value, route):
-    from l1torus import bspline_fourier
+    from l1torus import bspline_fourier, numerics
 
-    monkeypatch.setattr(bspline_fourier, limit, value)
+    # each limit is read from the module that holds it
+    module = bspline_fourier if hasattr(bspline_fourier, limit) else numerics
+    monkeypatch.setattr(module, limit, value)
     code = main(["verify", "--suite", suite])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -758,6 +763,8 @@ _N, _M = str(10**200), str(10**400)  # past the float range: 10^400 as a count i
     ["verify", "--suite", "biortho-generating", "--K", "100000000"],
     # the npts x d sample points were drawn before any bound
     ["pdf", "--d", "1000000000", "--points", "1"],
+    # the product's cost counted multiply-adds, not its d factor steps: it ran for seconds
+    ["pdf", "--d", "1000000", "--points", "1"],
     # each Monte-Carlo batch was within the shell-sum bound; the whole call was not
     ["mnd", "--d", "3", "--n", "118", "--method", "mc", "--budget", "33554432", "--u", "0.3"],
     ["mnd", "--d", "3", "--n", "300", "--method", "mc", "--grid-u", "-0.5:0.5:8",

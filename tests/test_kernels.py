@@ -360,9 +360,7 @@ def test_mirror_symmetry_flips_parity(rng):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_shell_sum_is_divided_difference_of_seed(d, rng):
-    from l1torus.verify import sample_separated_theta
-
-    thetas = sample_separated_theta(rng, d, 6)
+    thetas = rng.uniform(-np.pi, np.pi, (6, d))
     for n in (1, 2, 5):
         fn = shell_seed(d, n)
         for t in thetas:
@@ -373,9 +371,7 @@ def test_shell_sum_is_divided_difference_of_seed(d, rng):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_ball_sum_is_divided_difference_of_dirichlet_seed(d, rng):
-    from l1torus.verify import sample_separated_theta
-
-    thetas = sample_separated_theta(rng, d, 6)
+    thetas = rng.uniform(-np.pi, np.pi, (6, d))
     for n in (0, 1, 4):
         fn = dirichlet_seed(d, n)
         for t in thetas:
@@ -576,9 +572,7 @@ def test_poisson_product_is_shell_power_series(d, r, rng):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
 def test_poisson_divided_difference_closed_form(d, r, rng):
-    from l1torus.verify import sample_separated_theta
-
-    thetas = sample_separated_theta(rng, d, 5)
+    thetas = rng.uniform(-np.pi, np.pi, (5, d))
     for t in thetas:
         lhs = poisson_divdiff(d, r, t)
         rhs = (2.0 * r) ** (d - 1) / np.prod(1.0 - 2.0 * r * np.cos(t) + r * r)
@@ -641,6 +635,16 @@ def test_seeds_refuse_indices_past_the_float_range(d, n):
     for fn in (dirichlet_seed_theta, shell_seed_theta):
         with pytest.raises(ValueError, match="over the limit of 1.8e\\+308, the largest float"):
             fn(d, n, 0.3)
+
+
+@pytest.mark.parametrize("fn, d", [(shell_seed, 202), (dirichlet_seed, 203)])
+def test_seeds_past_the_chebyshev_power_cap_are_refused(fn, d):
+    # (1 - u^2)^101 raised numpy's bare "Power is too large"; one d less still builds
+    name = "shell" if fn is shell_seed else "Dirichlet"
+    with pytest.raises(ValueError, match=f"{name} seed at d = {d}, n = 3: 101 as the power of "
+                                         f"1 - u\\^2, over the limit of 100"):
+        fn(d, 3)
+    assert np.isfinite(fn(d - 1, 3)(0.5))
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,12 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from l1torus.verify import (
-    SUITES,
-    VerifyConfig,
-    run_suites,
-    sample_separated_theta,
-)
+from l1torus.verify import SUITES, VerifyConfig, run_suites
 
 
 def test_every_suite_passes_at_defaults():
@@ -66,31 +61,15 @@ def test_tolerance_override_can_force_failure():
     assert not report.passed
 
 
-def test_separated_sampler_honors_gap(rng):
-    import math
-
-    import numpy as np
-
-    thetas = sample_separated_theta(rng, 3, 25, min_cos_gap=0.05)
-    assert thetas.shape == (25, 3)
-    for t in thetas:
-        c = np.sort(np.cos(t))
-        assert np.min(np.diff(c)) >= 0.05
-    # the draws are those of the unbounded rejection loop
-    ref_rng, seeded = np.random.default_rng(8), np.random.default_rng(8)
-    expect = []
-    while len(expect) < 25:
-        t = ref_rng.uniform(-math.pi, math.pi, 6)
-        if np.min(np.diff(np.sort(np.cos(t)))) >= 0.2:
-            expect.append(t)
-    assert np.array_equal(sample_separated_theta(seeded, 6, 25, min_cos_gap=0.2),
-                          np.array(expect))
+# the suites that draw uniform torus points: the identities hold at every point
+_SAMPLED = ("shell-divdiff", "shell-integral", "dirichlet-divdiff", "poisson-bspline",
+            "poisson-divdiff")
 
 
-def test_separated_sampler_gives_up_after_max_draws(rng):
-    # three cosines in [-1, 1] cannot be pairwise 1.5 apart
-    with pytest.raises(ValueError, match="in 10000 draws"):
-        sample_separated_theta(rng, 3, 1, min_cos_gap=1.5)
+@pytest.mark.parametrize("seed", [VerifyConfig().seed, *range(1, 21)])
+def test_sampled_suites_pass_at_many_seeds(seed):
+    reports = run_suites(list(_SAMPLED), VerifyConfig(seed=seed))
+    assert [r.name for r in reports if not r.passed] == []
 
 
 @pytest.mark.parametrize("d", [10**30, 10**400], ids=["1e30", "1e400"])
@@ -106,14 +85,14 @@ def test_a_dimension_past_the_float_range_is_refused_or_ignored(name, d):
     assert name in ("gram-psd", "mean-methods", "spdf-cross") and report.passed
 
 
-@pytest.mark.parametrize("name, d", [("shell-integral", 10**5), ("poisson-bspline", 10**5),
-                                     ("poisson-divdiff", 10**5), ("poisson-series", 10**9)])
+@pytest.mark.parametrize("name, d", [*((name, d) for name in _SAMPLED for d in (172, 10**5)),
+                                     ("poisson-series", 10**9)])
 def test_a_large_dimension_is_refused_before_its_points_are_drawn(name, d):
-    # no 10^5 cosines in [-1, 1] are 0.01 apart: the sampler gives up without drawing;
-    # the Poisson series' tables are bounded before 10 x 10^9 angles are drawn
+    # (d - 1)! past the float range is refused before any point is drawn; the Poisson
+    # series' tables are bounded before 10 x 10^9 angles are drawn
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="in 10000 draws|over the limit"):
+        with pytest.raises(ValueError, match="over the limit"):
             run_suites([name], VerifyConfig(d=d))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
