@@ -12,6 +12,7 @@ codes: 0 success, 1 a verification suite failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -59,6 +60,13 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out: str | None):
     _write("\n".join(lines) + "\n", out)
 
 
+def _float(raw: str, flag: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{flag} expects a float, got {raw!r}") from None
+
+
 def _parse_theta(raw: str, d: int) -> np.ndarray:
     try:
         vals = np.array([float(x) for x in raw.split(",")], dtype=float)
@@ -72,13 +80,17 @@ def _parse_theta(raw: str, d: int) -> np.ndarray:
 def _u_points(args) -> np.ndarray:
     """The points of --u (repeatable) or of --grid-u start:stop:count."""
     if args.u is not None:
-        return np.array([float(v) for v in args.u])
+        return np.array([_float(v, "--u") for v in args.u])
     if args.grid_u is None:
         raise ValueError("provide --u (repeatable) or --grid-u")
     parts = args.grid_u.split(":")
     if len(parts) != 3:
         raise ValueError("--grid-u expects start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError("--grid-u expects float start and stop and an integer count, "
+                         f"got {args.grid_u!r}") from None
     finite([start, stop, stop - start], "--grid-u start, stop and stop - start")
     if count < 1:
         raise ValueError("--grid-u count must be >= 1")
@@ -109,7 +121,8 @@ def _cmd_kernel(args) -> int:
             raise ValueError("provide --theta (one angle per flag) for G/H")
         fn = dirichlet_seed_theta if what == "G" else shell_seed_theta
         header = ["d", "n", "theta", "value"]
-        rows = [[d, n, float(t), fn(d, n, float(t))] for t in args.theta]
+        angles = [_float(t, "--theta") for t in args.theta]
+        rows = [[d, n, t, fn(d, n, t)] for t in angles]
     else:  # "h"; argparse restricts the choices
         us = _u_points(args)
         header = ["d", "n", "u", "value"]
@@ -205,7 +218,14 @@ def _cmd_partial_sum(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The l1torus parser, built at the first call and shared by every later one.
+
+    It holds no per-call state: each ``parse_args`` returns a fresh namespace and
+    ``main`` reads L1TORUS_SEED afresh, so one process serves many requests as
+    fresh processes would.
+    """
     parser = argparse.ArgumentParser(
         prog="l1torus",
         description="l1-summability toolkit on the d-dimensional torus",

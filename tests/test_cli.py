@@ -1,4 +1,5 @@
 """Command-line interface: contract examples, formats, exit codes, determinism."""
+import argparse
 import contextlib
 import csv
 import io
@@ -375,6 +376,27 @@ def test_kernel_rejects_non_finite_point(capsys, argv):
     assert captured.out == ""
     name = "theta" if "--theta" in argv else "u"
     assert captured.err.strip().splitlines() == [f"error: {name} must be finite, got {argv[-1]}"]
+
+
+_GRID_U = "--grid-u expects float start and stop and an integer count"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mnd", "--d", "2", "--n", "1", "--u", "abc"], "--u expects a float, got 'abc'"),
+    (["kernel", "--d", "3", "--n", "2", "--what", "h", "--u", "0.5", "--u", "abc"],
+     "--u expects a float, got 'abc'"),
+    (["mnd", "--d", "2", "--n", "1", "--grid-u", "a:1:3"], f"{_GRID_U}, got 'a:1:3'"),
+    (["kernel", "--d", "3", "--n", "2", "--what", "h", "--grid-u", "0:1:2.5"],
+     f"{_GRID_U}, got '0:1:2.5'"),
+    (["kernel", "--d", "2", "--n", "1", "--what", "G", "--theta", "1,2"],
+     "--theta expects a float, got '1,2'"),
+])
+def test_a_non_numeric_value_names_its_flag(capsys, argv, message):
+    # these printed float()'s and int()'s own messages, which name no flag
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
 
 
 def test_kernel_json_format(capsys):
@@ -964,3 +986,74 @@ def test_invalid_choice_is_usage_error(capsys):
         main(["kernel", "--d", "2", "--n", "1", "--what", "X"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ----------------------------------------------- one process, many requests
+
+
+def _in_process(argv):
+    """(exit code, stdout, stderr) of one in-process call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv, env):
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_serves_requests_as_fresh_processes_do(monkeypatch, fresh_env):
+    # the parser is built once per process: no option value, default or error
+    # of one call may carry into the next
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    env = {**fresh_env, "COLUMNS": "80"}
+    first = ["mnd", "--d", "2", "--n", "3", "--method", "closed", "--u", "0.3",
+             "--u", "-0.5"]
+    requests = [
+        first,
+        ["kernel", "--d", "3", "--n", "2", "--what", "E", "--theta", "0.1,0.2,0.3",
+         "--theta", "-0.5,1,2"],
+        ["verify", "--suite", "shell-count", "--suite", "biortho"],
+        ["kernel", "--d", "2", "--n", "1", "--what", "X"],
+        first,
+    ]
+    in_process = [_in_process(argv) for argv in requests]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0]
+    assert in_process[0] == in_process[-1]
+    assert in_process == [_fresh_process(argv, env) for argv in requests]
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch):
+    main(["count", "--d", "2", "--n", "1"])  # the first call of the process builds it
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert main(["count", "--d", "3", "--n", "2"]) == 0
+    assert main(["kernel", "--d", "2", "--n", "1", "--what", "h", "--u", "0.5"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_the_seed_variable_is_read_per_call(monkeypatch, fresh_env):
+    argv = ["mnd", "--d", "2", "--n", "1", "--u", "0.3", "--method", "mc", "--budget", "2000"]
+    outputs = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("L1TORUS_SEED", seed)
+        outputs.append(_in_process(argv))
+        assert outputs[-1] == _fresh_process(argv, {**fresh_env, "L1TORUS_SEED": seed})
+    assert outputs[0][0] == 0 and outputs[0][1] != outputs[1][1]
+
+
+def test_importing_the_cli_builds_no_parser(fresh_env):
+    # a parser built at import would cost every importer, workloads without a CLI call too
+    script = "import l1torus.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
