@@ -43,7 +43,6 @@ _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_t
 # multiply-adds, pairs * d * (n+1)^2, of one mean_torus_mc's shell sums: ~20 s at the ~3e9
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
 _MAX_MC_COST = 1 << 36
-_MAX_SERIES_VALUES = 1 << 26  # Gegenbauer values, degrees * points, of one mean_series pass
 
 
 def mean_d2_closed(n, alpha):
@@ -134,7 +133,7 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     returns.  One pass of the normalized Gegenbauer stream over m serves every order,
     keeping one running total per order; each total sums k upward.  ValueError
     before the pass when its (max(n) + 2K - 1 + (len(n) - 1) K) * points values
-    exceed _MAX_SERIES_VALUES, or when (d-1)! is beyond the float range.
+    exceed ``numerics._MAX_VALUES``, or when (d-1)! is beyond the float range.
     """
     one, orders, top = _orders(d, n, "series")
     u_arr = finite(u, "u")
@@ -147,10 +146,10 @@ def mean_series(d: int, n, u, nterms: int | None = None):
         kmax = int(terms.max(initial=0))
     else:
         kmax = nterms if u_arr.size else 0
-    # the recurrence's values, plus the terms each further order adds up
-    cost = (top + 2 * kmax - 1 + (len(orders) - 1) * kmax) * u_arr.size
-    check_cost(f"series at n = {top}, K = {kmax} for {len(orders)} order(s) at "
-               f"{u_arr.size} point(s)", cost, "values", _MAX_SERIES_VALUES)
+    # the recurrence's degrees, plus the terms each further order adds up, at every point
+    rows = top + 2 * kmax - 1 + (len(orders) - 1) * kmax if kmax else 0
+    _check_values(f"series at n = {top}, K = {kmax} for {len(orders)} order(s) at "
+                  f"{u_arr.size} point(s)", rows, u_arr.size)
     if nterms is not None:  # a float once it is known to be small
         terms = np.full(u_arr.shape, float(kmax))
     norm, fact, coef = _series_coefficients(d)

@@ -7,7 +7,7 @@ cardinalities), partial-sum (l1 partial sums of a synthesized function).
 
 Outputs are deterministic for a fixed seed: CSV values use 17 significant
 digits and integers print exactly, JSON is emitted with sorted keys.  Exit
-codes: 0 success, 1 a verification suite failed, 2 usage error.
+codes: 0 success, 1 a verification suite failed, 2 a refusal in one stderr line.
 """
 from __future__ import annotations
 
@@ -60,27 +60,23 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out: str | None):
     _write("\n".join(lines) + "\n", out)
 
 
-def _float(raw: str, flag: str) -> float:
-    try:
-        return float(raw)
+def _angles(raw: str) -> list[float]:
+    try:  # the type of --theta: comma-separated floats
+        return [float(x) for x in raw.split(",")]
     except ValueError:
-        raise ValueError(f"{flag} expects a float, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {raw!r}") from None
 
 
-def _parse_theta(raw: str, d: int) -> np.ndarray:
-    try:
-        vals = np.array([float(x) for x in raw.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"--theta expects comma-separated floats, got {raw!r}") from exc
-    if vals.size != d:
-        raise ValueError(f"--theta needs {d} angles, got {vals.size}")
-    return vals
+def _parse_theta(angles: list[float], d: int) -> list[float]:
+    if len(angles) != d:
+        raise ValueError(f"--theta needs {d} angle{'s' * (d > 1)}, got {len(angles)}")
+    return angles
 
 
 def _u_points(args) -> np.ndarray:
     """The points of --u (repeatable) or of --grid-u start:stop:count."""
     if args.u is not None:
-        return np.array([_float(v, "--u") for v in args.u])
+        return np.array(args.u)
     if args.grid_u is None:
         raise ValueError("provide --u (repeatable) or --grid-u")
     parts = args.grid_u.split(":")
@@ -121,7 +117,7 @@ def _cmd_kernel(args) -> int:
             raise ValueError("provide --theta (one angle per flag) for G/H")
         fn = dirichlet_seed_theta if what == "G" else shell_seed_theta
         header = ["d", "n", "theta", "value"]
-        angles = [_float(t, "--theta") for t in args.theta]
+        angles = [_parse_theta(t, 1)[0] for t in args.theta]
         rows = [[d, n, t, fn(d, n, t)] for t in angles]
     else:  # "h"; argparse restricts the choices
         us = _u_points(args)
@@ -184,11 +180,7 @@ def _cmd_count(args) -> int:
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
         check_cost(f"--nmax {args.nmax}", args.nmax + 1, "rows", _MAX_COUNT_ROWS)
-        ns = list(range(args.nmax + 1))
-    elif args.n is not None:
-        ns = [args.n]
-    else:
-        raise ValueError("provide --n or --nmax")
+    ns = [args.n] if args.nmax is None else list(range(args.nmax + 1))  # argparse takes one
     header = ["d", "n", "count"]
     rows = [[args.d, n, shell_count(args.d, n)] for n in ns]
     _emit_rows(header, rows, args.format, args.out)
@@ -203,10 +195,8 @@ def _cmd_partial_sum(args) -> int:
     if args.L <= 2 * max(args.n, trunc):
         raise ValueError(f"--L must exceed twice the largest frequency ({max(args.n, trunc)})")
     check_grid(d, args.L)
-    if not args.theta:
-        raise ValueError("provide --theta (repeatable)")
     # every point is checked before the L^d grid is sampled
-    thetas = [finite(_parse_theta(raw, d), "theta") for raw in args.theta]
+    thetas = [finite(_parse_theta(t, d), "theta") for t in args.theta]
     f = SampledTorusFn.sample(d, args.L, lambda pts: synth(d, coeffs, trunc, pts))
     header = (["d", "n", "L", "route"] + [f"theta_{i+1}" for i in range(d)]
               + ["real", "imag"])
@@ -218,6 +208,11 @@ def _cmd_partial_sum(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):  # add_subparsers makes its subparsers of this class
+    def error(self, message):  # a usage error is refused by main in one line, as any other
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The l1torus parser, built at the first call and shared by every later one.
@@ -226,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``main`` reads L1TORUS_SEED afresh, so one process serves many requests as
     fresh processes would.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="l1torus",
         description="l1-summability toolkit on the d-dimensional torus",
     )
@@ -239,19 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=["E", "D", "G", "H", "h"], required=True,
                    help="E: shell sum, D: Dirichlet kernel, G: Dirichlet seed, "
                         "H: shell seed, h: biorthogonal polynomial")
-    p.add_argument("--theta", action="append",
-                   help="comma-separated angles (E/D) or one angle (G/H); repeatable")
-    p.add_argument("--u", action="append", help="evaluation point for h; repeatable")
-    p.add_argument("--grid", type=int, help="tensor grid points per axis for E/D")
-    p.add_argument("--grid-u", help="start:stop:count grid for h")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--theta", action="append", type=_angles,
+                        help="comma-separated angles (E/D) or one angle (G/H); repeatable")
+    points.add_argument("--u", action="append", type=float, help="point for h; repeatable")
+    points.add_argument("--grid", type=int, help="tensor grid points per axis for E/D")
+    points.add_argument("--grid-u", help="start:stop:count grid for h")
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_kernel)
 
     p = sub.add_parser("mnd", help="evaluate the B-spline Fourier mean")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", action="append", help="evaluation point; repeatable")
-    p.add_argument("--grid-u", help="start:stop:count grid")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--u", action="append", type=float, help="evaluation point; repeatable")
+    points.add_argument("--grid-u", help="start:stop:count grid")
     p.add_argument("--method", choices=["closed", "series", "mc"], default="series")
     p.add_argument("--K", type=int, help="series terms for every point (series method); "
                                          "default ceil(100 / arccos|u|) per point")
@@ -286,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="l1 shell cardinalities")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--nmax", type=int)
+    index = p.add_mutually_exclusive_group(required=True)
+    index.add_argument("--n", type=int)
+    index.add_argument("--nmax", type=int)
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_count)
 
@@ -296,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="partial sum order")
     p.add_argument("--L", type=int, required=True, help="grid points per axis")
     p.add_argument("--spec", required=True, help="coefficient spec JSON file")
-    p.add_argument("--theta", action="append", help="comma-separated angles; repeatable")
+    p.add_argument("--theta", action="append", type=_angles, required=True,
+                   help="comma-separated angles; repeatable")
     p.add_argument("--route", choices=["coefficients", "convolution"],
                    default="coefficients")
     _add_output_flags(p)
@@ -310,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", DEFAULT_SEED) is None:  # a command with --seed, left unset
             raw = os.environ.get("L1TORUS_SEED", str(DEFAULT_SEED))
             try:
@@ -319,7 +318,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ValueError(f"L1TORUS_SEED must be an integer, got {raw!r}") from None
         return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

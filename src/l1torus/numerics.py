@@ -21,7 +21,6 @@ from numpy.polynomial.legendre import leggauss
 
 DEFAULT_SEED = 1234567
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
-_MAX_SHELL_ENTRIES = 1 << 22  # ints, points x d, of the shells 0..n of one ball_enumerate
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
 _MAX_RULE_NODES = 1 << 10  # nodes of one Gauss rule, a dense npts x npts eigenproblem
@@ -278,11 +277,10 @@ def ball_enumerate(d: int, n: int) -> np.ndarray:
 
     Each shell lists its points in lexicographic order, but for the last
     coordinate, +r before -r.  Built one coordinate at a time, so it costs
-    what the ball holds, at most ``_MAX_SHELL_ENTRIES`` ints (points x d),
-    checked before it is built.
+    what the ball holds, at most ``_MAX_VALUES`` ints (points x d), checked
+    before it is built.
     """
-    check_cost(f"the l1 shells 0..{n} in d = {d}", _ball_size(d, n) * d, "ints",
-               _MAX_SHELL_ENTRIES)
+    _check_values(f"the l1 shells 0..{n} in d = {d}", _ball_size(d, n), d)
     pts = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d):  # append every a with |a| <= what the prefix leaves, ascending
         left = n - np.abs(pts).sum(axis=1)

@@ -185,7 +185,7 @@ def test_series_orders_batch_checks_its_largest_order(monkeypatch):
         mean_series(3, [1, -1], 0.5)
     # 96 terms at u = 0.5: the largest order n steps through n + 191 values, and
     # the second order adds its 96 terms
-    monkeypatch.setattr(bf, "_MAX_SERIES_VALUES", 7 + 191 + 96)
+    monkeypatch.setattr(numerics, "_MAX_VALUES", 7 + 191 + 96)
     mean_series(3, [0, 7], 0.5)
     with pytest.raises(ValueError, match="n = 8, K = 96"):
         mean_series(3, [0, 8], 0.5)
@@ -215,7 +215,7 @@ def test_series_refuses_dimensions_beyond_the_factorial_range():
 
 
 def test_series_memory_does_not_grow_with_terms():
-    us = np.linspace(-0.9, 0.9, 10_000)
+    us = np.linspace(-0.9, 0.9, 1_000)  # 2000 terms: 4e6 values, within the 2^22 bound
     peaks = []
     for nterms in (200, 2000):
         tracemalloc.start()
@@ -224,7 +224,7 @@ def test_series_memory_does_not_grow_with_terms():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # a few rows of 10^4 points, where a table of the degrees would hold 4 000 rows
+    # a few rows of 10^3 points, where a table of the degrees would hold 4 000 rows
     assert peaks[1] <= peaks[0] + 4096
     assert peaks[0] < 20 * us.nbytes
 

@@ -322,18 +322,48 @@ def _integer_request(command, data):
             "--K", big(), "--N", big(), "--budget", big()]
 
 
+_NUMERIC_FLAGS = {"--d", "--n", "--nmax", "--grid", "--K", "--budget", "--seed", "--N", "--u"}
+# the sources of a command's points (count: of its index), of which a request names one
+_KERNEL_SOURCES = [["--theta", "0,0"], ["--u", "0.5"], ["--grid", "2"], ["--grid-u", "0:0.5:2"]]
+_SOURCES = {"count": [["--n", "2"], ["--nmax", "2"]], "mnd": _KERNEL_SOURCES[1::2],
+            "E": _KERNEL_SOURCES, "D": _KERNEL_SOURCES, "h": _KERNEL_SOURCES}  # mnd: --u, --grid-u
+
+
+def _malformed_request(command, argv, data):
+    """``argv`` with a non-numeric value for one int or float flag, an unknown flag, or a
+    second source of points; verify has no point source to add."""
+    kind = data.draw(st.sampled_from(["value", "unknown"] + ["sources"] * (command != "verify")))
+    argv = list(argv)
+    if kind == "value":
+        at = data.draw(st.sampled_from([i for i in range(1, len(argv))
+                                        if argv[i - 1] in _NUMERIC_FLAGS]))
+        argv[at] = data.draw(st.text(alphabet="abcxyz.,:_", min_size=1))
+    elif kind == "unknown":
+        at = data.draw(st.sampled_from([i for i, a in enumerate(argv) if a.startswith("--")]
+                                       + [len(argv)]))
+        argv[at:at] = data.draw(st.sampled_from([["--bogus"], ["--bogus", "1"], ["--x"]]))
+    else:
+        argv += data.draw(st.sampled_from([f for f in _SOURCES[command] if f[0] not in argv]))
+    return argv
+
+
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["count", "E", "D", "h", "mnd", "verify"]), data=st.data())
 def test_integer_options_of_any_size_are_served_or_refused_in_one_line(command, data):
     argv = _integer_request(command, data)
+    malformed = data.draw(st.booleans())
+    if malformed:
+        argv = _malformed_request(command, argv, data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(argv)  # a usage error returns too: SystemExit would fail the test
     if code == 2:
         assert out.getvalue() == ""
-        assert len(err.getvalue().strip().splitlines()) == 1
+        (line,) = err.getvalue().strip().splitlines()
+        assert not malformed or line.startswith(("error: argument --", "error: unrecognized"))
     else:  # verify exits 1 when a suite fails at the small overrides, as --K 1 makes it
+        assert not malformed
         assert code == 0 or (code == 1 and command == "verify")
         assert err.getvalue() == ""
 
@@ -357,10 +387,11 @@ def test_a_value_may_start_with_a_minus(capsys, argv, flag, value):
 
 @pytest.mark.parametrize("argv", [["--bogus"], ["--bogus", "-1"], ["--u", "0.5", "--bogus"]])
 def test_an_unknown_option_is_still_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(["mnd", "--d", "2", "--n", "1", "--u", "-0.5", *argv])
-    assert exc.value.code == 2
-    assert "--bogus" in capsys.readouterr().err
+    code = main(["mnd", "--d", "2", "--n", "1", "--u", "-0.5", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith("error: unrecognized arguments: --bogus")
 
 
 @pytest.mark.parametrize("argv", [
@@ -382,17 +413,22 @@ _GRID_U = "--grid-u expects float start and stop and an integer count"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["mnd", "--d", "2", "--n", "1", "--u", "abc"], "--u expects a float, got 'abc'"),
+    (["mnd", "--d", "2", "--n", "1", "--u", "abc"], "argument --u: invalid float value: 'abc'"),
     (["kernel", "--d", "3", "--n", "2", "--what", "h", "--u", "0.5", "--u", "abc"],
-     "--u expects a float, got 'abc'"),
+     "argument --u: invalid float value: 'abc'"),
     (["mnd", "--d", "2", "--n", "1", "--grid-u", "a:1:3"], f"{_GRID_U}, got 'a:1:3'"),
     (["kernel", "--d", "3", "--n", "2", "--what", "h", "--grid-u", "0:1:2.5"],
      f"{_GRID_U}, got '0:1:2.5'"),
     (["kernel", "--d", "2", "--n", "1", "--what", "G", "--theta", "1,2"],
-     "--theta expects a float, got '1,2'"),
+     "--theta needs 1 angle, got 2"),
+    (["kernel", "--d", "2", "--n", "1", "--what", "E", "--theta", "0.5,a"],
+     "argument --theta: expected comma-separated floats, got '0.5,a'"),
+    (["kernel", "--d", "abc", "--n", "1", "--what", "E", "--theta", "0,0"],
+     "argument --d: invalid int value: 'abc'"),
 ])
 def test_a_non_numeric_value_names_its_flag(capsys, argv, message):
-    # these printed float()'s and int()'s own messages, which name no flag
+    # these printed float()'s and int()'s own messages, which name no flag, or argparse's
+    # three usage lines
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -581,7 +617,7 @@ def test_verify_mean_mc_serves_what_its_route_serves(capsys):
 @pytest.mark.parametrize("suite, limit, value, route", [
     ("mean-mc", "_MAX_MC_BUDGET", 1_000_000, "budget 200000 at 3 point(s) for 4 orders"),
     ("mean-methods", "_MAX_VALUES", 100, "closed form for 5 order(s) at 50 point(s)"),
-    ("mean-recursion", "_MAX_SERIES_VALUES", 10_000, "series at n = 7, K = 212"),
+    ("mean-recursion", "_MAX_VALUES", 10_000, "series at n = 7, K = 212"),
 ])
 def test_mean_suites_are_refused_by_their_routes_bounds(capsys, monkeypatch, suite, limit,
                                                          value, route):
@@ -982,10 +1018,18 @@ def test_field_suites_refuse_dimension_one(capsys, suite):
 
 
 def test_invalid_choice_is_usage_error(capsys):
+    code = main(["kernel", "--d", "2", "--n", "1", "--what", "X"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: argument --what: invalid choice: 'X' (choose from 'E', 'D', 'G', 'H', 'h')"]
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["kernel", "--d", "2", "--n", "1", "--what", "X"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert "--nmax" in capsys.readouterr().out
 
 
 # ----------------------------------------------- one process, many requests
@@ -995,10 +1039,7 @@ def _in_process(argv):
     """(exit code, stdout, stderr) of one in-process call, usage errors included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -1008,11 +1049,9 @@ def _fresh_process(argv, env):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_one_process_serves_requests_as_fresh_processes_do(monkeypatch, fresh_env):
+def test_one_process_serves_requests_as_fresh_processes_do(fresh_env):
     # the parser is built once per process: no option value, default or error
     # of one call may carry into the next
-    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
-    env = {**fresh_env, "COLUMNS": "80"}
     first = ["mnd", "--d", "2", "--n", "3", "--method", "closed", "--u", "0.3",
              "--u", "-0.5"]
     requests = [
@@ -1026,7 +1065,22 @@ def test_one_process_serves_requests_as_fresh_processes_do(monkeypatch, fresh_en
     in_process = [_in_process(argv) for argv in requests]
     assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0]
     assert in_process[0] == in_process[-1]
-    assert in_process == [_fresh_process(argv, env) for argv in requests]
+    assert in_process == [_fresh_process(argv, fresh_env) for argv in requests]
+
+
+@pytest.mark.parametrize("argv", [
+    # each was served from one of its two sources, the other dropped without a word
+    ["mnd", "--d", "2", "--n", "1", "--u", "0.3", "--grid-u", "0:0.5:2"],
+    ["kernel", "--d", "2", "--n", "1", "--what", "E", "--theta", "0.1,0.2", "--grid", "2"],
+    ["count", "--d", "2", "--n", "3", "--nmax", "2"],
+    # argparse printed three usage lines and raised SystemExit out of main
+    ["kernel", "--d", "abc", "--n", "1", "--what", "E", "--theta", "0,0"],
+])
+def test_usage_errors_are_one_line_in_a_fresh_process(fresh_env, argv):
+    code, out, err = _fresh_process(argv, fresh_env)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: argument --")
 
 
 def test_a_second_call_builds_no_parser(capsys, monkeypatch):
