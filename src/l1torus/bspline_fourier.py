@@ -30,15 +30,17 @@ import numpy as np
 
 from .bspline import knot_field_batch
 from .kernels import _check_product, _shell_core, _shell_finish, _table_finish, biortho_poly
-from .numerics import (DEFAULT_SEED, _check_dn, _check_orders, _check_values, _float_factorial,
-                       _orders, _shaped, check_cost, finite, gauss_gegenbauer, shell_count)
+from .numerics import (DEFAULT_SEED, _BLOCK_ENTRIES, _check_dn, _check_orders, _check_values,
+                       _float_factorial, _orders, _shaped, check_cost, finite, gauss_gegenbauer,
+                       shell_count)
 from .polys import _gegenbauer_rows, geg_norm_c
 
 SERIES_EDGE_MARGIN = 1e-3
 _SERIES_REACH = 100.0  # K * arccos|u|: the filtered series' terms per point
 _MC_DEFAULT_BUDGET = {2: 2_000_000, 3: 10_000_000}
-_MC_BATCH_PAIRS = 1 << 14  # antithetic pairs per Monte-Carlo batch, whatever the points
-_MC_FIELD_VALUES = 1 << 16  # values, pairs * 2 points (+u, -u) each, of one MC field call
+# antithetic pairs per Monte-Carlo batch, whatever the points; not a block size: the batch ends
+# fix the estimate's bits through the Chan-Golub-LeVeque merge, and blocks never change a bit
+_MC_BATCH_PAIRS = 1 << 14
 _MAX_MC_BUDGET = 1 << 25  # evaluations, budget * points * orders, of one mean_torus_mc
 # multiply-adds, pairs * d * (n+1)^2, of one mean_torus_mc's shell sums: ~20 s at the ~3e9
 # per s measured at d = 3; the default budgets serve n <= 184 (d = 2) and n <= 66 (d = 3)
@@ -245,7 +247,7 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
     held as d contiguous columns of cosines, which the shell product takes as they are:
     one order's sums are a dot product per pair, several orders' one table of E_0 ... E_top
     (none at n = 0), filled block by block and read a contiguous row per order.
-    A field call evaluates +-u at as many points as _MC_FIELD_VALUES holds.  Each batch's
+    A field call evaluates +-u at _BLOCK_ENTRIES / pairs points, one at least.  Each batch's
     mean and squared deviations per order and point are merged into running ones (Chan,
     Golub and LeVeque), so one batch gives its values' mean and ddof=1 spread bit for bit,
     and each order's and point's estimate is its lone call's.
@@ -279,7 +281,7 @@ def mean_torus_mc(d: int, n, u, budget: int | None = None,
             sums = _shell_core(d, top, cols.T, _shell_finish)[None]
         else:  # E_0, ..., E_top: the table is column-major, so a row per order is contiguous
             sums = _shell_core(d, top, cols.T, _table_finish).T
-        chunk = max(_MC_FIELD_VALUES // (2 * b), 1)
+        chunk = max(1, _BLOCK_ENTRIES // b)  # points per field call
         for p in range(0, pts.size, chunk):
             at = pts[p:p + chunk]
             field = knot_field_batch(d, np.concatenate([at, -at]), cols.T)

@@ -23,7 +23,7 @@ import numpy as np
 from .bspline_fourier import mean_closed, mean_series, mean_torus_mc
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
-from .numerics import (DEFAULT_SEED, check_cost, check_grid, finite, shell_count,
+from .numerics import (DEFAULT_SEED, check_cost, check_grid, finite, shell_count, shell_counts,
                        torus_trapezoid)
 from .pdf import min_eigenvalue, pdf_check, sampled_gram_matrix, spdf_check
 from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
@@ -176,14 +176,20 @@ def _cmd_pdf(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.nmax is not None:
+    d = args.d
+    if args.nmax is None:  # argparse takes one of --n and --nmax
+        rows = [[d, args.n, shell_count(d, args.n)]]
+    else:
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
         check_cost(f"--nmax {args.nmax}", args.nmax + 1, "rows", _MAX_COUNT_ROWS)
-    ns = [args.n] if args.nmax is None else list(range(args.nmax + 1))  # argparse takes one
-    header = ["d", "n", "count"]
-    rows = [[args.d, n, shell_count(args.d, n)] for n in ns]
-    _emit_rows(header, rows, args.format, args.out)
+        rows = [[d, n, count] for n, count in enumerate(shell_counts(d, args.nmax))]
+    _, n, count = rows[-1]  # the largest count
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if digits and count >= 10**digits:
+        raise ValueError(f"the l1 count at d = {d}, n = {n} has more than {digits} digits, "
+                         f"the most Python prints of an integer")
+    _emit_rows(["d", "n", "count"], rows, args.format, args.out)
     return 0
 
 

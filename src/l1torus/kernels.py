@@ -28,21 +28,16 @@ biortho_poly takes a set of orders and the Poisson forms a batch of points.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .numerics import (_CACHE_ENTRIES, _check_dn, _check_r, _check_values, _float_factorial,
-                       _orders, _shaped, check_cost, finite, theta_vector)
+from .numerics import (_BLOCK_ENTRIES, _block_cached, _check_dn, _check_r, _check_values,
+                       _float_factorial, _orders, _shaped, check_cost, finite, theta_vector)
 from .polys import _gegenbauer_rows, gegenbauer_at_one
 
-# Entries of the factor tables one recurrence builds per row block (128 KiB, in cache)
-_BLOCK_ENTRIES = 1 << 14
 _MAX_COST = 1 << 31  # multiply-adds one shell or Dirichlet batch may cost (_check_product)
 _MAX_CHEBYSHEV = 1 << 20  # coefficients of one seed polynomial (n + d) or Poisson series
-_CACHED_SEED = 1 << 14  # coefficients (n + d, 128 KiB) up to which a seed polynomial is cached
-_BIORTHO_BLOCK = 256  # rows of the Gegenbauer stream biortho_poly combines at once
 
 
 def _sign(d: int) -> float:
@@ -73,21 +68,7 @@ def _check_seed(name: str, d: int, n: int, power: int):
     check_cost(what, power, "as the power of 1 - u^2", Chebyshev.maxpower)
 
 
-def _cached_seed(build):
-    """``build(d, n)`` behind an lru_cache of _CACHE_ENTRIES entries that keeps only seeds
-    of at most _CACHED_SEED coefficients, n + d: a larger seed is built again on each call,
-    so the cache holds at most _CACHE_ENTRIES * _CACHED_SEED coefficients."""
-    cached = lru_cache(maxsize=_CACHE_ENTRIES)(build)
-
-    @wraps(build)
-    def seed(d: int, n: int) -> Chebyshev:
-        return (cached if n + d <= _CACHED_SEED else build)(d, n)
-
-    seed.cache_info = cached.cache_info
-    return seed
-
-
-@_cached_seed
+@_block_cached(lambda d, n: n + d)  # a seed holds n + d coefficients
 def dirichlet_seed(d: int, n: int) -> Chebyshev:
     """The Dirichlet seed as an exact polynomial in u (Chebyshev basis)."""
     _check_seed("Dirichlet", d, n, (d - 1) // 2)
@@ -100,7 +81,7 @@ def dirichlet_seed(d: int, n: int) -> Chebyshev:
 dirichlet_seed_poly = dirichlet_seed
 
 
-@_cached_seed
+@_block_cached(lambda d, n: n + d)
 def shell_seed(d: int, n: int) -> Chebyshev:
     """The shell seed as an exact polynomial in u (Chebyshev basis).
 
@@ -154,8 +135,8 @@ def biortho_poly(d: int, n, u, form: str = "c"):
     it is (d-1)! times the shell count.  ``u`` may be a scalar or ndarray, and ``n`` one
     order or a sequence of orders, one row each, as for the mean routes
     (``numerics._orders``).  One Gegenbauer stream to the largest order serves every row:
-    it fills blocks of _BIORTHO_BLOCK rows, each combined at once and carried over by
-    its last 2 d rows, so a call holds at most 2 d + _BIORTHO_BLOCK rows of it whatever
+    it fills blocks of _BLOCK_ENTRIES / max(points, 64) rows, each combined at once and
+    carried over by its last 2 d rows, so a call holds 2 d rows and one block of it whatever
     n is.  Row n sums its terms j = 0, 1, ... in the order the definition lists them, so
     it is its lone call bit for bit.  ValueError before the stream steps when its rows,
     or the rows returned, at every point exceed the bound of
@@ -172,15 +153,16 @@ def biortho_poly(d: int, n, u, form: str = "c"):
     base = d if form == "c" else d - 1
     lam = float(base)
     span = 2 * base  # the terms row n reaches back to, n - 2 base ... n
+    step = max(1, _BLOCK_ENTRIES // max(u_arr.size, 64))  # a row counts 64 values at least
     where = np.argsort(orders, kind="stable")  # the output rows in the order of their orders
     listed = np.asarray(orders, dtype=np.int64)[where]
     rows = np.empty((len(orders),) + u_arr.shape)
-    buf = np.empty((min(span + _BIORTHO_BLOCK, top + 1),) + u_arr.shape)
+    buf = np.empty((min(span + step, top + 1),) + u_arr.shape)
     held = 0  # rows of buf carried over: the terms lo - held ... lo - 1
     stream = _gegenbauer_rows(lam, u_arr)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, top + 1 if orders else 0, _BIORTHO_BLOCK):
-            hi = min(lo + _BIORTHO_BLOCK, top + 1)
+        for lo in range(0, top + 1 if orders else 0, step):
+            hi = min(lo + step, top + 1)
             for m, row in zip(range(lo, hi), stream):
                 buf[held + m - lo] = row if form == "c" else (m + lam) / lam * row
             first = lo - held  # the degree of buf[0]

@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Sequence
 
 import numpy as np
@@ -22,12 +22,14 @@ from numpy.polynomial.legendre import leggauss
 DEFAULT_SEED = 1234567
 _MAX_GRID_FLOATS = 1 << 23  # floats, nodes x d, that one torus_trapezoid grid may hold
 _MAX_COUNT_BITS = 1 << 23  # terms x bits of the big-integer binomials one l1 count may sum
+_MAX_COUNT_TABLE = 1 << 25  # rows x bits of the l1 counts 0..nmax one recurrence may step
 _MAX_FACTORIAL = 170  # the largest k whose k! is a finite float
 _MAX_RULE_NODES = 1 << 10  # nodes of one Gauss rule, a dense npts x npts eigenproblem
 _MAX_ORDERS = 1 << 20  # orders (the mean recursion: means) one call may list, 36 MB of ints
 _MAX_VALUES = 1 << 22  # values, rows * max(points, 1), one call returns or one stream steps
 # entries each cached table keeps (rules, shells, seed polynomials): one verify run uses <= 33
 _CACHE_ENTRIES = 64
+_BLOCK_ENTRIES = 1 << 14  # values (128 KiB) one working block or one cache entry may hold
 
 
 def check_cost(what: str, cost, unit: str, limit: int):
@@ -142,13 +144,25 @@ class QuadRule:
             raise ValueError("quadrature weights must be positive")
 
 
+def _block_cached(size):
+    """A decorator: ``build(d, n)`` behind an lru_cache of _CACHE_ENTRIES entries that keeps
+    only entries of at most _BLOCK_ENTRIES values, ``size(d, n)``; a larger one is built
+    again on each call, so the cache holds at most _CACHE_ENTRIES blocks (8 MiB)."""
+    def wrap(build):
+        cached = lru_cache(maxsize=_CACHE_ENTRIES)(build)
+        entry = wraps(build)(lambda d, n: (cached if size(d, n) <= _BLOCK_ENTRIES else build)(d, n))
+        entry.cache_info, entry.cache_clear = cached.cache_info, cached.cache_clear
+        return entry
+    return wrap
+
+
 @lru_cache(maxsize=_CACHE_ENTRIES)
 def gauss_legendre(npts: int) -> QuadRule:
     """Gauss-Legendre rule with ``npts`` nodes on [-1, 1], npts <= ``_MAX_RULE_NODES``.
 
-    Exact for polynomials of degree 2*npts - 1; nodes lie strictly inside
-    the interval.  Rules are cached: each order is built once, and its
-    read-only arrays are shared by every caller.
+    Exact for polynomials of degree 2*npts - 1; nodes lie strictly inside the interval.
+    Rules are cached: each order is built once, its read-only arrays shared by every
+    caller, and its 2 npts values always fit in one block, _BLOCK_ENTRIES.
     """
     if npts < 1:
         raise ValueError("npts must be >= 1")
@@ -225,12 +239,12 @@ def _float_factorial(k: int) -> float:
     return float(math.factorial(k))
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
+@_block_cached(lambda d, n: shell_count(d, n) * d)
 def shell_enumerate(d: int, n: int) -> np.ndarray:
     """The l1 shell {alpha in Z^d : |alpha|_1 = n} as a read-only (count, d) int64 array.
 
-    The last shell of :func:`ball_enumerate`, bounded as that is, and checked
-    against the generating-function count.  Shells are cached.
+    The last shell of :func:`ball_enumerate`, bounded as that is, and checked against
+    the generating-function count; cached when its count x d ints fit in one block.
     """
     ball = ball_enumerate(d, n)
     pts = ball[np.abs(ball).sum(axis=1) == n]
@@ -248,22 +262,46 @@ def shell_count(d: int, n: int) -> int:
     return _binomial_sum(d, n, lambda j: math.comb(d, j) * math.comb(n - j + d - 1, d - 1))
 
 
-def _binomial_sum(d: int, n: int, term) -> int:
-    """Sum of term(j), 0 <= j <= min(d, n), once :func:`_check_dn` passes (d >= 1); refused
-    first when its big integers cost too much, estimated in floats: an estimate past their
-    range counts as inf.
+def shell_counts(d: int, nmax: int) -> list[int]:
+    """shell_count(d, n) for n = 0, ..., nmax, exact, by the recurrence of the generating
+    function F = ((1+r)/(1-r))^d: (1 - r^2) F' = 2 d F gives
+
+        (n + 1) a_{n+1} = 2 d a_n + (n - 1) a_{n-1},  a_0 = 1, a_1 = 2 d.
+
+    Each step costs O(bits) on small multipliers: refused first when its rows times the
+    estimated bits of the last, the largest, exceed _MAX_COUNT_TABLE.
     """
-    _check_dn(d, n, dmin=1)
-    terms = min(d, n) + 1  # each of about log2 C(n + d, d) + min(d, n) bits
+    _check_dn(d, nmax, dmin=1)
+    check_cost(f"the l1 counts at d = {d}, n = 0..{nmax}", (nmax + 1) * _count_bits(d, nmax),
+               "rows x bits", _MAX_COUNT_TABLE)
+    counts = [1, 2 * d][:nmax + 1]
+    for n in range(1, nmax):
+        counts.append((2 * d * counts[n] + (n - 1) * counts[n - 1]) // (n + 1))
+    return counts
+
+
+def _count_bits(d: int, n: int) -> float:
+    """The estimated bits of each big integer an l1 count at (d, n) sums, log2 C(n + d, d)
+    + min(d, n) + 1, in floats: an estimate past their range is inf."""
+    terms = min(d, n) + 1
     try:
         if max(d, n) < 2**53:
             ln_binomial = math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1)
         else:  # lgamma would round the larger index away: ln(big^m / m!), m = min(d, n)
             ln_binomial = (terms - 1) * math.log(float(max(d, n))) - math.lgamma(terms)
-        cost = terms * (ln_binomial / math.log(2) + terms)
+        return ln_binomial / math.log(2) + terms
     except OverflowError:
-        cost = math.inf
-    check_cost(f"the l1 count at d = {d}, n = {n}", cost, "terms x bits", _MAX_COUNT_BITS)
+        return math.inf
+
+
+def _binomial_sum(d: int, n: int, term) -> int:
+    """Sum of term(j), 0 <= j <= min(d, n), once :func:`_check_dn` passes (d >= 1); refused
+    first when its terms times their bits (:func:`_count_bits`) exceed _MAX_COUNT_BITS.
+    """
+    _check_dn(d, n, dmin=1)
+    terms = min(d, n) + 1
+    check_cost(f"the l1 count at d = {d}, n = {n}", terms * _count_bits(d, n), "terms x bits",
+               _MAX_COUNT_BITS)
     return sum(map(term, range(terms)))
 
 

@@ -625,8 +625,8 @@ def test_mc_column_batches_are_bitwise_the_row_batches(monkeypatch, d, n, us):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("seed", [17, 18])
 def test_mc_points_are_their_lone_calls(d, seed):
-    # the 20 001 pairs take two batches whatever the points, and the three points two
-    # field calls per batch
+    # the 20 001 pairs take two batches whatever the points; the three points take three
+    # field calls in the first batch of 2^14 pairs (one point each) and one in the second
     us = np.array([-0.6, 0.05, 0.81])
     for n in range(3):
         est = mean_torus_mc(d, n, us, budget=40_002, seed=seed)

@@ -197,7 +197,7 @@ def _point_request(what, data, spec):
             "--route", what, *_option("--theta", ",".join(map(repr, theta)), data)]
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::Warning:l1torus")
 @settings(max_examples=120, deadline=None)
 @given(what=st.sampled_from(["E", "D", "G", "H", "h", "coefficients", "convolution"]),
        data=st.data())
@@ -270,7 +270,7 @@ def _request(command, data, spec_path):
     return argv
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::Warning:l1torus")
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["mnd", "pdf", "count", "verify"]), data=st.data())
 def test_requests_fail_fast_or_print_finite_values(tmp_path_factory, command, data):
@@ -347,7 +347,7 @@ def _malformed_request(command, argv, data):
     return argv
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error::Warning:l1torus")
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["count", "E", "D", "h", "mnd", "verify"]), data=st.data())
 def test_integer_options_of_any_size_are_served_or_refused_in_one_line(command, data):
@@ -890,6 +890,30 @@ def test_non_finite_grid_u_is_one_line_in_a_fresh_process(fresh_env, grid):
     assert done.returncode == 2 and done.stdout == ""
     (line,) = done.stderr.strip().splitlines()
     assert "must be finite" in line
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    # one row at a time, each summing min(d, n) + 1 binomials, this ran for minutes
+    (["--d", "1000", "--nmax", "3000"], None),
+    # within the row limit and every per-row bound, and hours of work
+    (["--d", "1000", "--nmax", "61000"], "rows x bits, over the limit of 3.36e+07"),
+    # computed, then refused by the int-to-str limit in Python's words
+    (["--d", "100", "--n", str(10**250)], "has more than 4300 digits"),
+], ids=["d1000-nmax3000", "d1000-nmax61000", "d100-n1e250"])
+def test_count_requests_are_served_or_refused_in_one_line_in_a_fresh_process(
+        fresh_env, argv, refusal):
+    done = subprocess.run([sys.executable, "-m", "l1torus.cli", "count", *argv],
+                          env={**fresh_env, "PYTHONINTMAXSTRDIGITS": "4300"},
+                          capture_output=True, text=True, timeout=120)
+    assert "set_int_max_str_digits" not in done.stderr
+    if refusal is None:
+        assert done.returncode == 0 and done.stderr == ""
+        rows = csv_rows(done.stdout)
+        assert len(rows) == 3001 and int(rows[-1]["count"]) == shell_count(1000, 3000)
+    else:
+        assert done.returncode == 2 and done.stdout == ""
+        (line,) = done.stderr.strip().splitlines()
+        assert refusal in line
 
 
 def test_count_refuses_a_negative_nmax(capsys):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import l1torus
 from l1torus.bspline_fourier import mean_torus_mc
 from l1torus.divdiff import divided_difference_cos
 from l1torus.kernels import (
@@ -514,6 +515,37 @@ def test_biortho_table_keeps_the_checks():
     with pytest.raises(ValueError, match="171! is over the limit"):
         biortho_poly(172, 0, 0.5)
     assert biortho_poly(171, 0, 0.5) == float(math.factorial(170))
+
+
+def _block_bound_outputs():
+    """The bytes of every blocked kernel's output at fixed inputs: the shell product's three
+    finishes, biortho_poly in both forms at scalar, 1-D and 2-D u over unsorted and repeated
+    orders, and the Monte-Carlo mean at several points and orders."""
+    thetas = np.random.default_rng(11).uniform(-4.0, 4.0, (45, 3))
+    thetas[:5] = 0.0  # tied cosines
+    out = [fn(3, n, thetas).tobytes() for fn in (shell_sum_batch, _shell_table,
+                                                 dirichlet_kernel_batch) for n in (0, 1, 9)]
+    for u in (0.37, np.linspace(-1.0, 1.0, 70), np.linspace(-0.9, 0.9, 12).reshape(3, 4)):
+        for orders in (5, [9, 2, 0, 31, 2, 9, 1], range(40)):
+            out += [np.asarray(biortho_poly(4, orders, u, form)).tobytes() for form in "cz"]
+    for d in (2, 3):
+        for n in (0, 4, [3, 0, 5, 3]):
+            est = mean_torus_mc(d, n, np.array([-0.6, 0.05, 0.81, 0.3]), budget=3000, seed=5)
+            out += [est.value.tobytes(), est.stderr.tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("entries", [1, 7, 1000])
+def test_block_size_changes_no_bit(monkeypatch, entries):
+    # _BLOCK_ENTRIES sizes the working blocks and the cache entries alone: every output is
+    # the same bytes at any block size, wherever the constant is read
+    expected = _block_bound_outputs()
+    modules = [m for m in vars(l1torus).values() if hasattr(m, "_BLOCK_ENTRIES")]
+    assert sorted(m.__name__ for m in modules) == ["l1torus.bspline_fourier", "l1torus.kernels",
+                                                   "l1torus.numerics"]
+    for module in modules:
+        monkeypatch.setattr(module, "_BLOCK_ENTRIES", entries)
+    assert _block_bound_outputs() == expected
 
 
 @pytest.mark.parametrize("form", ["c", "z"])

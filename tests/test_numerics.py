@@ -17,6 +17,7 @@ from l1torus.numerics import (
     gauss_legendre,
     rel_err,
     shell_count,
+    shell_counts,
     shell_enumerate,
     torus_trapezoid,
     wrap_angles,
@@ -184,6 +185,54 @@ def test_ball_enumerate_is_union_of_shells(d, n):
     key = np.column_stack([np.abs(ball).sum(axis=1), ball[:, :-1], -ball[:, -1]])
     assert np.array_equal(np.lexsort(key.T[::-1]), np.arange(total))
     assert np.array_equal(ball, np.concatenate([shell_enumerate(d, k) for k in range(n + 1)]))
+
+
+@pytest.mark.parametrize("d, nmax", [(1, 200), (2, 200), (3, 200), (7, 200), (50, 200),
+                                     (1000, 300), (1, 0), (1, 1), (4, 0), (4, 1)])
+def test_shell_counts_recurrence_is_shell_count(d, nmax):
+    # (n + 1) a_{n+1} = 2 d a_n + (n - 1) a_{n-1}, from (1 - r^2) F' = 2 d F
+    assert shell_counts(d, nmax) == [shell_count(d, n) for n in range(nmax + 1)]
+
+
+def test_shell_counts_are_bounded_before_the_first_step():
+    # each row was within the per-count bound; the rows together were not
+    for d, nmax in ((1000, 61000), (3, 10**200), (10**30, 10**30)):
+        with pytest.raises(ValueError, match="rows x bits, over the limit"):
+            shell_counts(d, nmax)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        shell_counts(0, 3)
+    with pytest.raises(ValueError, match="index n must be >= 0"):
+        shell_counts(3, -1)
+    assert shell_counts(10**200, 2) == [1, 2 * 10**200, 2 * 10**400]  # few rows, small cost
+
+
+def test_large_shells_are_not_held_in_a_fresh_process(fresh_env):
+    # 64 in-bound shells of 2^16 ... 2^20 ints: the cache kept every one, 279 MiB, and max
+    # RSS rose by 242 MiB; each is first built once uncached, so what the cached calls add
+    # is what they hold, not a larger transient
+    code = ("import resource\n"
+            "from l1torus.numerics import _MAX_VALUES, _ball_size, shell_count, shell_enumerate\n"
+            "calls = []\n"
+            "for d in range(3, 100):\n"
+            "    n = 1\n"
+            "    while _ball_size(d, n) * d <= _MAX_VALUES:\n"
+            "        if 1 << 16 <= shell_count(d, n) * d < 1 << 20:\n"
+            "            calls.append((d, n))\n"
+            "        n += 1\n"
+            "calls = sorted(calls, key=lambda c: -shell_count(*c) * c[0])[:64]\n"
+            "for c in calls:\n"
+            "    shell_enumerate.__wrapped__(*c)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "for c in calls:\n"
+            "    shell_enumerate(*c)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(len(set(calls)), after - before, shell_enumerate.cache_info().currsize)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    calls, grown_kib, held = map(int, done.stdout.split())
+    assert calls == 64 and held == 0
+    assert grown_kib <= 16 << 10
 
 
 def test_ball_enumerate_caches_no_shell_per_radius():
