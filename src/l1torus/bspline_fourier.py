@@ -22,7 +22,6 @@ mean routes n as one order or a sequence of orders, one row each, by ``numerics.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -121,6 +120,17 @@ def _series_coefficients(d: int):
     return geg_norm_c(d - 1.0), fact, lambda k: float(math.comb(k + d - 2, k))
 
 
+def _ring(k0: int, k1: int, cap: int):
+    """The slots of k0 <= k < k1 (at most cap of them) in a ring of cap slots, k at k % cap,
+    as (slots, first k, end k) runs in ascending k: none, one, or two where the ring wraps."""
+    if k1 <= k0:
+        return []
+    s = k0 % cap
+    cut = min(k1, k0 + cap - s)  # the first k past the ring's end
+    runs = [(slice(s, s + cut - k0), k0, cut)]
+    return runs + [(slice(0, k1 - cut), cut, k1)] if cut < k1 else runs
+
+
 def mean_series(d: int, n, u, nterms: int | None = None):
     """Filtered Gegenbauer series route for mean(d, n, u), for u scalar or ndarray.
 
@@ -133,8 +143,17 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     ``n`` is one order, or a sequence of orders: then the result has one row per
     order, shape (len(n),) + shape(u), each row the value one call at that order
     returns.  One pass of the normalized Gegenbauer stream over m serves every order,
-    keeping one running total per order; each total sums k upward.  ValueError
-    before the pass when its (max(n) + 2K - 1 + (len(n) - 1) K) * points values
+    keeping one running total per order, and takes the degrees a block at a time: 2 h
+    degrees, h = _BLOCK_ENTRIES / (4 points), one at least, in which the smallest order
+    takes h new k.  Each weight sigma(k/K) a_k is computed once, as one array per block
+    with the float operations of a lone k, and held in a ring of the k some order still
+    needs; a lone order multiplies each row into its weight as the stream yields it.  An
+    order's products in a block are added to its total in ascending k, by one sum: rows
+    of a 2-D array summed over axis 0 add in order at each point, and a lone point's
+    column is summed by ``np.add.accumulate``, since ``np.add.reduce`` would pair it.  So
+    each total takes the additions of one term at a time, and every output is the same
+    bytes at any block size.
+    ValueError before the pass when its (max(n) + 2K - 1 + (len(n) - 1) K) * points values
     exceed ``numerics._MAX_VALUES``, or when (d-1)! is beyond the float range.
     """
     one, orders, top = _orders(d, n, "series")
@@ -155,22 +174,78 @@ def mean_series(d: int, n, u, nterms: int | None = None):
     if nterms is not None:  # a float once it is known to be small
         terms = np.full(u_arr.shape, float(kmax))
     norm, fact, coef = _series_coefficients(d)
-    x, terms = u_arr.squeeze()[()], terms.squeeze()[()]  # a lone point steps as numpy scalars
+    shape = () if u_arr.size == 1 else (u_arr.size,)  # a lone point steps as numpy scalars
+    x, terms = u_arr.reshape(shape)[()], terms.reshape(shape)[()]
+    col = (-1,) + (1,) * len(shape)  # a k per row, against the points
     expo = -36.0 / terms ** 8  # sigma(k/K) = exp(k^8 * expo)
     kfull = int(np.min(terms, initial=kmax))  # every point takes the terms k < kfull
     totals = {order: np.zeros_like(x)[()] for order in orders}
-    parity = ([o for o in sorted(totals) if o % 2 == 0], [o for o in sorted(totals) if o % 2])
-    weights = {}  # k -> sigma(k/K) a_k, until the largest order of its parity has taken it
-    rows = _gegenbauer_rows(d - 1.0, x, normalized=True)
-    for m, cur in zip(range(top + 2 * kmax - 1 if kmax else 0), rows):  # cur = R_m
-        group = parity[m % 2]
-        # the orders whose term k < K sits at degree m = order + 2k
-        for order in group[bisect_left(group, m - 2 * kmax + 2):bisect_right(group, m)]:
-            k = (m - order) // 2
-            if k not in weights:
-                w = coef(k) * np.exp(k ** 8 * expo)
-                weights[k] = w if k < kfull else np.where(k < terms, w, 0.0)
-            totals[order] += (weights.pop(k) if order == group[-1] else weights[k]) * cur
+    listed = sorted(totals)
+    low, shared = (listed or [0])[0], len(listed) > 1
+    half = max(1, _BLOCK_ENTRIES // (4 * max(u_arr.size, 1)))  # the k each block adds
+    cap = min(kmax, half + (top - low) // 2)  # the k some order still needs, at most
+    work = np.empty((cap + 1,) + shape)  # a total, then the weights, k at 1 + k % cap
+    ring = work[1:]
+    if shared:  # the block's rows of each parity, and one order's products
+        block = {p: np.empty((half,) + shape) for p in {o % 2 for o in listed}}
+        prod = np.empty((half + 1,) + shape)
+
+    def fold(rows, n, order):
+        """Add rows[1], ..., rows[n] to the order's total, one term at a time: one or two by
+        themselves, more in one sum from rows[0] = the total (a lone point's column by
+        accumulate, which adds in order where reduce would pair)."""
+        total = totals[order]
+        if n <= 2:
+            for row in rows[1:n + 1]:
+                total += row  # in place, but for a lone point's numpy scalar
+        else:
+            rows[0] = total
+            if shape:
+                np.add.reduce(rows[:n + 1], axis=0, out=total)
+            else:
+                total = np.add.accumulate(rows[:n + 1])[-1]
+        totals[order] = total
+
+    stream = _gegenbauer_rows(d - 1.0, x, normalized=True)
+    end = top + 2 * kmax - 1 if kmax and listed else 0  # the degrees the orders reach
+    for _ in zip(range(min(low, end)), stream):  # no order takes a degree below its own
+        pass
+    # block b: the degrees lo = low + 2 h b <= m < lo + 2 h, where the smallest order, the
+    # first to take each k, takes h b <= k < h (b + 1)
+    for lo in range(low, end, 2 * half):
+        hi, first = min(lo + 2 * half, end), (lo - low) // 2
+        for slots, ka, kb in _ring(first, min(kmax, first + half), cap):
+            w = ring[slots]
+            if kb - ka == 1:  # scalars: numpy buffers the operands it broadcasts
+                w, k8, a = w.reshape(shape), float(ka ** 8), coef(ka)
+                np.multiply(k8, expo, out=w)
+            else:  # a k per row: a broadcast copy takes no buffer, a broadcast product two
+                k8, a = np.array([(float(k ** 8), coef(k)) for k in range(ka, kb)]).T.reshape(
+                    (2,) + col)
+                w[...] = expo
+                w *= k8
+            if kb > kfull:  # a k >= K, whose weight is 0: spare exp its slow subnormal results
+                np.maximum(w, -37.0, out=w)  # every k < K keeps k^8 expo > -36 as it is
+            np.exp(w, out=w)
+            w *= a
+            if kb > kfull:
+                ks = ka if kb - ka == 1 else np.arange(ka, kb).reshape(col)
+                np.copyto(w, 0.0, where=ks >= terms)
+        for m, cur in zip(range(lo, hi), stream):  # cur = R_m
+            if shared and m % 2 in block:
+                block[m % 2][(m - lo) // 2] = cur
+            elif not shared and (m - lo) % 2 == 0:  # its weight's one use: multiply in place
+                ring[(m - lo) // 2] *= cur
+        if not shared:
+            fold(work, min(kmax - first, half), low)
+            continue
+        for order in listed:  # k0 <= k < k1 at degrees lo <= order + 2k < hi
+            k0, k1 = max(0, (lo - order + 1) // 2), min(kmax, (hi - order + 1) // 2)
+            rows, at = block[order % 2], (order - lo) // 2  # R_{order + 2k} is rows[at + k]
+            for slots, ka, kb in _ring(k0, k1, cap):
+                np.multiply(ring[slots], rows[at + ka:at + kb], out=prod[1 + ka - k0:1 + kb - k0])
+            if k1 > k0:
+                fold(prod, k1 - k0, order)
     scale = (1.0 - x * x) ** (d - 1.5) * norm / fact
     return _shaped(one, u, [scale * totals[order] for order in orders])
 

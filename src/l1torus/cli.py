@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -23,8 +24,8 @@ import numpy as np
 from .bspline_fourier import mean_closed, mean_series, mean_torus_mc
 from .kernels import (biortho_poly, dirichlet_kernel_batch, dirichlet_seed_theta,
                       shell_seed_theta, shell_sum_batch)
-from .numerics import (DEFAULT_SEED, check_cost, check_grid, finite, shell_count, shell_counts,
-                       torus_trapezoid)
+from .numerics import (DEFAULT_SEED, _check_count, _check_counts, _count_bits_floor, check_cost,
+                       check_grid, finite, shell_count, shell_counts, torus_trapezoid)
 from .pdf import min_eigenvalue, pdf_check, sampled_gram_matrix, spdf_check
 from .summability import CoeffSeq, SampledTorusFn, partial_sum, synth
 from .verify import SUITES, VerifyConfig, run_suites
@@ -176,19 +177,26 @@ def _cmd_pdf(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    d = args.d
-    if args.nmax is None:  # argparse takes one of --n and --nmax
-        rows = [[d, args.n, shell_count(d, args.n)]]
+    d, n = args.d, args.n if args.nmax is None else args.nmax  # argparse takes one of the two
+    if args.nmax is None:
+        _check_count(d, n)
     else:
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
         check_cost(f"--nmax {args.nmax}", args.nmax + 1, "rows", _MAX_COUNT_ROWS)
-        rows = [[d, n, count] for n, count in enumerate(shell_counts(d, args.nmax))]
-    _, n, count = rows[-1]  # the largest count
+        _check_counts(d, n)
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if digits and count >= 10**digits:
-        raise ValueError(f"the l1 count at d = {d}, n = {n} has more than {digits} digits, "
-                         f"the most Python prints of an integer")
+    too_long = ValueError(f"the l1 count at d = {d}, n = {n} has more than {digits} digits, "
+                          f"the most Python prints of an integer")
+    # the count at n, the largest, surely has more digits: refused before it is summed
+    if digits and _count_bits_floor(d, n) > digits * math.log2(10):
+        raise too_long
+    if args.nmax is None:
+        rows = [[d, n, shell_count(d, n)]]
+    else:
+        rows = [[d, k, count] for k, count in enumerate(shell_counts(d, n))]
+    if digits and rows[-1][2] >= 10**digits:
+        raise too_long
     _emit_rows(["d", "n", "count"], rows, args.format, args.out)
     return 0
 

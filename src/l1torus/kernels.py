@@ -154,8 +154,11 @@ def biortho_poly(d: int, n, u, form: str = "c"):
     lam = float(base)
     span = 2 * base  # the terms row n reaches back to, n - 2 base ... n
     step = max(1, _BLOCK_ENTRIES // max(u_arr.size, 64))  # a row counts 64 values at least
-    where = np.argsort(orders, kind="stable")  # the output rows in the order of their orders
-    listed = np.asarray(orders, dtype=np.int64)[where]
+    if top < step:  # one block: its rows are gathered once
+        where, listed = None, orders
+    else:
+        where = np.argsort(orders, kind="stable")  # the output rows in the order of their orders
+        listed = np.asarray(orders, dtype=np.int64)[where]
     rows = np.empty((len(orders),) + u_arr.shape)
     buf = np.empty((min(span + step, top + 1),) + u_arr.shape)
     held = 0  # rows of buf carried over: the terms lo - held ... lo - 1
@@ -172,6 +175,9 @@ def biortho_poly(d: int, n, u, form: str = "c"):
                 block[start - lo:] += ((-1) ** j * math.comb(base, j)
                                        * buf[start - 2 * j - first:hi - 2 * j - first])
             block *= scale
+            if where is None:
+                rows = block[listed]
+                break
             first_row, end_row = np.searchsorted(listed, (lo, hi))
             rows[where[first_row:end_row]] = block[listed[first_row:end_row] - lo]
             keep = min(span, hi)

@@ -241,14 +241,24 @@ def _float_factorial(k: int) -> float:
 
 @_block_cached(lambda d, n: shell_count(d, n) * d)
 def shell_enumerate(d: int, n: int) -> np.ndarray:
-    """The l1 shell {alpha in Z^d : |alpha|_1 = n} as a read-only (count, d) int64 array.
+    """The l1 shell {alpha in Z^d : |alpha|_1 = n} as a read-only (count, d) int64 array, in
+    the order of its shell of :func:`ball_enumerate`: lexicographic, but for the last
+    coordinate, +r before -r.
 
-    The last shell of :func:`ball_enumerate`, bounded as that is, and checked against
+    Built as shell n alone: each point of the (d-1)-ball of radius n, in lexicographic
+    order, takes the last coordinate +-(n - |prefix|_1), so it costs what the shell holds,
+    at most ``_MAX_VALUES`` ints (points x d), checked before it is built.  Checked against
     the generating-function count; cached when its count x d ints fit in one block.
     """
-    ball = ball_enumerate(d, n)
-    pts = ball[np.abs(ball).sum(axis=1) == n]
-    if pts.shape[0] != shell_count(d, n):
+    count = shell_count(d, n)
+    _check_values(f"the l1 shell {n} in d = {d}", count, d)
+    prefix = _lex_ball(d - 1, n)
+    left = n - np.abs(prefix).sum(axis=1)  # |last coordinate|
+    counts = 1 + (left > 0)  # +left and -left, or 0 once
+    last = np.repeat(left, counts)
+    last[np.cumsum(counts)[counts == 2] - 1] *= -1
+    pts = np.column_stack([np.repeat(prefix, counts, axis=0), last])
+    if pts.shape[0] != count:
         raise AssertionError("shell enumeration disagrees with shell count")
     return _readonly(pts)
 
@@ -271,13 +281,35 @@ def shell_counts(d: int, nmax: int) -> list[int]:
     Each step costs O(bits) on small multipliers: refused first when its rows times the
     estimated bits of the last, the largest, exceed _MAX_COUNT_TABLE.
     """
-    _check_dn(d, nmax, dmin=1)
-    check_cost(f"the l1 counts at d = {d}, n = 0..{nmax}", (nmax + 1) * _count_bits(d, nmax),
-               "rows x bits", _MAX_COUNT_TABLE)
+    _check_counts(d, nmax)
     counts = [1, 2 * d][:nmax + 1]
     for n in range(1, nmax):
         counts.append((2 * d * counts[n] + (n - 1) * counts[n - 1]) // (n + 1))
     return counts
+
+
+def _check_counts(d: int, nmax: int):
+    """The checks of the l1 counts at (d, 0 ... nmax) before they are stepped: d >= 1, nmax >= 0,
+    and their rows times the bits of the last (:func:`_count_bits`) within _MAX_COUNT_TABLE."""
+    _check_dn(d, nmax, dmin=1)
+    check_cost(f"the l1 counts at d = {d}, n = 0..{nmax}", (nmax + 1) * _count_bits(d, nmax),
+               "rows x bits", _MAX_COUNT_TABLE)
+
+
+def _check_count(d: int, n: int):
+    """The checks of one l1 count at (d, n) before it is summed: d >= 1, n >= 0, and its
+    min(d, n) + 1 terms times their bits (:func:`_count_bits`) within _MAX_COUNT_BITS."""
+    _check_dn(d, n, dmin=1)
+    check_cost(f"the l1 count at d = {d}, n = {n}", (min(d, n) + 1) * _count_bits(d, n),
+               "terms x bits", _MAX_COUNT_BITS)
+
+
+def _count_bits_floor(d: int, n: int) -> float:
+    """A lower bound on log2 of the l1 count at (d, n), once :func:`_check_count` passes: its
+    term j = 0, C(n + d - 1, m) >= ((n + d - 1) / m)^m with m = min(n, d - 1), less one bit
+    for the rounding of the logarithms."""
+    m = min(n, d - 1)
+    return m * (math.log2(n + d - 1) - math.log2(m)) - 1.0 if m else 0.0
 
 
 def _count_bits(d: int, n: int) -> float:
@@ -298,11 +330,8 @@ def _binomial_sum(d: int, n: int, term) -> int:
     """Sum of term(j), 0 <= j <= min(d, n), once :func:`_check_dn` passes (d >= 1); refused
     first when its terms times their bits (:func:`_count_bits`) exceed _MAX_COUNT_BITS.
     """
-    _check_dn(d, n, dmin=1)
-    terms = min(d, n) + 1
-    check_cost(f"the l1 count at d = {d}, n = {n}", terms * _count_bits(d, n), "terms x bits",
-               _MAX_COUNT_BITS)
-    return sum(map(term, range(terms)))
+    _check_count(d, n)
+    return sum(map(term, range(min(d, n) + 1)))
 
 
 def _ball_size(d: int, n: int) -> int:
@@ -319,14 +348,21 @@ def ball_enumerate(d: int, n: int) -> np.ndarray:
     before it is built.
     """
     _check_values(f"the l1 shells 0..{n} in d = {d}", _ball_size(d, n), d)
+    pts = _lex_ball(d, n)
+    pts[:, -1] *= -1  # the last coordinate descending
+    return pts[np.argsort(np.abs(pts).sum(axis=1), kind="stable")]
+
+
+def _lex_ball(k: int, n: int) -> np.ndarray:
+    """Every a in Z^k with |a|_1 <= n as a (points, k) int64 array in lexicographic order,
+    built one coordinate at a time: each prefix takes every value its norm leaves, ascending."""
     pts = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(d):  # append every a with |a| <= what the prefix leaves, ascending
+    for _ in range(k):
         left = n - np.abs(pts).sum(axis=1)
         counts = 2 * left + 1
         a = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts + left, counts)
         pts = np.column_stack([np.repeat(pts, counts, axis=0), a])
-    pts[:, -1] *= -1  # the last coordinate descending
-    return pts[np.argsort(np.abs(pts).sum(axis=1), kind="stable")]
+    return pts
 
 
 def finite(values, name: str) -> np.ndarray:

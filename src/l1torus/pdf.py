@@ -92,17 +92,19 @@ def spdf_pair_search(coeffs: CoeffSeq, pair_limit: int = 40, m_limit: int = 200)
     """Brute-force cross-check: pairs (n, l) with n < l <= pair_limit that no
     m <= m_limit settles.  Independent of the closed-form reasoning in
     :func:`spdf_check` (up to the window limits): one positivity table over the
-    indices 0 ... pair_limit (m_limit + 1) is built by ``is_positive``, and each
-    pair reads its two progressions from it as strided slices."""
+    indices 0 ... pair_limit (m_limit + 1) is built by ``is_positive``, and each l
+    reads the progressions of all its pairs at once: laid out as m_limit + 1 rows of l,
+    the entries from index 0 hold n + m l in column n, and those from index 1 hold
+    (l - n) + m l in column l - 1 - n."""
     if not pdf_check(coeffs).ok:
         raise ValueError("strictness is only defined for nonnegative sequences")
-    pos = coeffs.is_positive(np.arange(max(pair_limit * (m_limit + 1) + 1, 0)))
+    rows = m_limit + 1  # m = 0 ... m_limit
+    pos = coeffs.is_positive(np.arange(max(pair_limit * rows + 1, 0)))
     failures = []
     for l in range(1, pair_limit + 1):
-        span = m_limit * l + 1  # the indices start + m*l, m = 0 ... m_limit
-        for n in range(l):
-            if not (pos[n:n + span:l].any() or pos[l - n:l - n + span:l].any()):
-                failures.append((n, l))
+        settled = (pos[:l * rows].reshape(rows, l).any(axis=0)
+                   | pos[1:l * rows + 1].reshape(rows, l).any(axis=0)[::-1])
+        failures += [(n, l) for n in np.flatnonzero(~settled).tolist()]
     return failures
 
 

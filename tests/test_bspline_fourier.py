@@ -21,7 +21,7 @@ from l1torus import bspline_fourier as bf, numerics
 from l1torus.bspline import knot_field_batch
 from l1torus.kernels import shell_sum_batch
 from l1torus.numerics import gauss_legendre, shell_count
-from l1torus.polys import geg_norm_c
+from l1torus.polys import _gegenbauer_rows, geg_norm_c
 
 TOL = 1e-10
 
@@ -212,6 +212,47 @@ def test_series_refuses_dimensions_beyond_the_factorial_range():
     with pytest.raises(ValueError, match="199! is over the limit"):
         mean_order0_closed(200, 0.5)
     assert math.isfinite(mean_series(171, 1, 0.5))
+
+
+def _degree_by_degree_series(d, orders, u, nterms=None):
+    """The filtered series as it was summed before its blocks: the stream a degree at a time,
+    each order adding sigma(k/K) a_k R_{order + 2k} to its running total as the degree comes,
+    its weight computed for that k alone.  Returns one row per order, shaped as u."""
+    x = np.asarray(u, dtype=float)
+    if nterms is None:
+        terms = np.ceil(100.0 / np.arccos(np.abs(x)))
+    else:
+        terms = np.full(x.shape, float(nterms))
+    kmax = int(terms.max(initial=0))
+    x, terms = x.squeeze()[()], terms.squeeze()[()]
+    expo = -36.0 / terms ** 8
+    kfull = int(np.min(terms, initial=kmax))
+    totals = {order: np.zeros_like(x)[()] for order in orders}
+    stream = _gegenbauer_rows(d - 1.0, x, normalized=True)
+    for m, cur in zip(range(max(orders) + 2 * kmax - 1), stream):
+        for order in sorted(totals):
+            k = (m - order) // 2
+            if (m - order) % 2 == 0 and 0 <= k < kmax:
+                w = float(math.comb(k + d - 2, k)) * np.exp(k ** 8 * expo)
+                totals[order] += (w if k < kfull else np.where(k < terms, w, 0.0)) * cur
+    scale = (1.0 - x * x) ** (d - 1.5) * geg_norm_c(d - 1.0) / float(math.factorial(d - 1))
+    return np.reshape([scale * totals[order] for order in orders], (len(orders),) + np.shape(u))
+
+
+@pytest.mark.parametrize("entries", [1, 7, numerics._BLOCK_ENTRIES])
+def test_series_blocks_sum_as_the_degree_by_degree_loop(monkeypatch, entries):
+    # the block sums add each term as the loop did, bit for bit: points of different K (so
+    # that the weights k >= K are zeroed), a lone point, scalar, 1-D and 2-D u, and K set
+    monkeypatch.setattr(bf, "_BLOCK_ENTRIES", entries)
+    points = (0.37, -0.999, np.array([0.2]), np.array([0.1, -0.95]),
+              np.linspace(-0.99, 0.99, 50), np.linspace(-0.9, 0.9, 12).reshape(3, 4))
+    for d in (2, 3, 5):
+        for u in points:
+            for orders, nterms in (([4], None), ([7, 0, 3, 7, 2], None), ([0, 40], None),
+                                   ([2, 5], 1), ([3], 37)):
+                expected = _degree_by_degree_series(d, orders, u, nterms)
+                rows = np.asarray(mean_series(d, orders, u, nterms=nterms))
+                assert rows.tobytes() == expected.tobytes(), (d, u, orders, nterms)
 
 
 def test_series_memory_does_not_grow_with_terms():

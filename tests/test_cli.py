@@ -916,6 +916,30 @@ def test_count_requests_are_served_or_refused_in_one_line_in_a_fresh_process(
         assert refusal in line
 
 
+@pytest.mark.parametrize("argv", [["--d", "100", "--n", str(10**250)],
+                                  ["--d", "1000000", "--nmax", "1600"]], ids=["n", "nmax"])
+def test_count_past_the_printed_digits_is_refused_before_its_sum(capsys, monkeypatch, argv):
+    # d = 100, n = 10^250 summed its 101 binomials of ~82 000 bits, then refused the result's
+    # ~24 600 digits; a lower bound on its bits refuses it first, in the same line
+    def summed(*args):
+        raise AssertionError("a count was summed")
+
+    monkeypatch.setattr(cli, "shell_count", summed)
+    monkeypatch.setattr(cli, "shell_counts", summed)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["count", *argv])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    n = argv[-1]
+    assert line == (f"error: the l1 count at d = {argv[1]}, n = {n} has more than 4300 digits, "
+                    f"the most Python prints of an integer")
+
+
 def test_count_refuses_a_negative_nmax(capsys):
     code = main(["count", "--d", "3", "--nmax", "-1"])
     captured = capsys.readouterr()

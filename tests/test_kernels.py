@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import l1torus
-from l1torus.bspline_fourier import mean_torus_mc
+from l1torus.bspline_fourier import mean_series, mean_torus_mc
 from l1torus.divdiff import divided_difference_cos
 from l1torus.kernels import (
     biortho_generating_pair,
@@ -519,8 +519,8 @@ def test_biortho_table_keeps_the_checks():
 
 def _block_bound_outputs():
     """The bytes of every blocked kernel's output at fixed inputs: the shell product's three
-    finishes, biortho_poly in both forms at scalar, 1-D and 2-D u over unsorted and repeated
-    orders, and the Monte-Carlo mean at several points and orders."""
+    finishes, biortho_poly in both forms and the filtered series at scalar, 1-D and 2-D u over
+    unsorted and repeated orders, and the Monte-Carlo mean at several points and orders."""
     thetas = np.random.default_rng(11).uniform(-4.0, 4.0, (45, 3))
     thetas[:5] = 0.0  # tied cosines
     out = [fn(3, n, thetas).tobytes() for fn in (shell_sum_batch, _shell_table,
@@ -528,6 +528,12 @@ def _block_bound_outputs():
     for u in (0.37, np.linspace(-1.0, 1.0, 70), np.linspace(-0.9, 0.9, 12).reshape(3, 4)):
         for orders in (5, [9, 2, 0, 31, 2, 9, 1], range(40)):
             out += [np.asarray(biortho_poly(4, orders, u, form)).tobytes() for form in "cz"]
+    # the series at points of different K, so that some blocks zero the weights k >= K
+    for u in (0.37, np.array([-0.6]), np.linspace(-0.95, 0.95, 9),
+              np.linspace(-0.9, 0.9, 12).reshape(3, 4)):
+        for orders in (4, [7, 0, 3, 7, 2], range(6), [30, 1]):
+            out.append(np.asarray(mean_series(3, orders, u)).tobytes())
+        out.append(np.asarray(mean_series(5, [2, 5], u, nterms=30)).tobytes())
     for d in (2, 3):
         for n in (0, 4, [3, 0, 5, 3]):
             est = mean_torus_mc(d, n, np.array([-0.6, 0.05, 0.81, 0.3]), budget=3000, seed=5)

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,23 @@ def test_shell_enumerate_matches_brute_force(d, n):
     assert len({tuple(p) for p in shell}) == len(shell)
     assert len(shell) == brute_shell_count(d, n)
     assert shell_count(d, n) == brute_shell_count(d, n)
+
+
+@pytest.mark.parametrize("d, n", [(3, 101), (6, 12), (2, 1000), (10, 5)])
+def test_shell_enumerate_holds_what_its_shell_holds(d, n):
+    # the shell was cut from the whole ball 0 ... n: (3, 101) returned 0.93 MiB at a peak of
+    # 85 MiB, (2, 1000) 62 KiB at 92 MiB
+    tracemalloc.start()
+    try:
+        shell = shell_enumerate.__wrapped__(d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shell.shape == (shell_count(d, n), d)
+    assert peak < 4 * shell.nbytes
+    # lexicographic but for the last coordinate, +r before -r, as its shell of the ball
+    key = np.column_stack([shell[:, :-1], -shell[:, -1]])
+    assert np.array_equal(np.lexsort(key.T[::-1]), np.arange(len(shell)))
 
 
 @given(d=st.integers(1, 4), n=st.integers(0, 12))

@@ -160,6 +160,16 @@ def test_pair_search_table_matches_the_per_index_search(window):
     for head, n0, q, res in _SPDF_SPECS:
         c = CoeffSeq(head, Tail(n0, q, frozenset(res)))
         assert spdf_pair_search(c, *window) == _pair_search_by_index(c, *window)
+    # seeded random sequences and windows, the empty and one-pair windows and m_limit 0 among them
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        q = int(rng.integers(1, 12))
+        head = rng.choice([0.0, 0.0, 0.5, 1.0], int(rng.integers(1, 10)))
+        res = rng.choice(q, int(rng.integers(0, min(q, 3) + 1)), replace=False)
+        c = CoeffSeq(head, Tail(int(rng.integers(0, 8)), q, frozenset(res.tolist())))
+        pair_limit, m_limit = int(rng.choice([0, 1, rng.integers(2, 25)])), int(rng.integers(0, 6))
+        assert (spdf_pair_search(c, pair_limit, m_limit)
+                == _pair_search_by_index(c, pair_limit, m_limit)), (c, pair_limit, m_limit)
 
 
 def test_positivity_table_is_the_scalar_rule():
